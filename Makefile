@@ -19,7 +19,8 @@ help:
 	@echo "  oracle      flight-recorder collectors + invariant oracle suite"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
 	@echo "  alert       series ring race-hammer and alert rule-engine determinism"
-	@echo "  chaos       seeded crash+burst fault smoke of HBC and IQ under -race"
+	@echo "  chaos       seeded crash+burst fault smoke of HBC and IQ plus the"
+	@echo "              three-way driver differential, under -race"
 	@echo "  serve       query-service gate: registry race hammer + seeded 1,000-query load smoke"
 	@echo "  scenario    golden-scenario gate: DSL round-trips, pinned replay digests,"
 	@echo "              live-vs-replay differential, replay speedup, fleet boot"
@@ -99,11 +100,14 @@ prof-guard:
 
 # chaos is the robustness gate: the seeded crash+burst smoke of HBC
 # and IQ through the engine, the public API, the oracle's fault mode,
-# and the pinned golden recovery study — all under the race detector.
+# the pinned golden recovery study, and the three-way driver
+# differential (engine run 0, Simulation, and a served query recover
+# identically from loss desyncs, crashes, and controller actions) —
+# all under the race detector.
 chaos:
 	$(GO) test -race -run '^(TestEngineUnderFaults|TestEngineFaultDeterminism|TestEngineFaultPartition)$$' -v ./internal/experiment/
 	$(GO) test -race -run '^TestDifferentialUnderFaults$$' -v ./internal/trace/oracle/
-	$(GO) test -race -run '^(TestRunWithFaults|TestSimulationSetFaults|TestGoldenRecoveryStudy)$$' -v .
+	$(GO) test -race -run '^(TestRunWithFaults|TestSimulationSetFaults|TestGoldenRecoveryStudy|TestDriversAgree)$$' -v .
 
 # serve gates the continuous query service: the registry's concurrent
 # register/advance/subscribe hammer under the race detector, the

@@ -142,8 +142,8 @@ func main() {
 		var err error
 		if sc != nil {
 			// Scenario boot: every fleet shares the scenario's deployment
-			// (topology, data source, seed) — queries bring their own
-			// algorithms and alert rules.
+			// (topology, data source, seed) and fault plan — queries
+			// bring their own algorithms and alert rules.
 			err = srv.AddFleetScenario(name, sc)
 		} else {
 			fcfg := cfg

@@ -209,7 +209,7 @@ func traceProbe(cfg experiment.Config, plan *fault.Plan, c trace.Collector) erro
 	}
 	rt.SetTrace(c)
 	if plan != nil {
-		if err := rt.SetFaults(plan, cfg.Seed^0xFA07, sim.DefaultARQ()); err != nil {
+		if err := rt.SetFaults(plan, experiment.FaultSeed(cfg, 0), sim.DefaultARQ()); err != nil {
 			return err
 		}
 	}

@@ -55,12 +55,20 @@ func BuildRuntime(cfg Config, run int) (*sim.Runtime, error) {
 	return dep.NewRuntime(cfg)
 }
 
+// runSeed is run r's base seed: a distinct prime stride per run.
+func runSeed(cfg Config, run int) int64 { return cfg.Seed + int64(run)*104729 }
+
+// FaultSeed is run r's fault-injector seed: the run seed, displaced so
+// fault timing and placement never correlate with the deployment. Every
+// driver of run r — the engine, Simulation, a served query — uses it.
+func FaultSeed(cfg Config, run int) int64 { return runSeed(cfg, run) ^ 0xFA07 }
+
 // BuildDeployment assembles the topology and measurement source of one
 // run. Run r derives its seeds from the base seed so runs differ but
 // remain reproducible; the result depends only on (cfg, run), never on
 // which or how many algorithms later execute against it.
 func BuildDeployment(cfg Config, run int) (*Deployment, error) {
-	seed := cfg.Seed + int64(run)*104729 // distinct prime stride per run
+	seed := runSeed(cfg, run)
 	buildTree := wsn.BuildTree
 	if cfg.Tree == TreeBFS {
 		buildTree = wsn.BuildTreeBFS

@@ -450,20 +450,7 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 				}
 				return trace.Multi(tc, store.IngestTotals(key, sampler, sinks...))
 			}
-			var flt *faultRig
-			if opts.Faults != nil {
-				arq := sim.DefaultARQ()
-				if opts.ARQ != nil {
-					arq = *opts.ARQ
-				}
-				// The injector seed mirrors the deployment-seed stride,
-				// displaced so fault timing and placement never correlate.
-				flt = &faultRig{
-					plan: opts.Faults,
-					arq:  arq,
-					seed: (cfg.Seed + int64(j.run)*104729) ^ 0xFA07,
-				}
-			}
+			rig := Rig{Faults: opts.Faults, ARQ: opts.ARQ, FaultSeed: FaultSeed(cfg, j.run), Ctl: ctl}
 			var m Metrics
 			if opts.Prof != nil {
 				// The job runs under pprof goroutine labels so sampling
@@ -479,10 +466,11 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 					labels = append(labels, "cell", cellLabels[j.cell])
 				}
 				pprof.Do(ctx, pprof.Labels(labels...), func(c context.Context) {
-					m, err = runOn(cfg, dep, algs[j.alg].New(), mkTrace, flt, opts.Prof.Attach(c, name), ctl)
+					rig.Prof = opts.Prof.Attach(c, name)
+					m, err = runOn(cfg, dep, algs[j.alg].New(), mkTrace, rig)
 				})
 			} else {
-				m, err = runOn(cfg, dep, algs[j.alg].New(), mkTrace, flt, nil, ctl)
+				m, err = runOn(cfg, dep, algs[j.alg].New(), mkTrace, rig)
 			}
 			if err == nil {
 				if ctl != nil && opts.Adapt.Log != nil {

@@ -12,12 +12,9 @@ import (
 	"fmt"
 	"sort"
 
-	"wsnq/internal/adapt"
 	"wsnq/internal/data"
 	"wsnq/internal/energy"
-	"wsnq/internal/fault"
 	"wsnq/internal/msg"
-	"wsnq/internal/prof"
 	"wsnq/internal/protocol"
 	"wsnq/internal/sim"
 	"wsnq/internal/trace"
@@ -275,62 +272,42 @@ func aggregate(runs []Metrics) Metrics {
 	return agg
 }
 
-// faultRig carries the engine's fault options, plus the per-run
-// injector seed, into runOn. Nil means no faults.
-type faultRig struct {
-	plan *fault.Plan
-	arq  sim.ARQConfig
-	seed int64
-}
-
 // runOn executes one simulation run of alg on a (possibly shared)
-// deployment. It builds its own runtime, so concurrent calls with the
-// same deployment are safe. mkTrace, when non-nil, is handed the fresh
-// runtime and may return a flight-recorder collector to attach (nil to
-// run untraced) — late binding that lets collectors sample the
-// runtime's live counters (series.Store.IngestTotals); each round's
-// answer is then recorded as a decision event. flt, when non-nil,
-// attaches the fault plan and drives the recovery contract: a pending
-// repair flag or a Step desynchronization replays the protocol's
-// initialization over temporarily reliable links. ph, when non-nil,
-// attaches phase-attribution profiling to the runtime (closed together
-// with the trace via EndTrace). ctl, when non-nil, is this run's
-// closed-loop controller: it already observes the point stream through
-// the trace collector; runOn binds it to the live algorithm and drains
-// its queued decisions right after every AdvanceRound — an action
-// decided on round t's data acts before round t+1 steps.
-func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*sim.Runtime) trace.Collector, flt *faultRig, ph *prof.Handle, ctl *adapt.Controller) (Metrics, error) {
+// deployment through a Driver. It builds its own runtime, so concurrent
+// calls with the same deployment are safe. mkTrace, when non-nil, is
+// handed the fresh runtime and may return a flight-recorder collector
+// to attach (nil to run untraced) — late binding that lets collectors
+// sample the runtime's live counters (series.Store.IngestTotals). rig
+// carries the rest of the run's attachments: profiling, the fault plan
+// with this run's injector seed, and the closed-loop controller, which
+// already observes the point stream through the trace collector.
+func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*sim.Runtime) trace.Collector, rig Rig) (Metrics, error) {
 	rt, err := dep.NewRuntime(cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
 	if mkTrace != nil {
-		if tc := mkTrace(rt); tc != nil {
-			rt.SetTrace(tc)
-		}
-	}
-	if ph != nil {
-		rt.SetProf(ph)
-	}
-	if flt != nil {
-		// After SetTrace, so crash events at attach time are captured.
-		if err := rt.SetFaults(flt.plan, flt.seed, flt.arq); err != nil {
-			return Metrics{}, err
-		}
-	}
-	if ctl != nil {
-		ctl.Bind(adapt.BindRuntime(alg, rt))
+		rig.Trace = mkTrace(rt)
 	}
 	k := cfg.K()
+	d, err := NewDriver(rt, alg, k, rig)
+	if err != nil {
+		return Metrics{}, err
+	}
 
 	var m Metrics
 	var errSum float64
 	died := 0 // round at which the first node died (0 = survived)
-
-	record := func(q int) {
-		rt.TraceDecision(k, q)
+	for t := 0; t < cfg.Rounds; t++ {
+		q, reinit, err := d.Step()
+		if err != nil {
+			return Metrics{}, err
+		}
+		if reinit {
+			m.Reinits++
+		}
 		m.Rounds++
-		re := rankError(rt, k, q)
+		re := rt.RankErrorOf(k, q)
 		if re == 0 {
 			m.ExactRounds++
 		}
@@ -341,65 +318,6 @@ func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*si
 		if died == 0 && rt.Ledger().Exhausted() {
 			died = m.Rounds
 		}
-	}
-
-	// Initialization is modeled as reliable (acknowledged) transfer;
-	// loss applies to the continuous per-round traffic only. With
-	// faults attached, link-level faults (bursts, partitions — not
-	// crashes) are likewise suspended for the replay.
-	reliableInit := func() (int, error) {
-		if cfg.LossProb > 0 {
-			_ = rt.SetLossProb(0)
-			defer func() { _ = rt.SetLossProb(cfg.LossProb) }()
-		}
-		if flt != nil {
-			rt.SetFaultReliable(true)
-			defer rt.SetFaultReliable(false)
-		}
-		return alg.Init(rt, k)
-	}
-
-	q, err := reliableInit()
-	if err != nil {
-		return Metrics{}, fmt.Errorf("%s init: %w", alg.Name(), err)
-	}
-	record(q)
-	for t := 1; t < cfg.Rounds; t++ {
-		rt.AdvanceRound()
-		if ctl != nil {
-			// The previous round's point has just flushed through the
-			// sinks (AdvanceRound emits RoundEnd before advancing), so
-			// the controller's queue holds exactly the decisions from
-			// completed rounds. A proactive reroot sets the repair flag,
-			// which the reinit check below picks up immediately.
-			ctl.Apply()
-		}
-		if flt != nil && rt.ConsumeReinit() {
-			// Tree repair (or crash recovery) moved nodes; the protocol
-			// state no longer matches the topology, so the root replays
-			// initialization before stepping on.
-			m.Reinits++
-			if q, err = reliableInit(); err != nil {
-				return Metrics{}, fmt.Errorf("%s repair reinit round %d: %w", alg.Name(), t, err)
-			}
-			record(q)
-			continue
-		}
-		q, err = alg.Step(rt)
-		if err != nil {
-			// Loss or faults can desynchronize a protocol; the root then
-			// triggers a re-initialization, whose cost is accounted like
-			// any other traffic.
-			if cfg.LossProb == 0 && flt == nil {
-				return Metrics{}, fmt.Errorf("%s round %d: %w", alg.Name(), t, err)
-			}
-			m.Reinits++
-			q, err = reliableInit()
-			if err != nil {
-				return Metrics{}, fmt.Errorf("%s reinit round %d: %w", alg.Name(), t, err)
-			}
-		}
-		record(q)
 	}
 	rt.EndTrace()
 
@@ -431,14 +349,6 @@ func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*si
 		m.LifetimeRounds = cfg.Energy.InitialBudget / (hottest / rounds)
 	}
 	return m, nil
-}
-
-// rankError returns the distance between k and the closest rank the
-// reported value occupies in the true (oracle) data; 0 means exact.
-// The computation lives on the runtime (RankErrorOf) so the flight
-// recorder can stamp decision events with the same figure.
-func rankError(rt *sim.Runtime, k, reported int) int {
-	return rt.RankErrorOf(k, reported)
 }
 
 // fairness computes the Gini coefficient and the hotspot-to-median

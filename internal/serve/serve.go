@@ -32,8 +32,8 @@ import (
 	"wsnq/internal/alert"
 	"wsnq/internal/energy"
 	"wsnq/internal/experiment"
+	"wsnq/internal/fault"
 	"wsnq/internal/prof"
-	"wsnq/internal/protocol"
 	"wsnq/internal/series"
 	"wsnq/internal/sim"
 	"wsnq/internal/slo"
@@ -167,6 +167,10 @@ type Update struct {
 	Degraded  bool `json:"degraded,omitempty"`
 	Staleness int  `json:"staleness,omitempty"`
 	Missing   int  `json:"missing,omitempty"`
+	// Reinit reports that the round replayed the protocol's
+	// initialization after a tree repair or a desynchronization under
+	// loss or faults (RoundResult.Reinit semantics).
+	Reinit bool `json:"reinit,omitempty"`
 
 	// LatencyMs is the wall-clock time this round's answer took to
 	// compute; measured (and the SLO fields below populated) only on
@@ -183,19 +187,23 @@ type Update struct {
 	// transitions the round fired, exemplars included.
 	SLO       []slo.Status `json:"slo,omitempty"`
 	SLOEvents []slo.Event  `json:"slo_events,omitempty"`
-	// Failed carries the error text of a query whose protocol step
-	// failed; the query stops advancing but stays registered for
-	// inspection until deregistered.
+	// Failed carries the error text of a query whose round failed
+	// beyond the recovery contract — an initialization or
+	// re-initialization that failed, or a step error on a loss-free,
+	// fault-free runtime; the query stops advancing but stays
+	// registered for inspection until deregistered.
 	Failed string `json:"failed,omitempty"`
 }
 
 // Fleet is one shared deployment: an immutable topology + measurement
 // source every hosted query's runtime executes against, plus the
-// configuration runtimes are derived with.
+// configuration runtimes are derived with and an optional fault plan.
 type Fleet struct {
-	name string
-	cfg  experiment.Config
-	dep  *experiment.Deployment
+	name   string
+	cfg    experiment.Config
+	dep    *experiment.Deployment
+	faults *fault.Plan    // attached to every query's runtime; nil for none
+	arq    *sim.ARQConfig // nil selects sim.DefaultARQ
 }
 
 // Name returns the fleet's registry key.
@@ -262,6 +270,13 @@ func standardResolve(name string) (experiment.Factory, error) {
 // immutable, so adding a fleet is the only expensive construction the
 // registry performs.
 func (r *Registry) AddFleet(name string, cfg experiment.Config) (*Fleet, error) {
+	return r.AddFaultyFleet(name, cfg, nil, nil)
+}
+
+// AddFaultyFleet is AddFleet with a fault plan: every query on the
+// fleet attaches plan under arq (nil selects sim.DefaultARQ) with run
+// 0's fault seed, so it recovers exactly like the engine's run 0.
+func (r *Registry) AddFaultyFleet(name string, cfg experiment.Config, plan *fault.Plan, arq *sim.ARQConfig) (*Fleet, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty fleet name")
 	}
@@ -272,7 +287,7 @@ func (r *Registry) AddFleet(name string, cfg experiment.Config) (*Fleet, error) 
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{name: name, cfg: cfg, dep: dep}
+	f := &Fleet{name: name, cfg: cfg, dep: dep, faults: plan, arq: arq}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.fleets[name]; dup {
@@ -442,9 +457,6 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 		id:     spec.ID,
 		spec:   spec,
 		fleet:  fleet,
-		k:      cfg.K(),
-		rt:     rt,
-		alg:    factory(),
 		store:  store,
 		eng:    eng,
 		slo:    tracker,
@@ -460,7 +472,6 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 		// The controller rides the same ingester as the query's own
 		// alert engine but evaluates its policies on a private one, so a
 		// query's Rules and its adaptation never interfere.
-		ctl.Bind(adapt.BindRuntime(q.alg, rt))
 		sinks = append(sinks, ctl.Observe)
 	}
 	// The sampling ingester diffs the runtime's cumulative counters at
@@ -490,7 +501,11 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 			return t
 		}
 	}
-	rt.SetTrace(store.IngestTotals(spec.Key, sampler, sinks...))
+	rig := experiment.Rig{
+		Trace:  store.IngestTotals(spec.Key, sampler, sinks...),
+		Faults: fleet.faults, ARQ: fleet.arq, FaultSeed: experiment.FaultSeed(cfg, 0),
+		Ctl: ctl,
+	}
 	if rcfg.Prof != nil {
 		// The handle stays closed between rounds — step brackets each
 		// round with Switch/Close — so allocations made outside this
@@ -498,7 +513,12 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 		// charged to it.
 		q.ph = rcfg.Prof.Attach(context.Background(), spec.Algorithm,
 			"algorithm", spec.Algorithm, "fleet", spec.Fleet, "query", spec.ID)
-		rt.SetProf(q.ph)
+		rig.Prof = q.ph
+	}
+	if q.drv, err = experiment.NewDriver(rt, factory(), cfg.K(), rig); err != nil {
+		return nil, err
+	}
+	if q.ph != nil {
 		q.ph.Close()
 	}
 	return q, nil
@@ -617,26 +637,23 @@ func (r *Registry) Advance() int {
 }
 
 // Query is one registered continuous quantile query: a private runtime
-// and protocol instance over the fleet's shared deployment, plus the
-// query's isolated series store, alert engine, and subscriber list.
+// and protocol instance (driven by an experiment.Driver) over the
+// fleet's shared deployment, plus the query's isolated series store,
+// alert engine, and subscriber list.
 type Query struct {
 	id     string
 	spec   Spec
 	fleet  *Fleet
-	k      int
 	subBuf int
 
 	mu      sync.Mutex
-	rt      *sim.Runtime
+	drv     *experiment.Driver
 	ph      *prof.Handle
-	alg     protocol.Algorithm
 	store   *series.Store
 	eng     *alert.Engine
 	slo     *slo.Tracker
 	ctl     *adapt.Controller
-	inited  bool
 	closed  bool
-	round   int
 	alertAt int     // absolute alert-log cursor (alert.Engine.LogSince)
 	sloAt   int     // absolute SLO-event cursor (slo.Tracker.LogSince)
 	adaptAt int     // decision-log cursor (adapt.Controller.DecisionsSince)
@@ -654,7 +671,7 @@ func (q *Query) ID() string { return q.id }
 func (q *Query) Spec() Spec { return q.spec }
 
 // K returns the queried rank derived from φ and the fleet size.
-func (q *Query) K() int { return q.k }
+func (q *Query) K() int { return q.drv.K() }
 
 // Latest returns the most recent Update; ok is false before the first
 // Advance after registration.
@@ -682,22 +699,25 @@ func (q *Query) Alerts() *alert.Engine { return q.eng }
 // query without objectives).
 func (q *Query) SLO() *slo.Tracker { return q.slo }
 
-// step executes one protocol round, mirroring Simulation.Step without
-// faults: the first round runs Init (over reliable links, like every
-// driver), later rounds advance the runtime and run Step; an error
-// parks the query. The round's decision is traced — feeding the series
-// ingester and alert sinks — and the resulting Update published.
+// step executes one protocol round through the query's driver — the
+// same round loop and recovery contract as the experiment engine and
+// Simulation: the first round initializes, a repair or a desync under
+// loss or faults replays the initialization (Update.Reinit), and any
+// other error parks the query. The round's decision is traced —
+// feeding the series ingester and alert sinks — and the resulting
+// Update published.
 func (q *Query) step(dropped *atomic.Int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.failed != nil {
 		return
 	}
+	rt := q.drv.Runtime()
 	if q.ph != nil {
 		// Open this round's attribution span on the stepping goroutine
 		// and flush it when the round ends, so the interleaved rounds
 		// of other queries are never charged to this query's buckets.
-		q.ph.Switch(q.rt.Phase())
+		q.ph.Switch(rt.Phase())
 		defer q.ph.Close()
 	}
 	var began time.Time
@@ -708,53 +728,26 @@ func (q *Query) step(dropped *atomic.Int64) {
 		// recordings of unserved runs.
 		began = time.Now()
 	}
-	var (
-		v   int
-		err error
-	)
-	if !q.inited {
-		// Initialization is modeled as reliable transfer, exactly like
-		// the batch engine and the round-by-round Simulation: iid loss
-		// and link-level faults are suspended for the replay.
-		lossP := q.rt.LossProb()
-		if lossP > 0 {
-			_ = q.rt.SetLossProb(0)
-		}
-		q.rt.SetFaultReliable(true)
-		v, err = q.alg.Init(q.rt, q.k)
-		q.rt.SetFaultReliable(false)
-		if lossP > 0 {
-			_ = q.rt.SetLossProb(lossP)
-		}
-		q.inited = true
-	} else {
-		q.rt.AdvanceRound()
-		q.round++
-		if q.ctl != nil {
-			// The previous round's point flushed through the controller
-			// during AdvanceRound; its queued actions apply before this
-			// round's protocol work, mirroring the experiment engine.
-			q.ctl.Apply()
-		}
-		v, err = q.alg.Step(q.rt)
-	}
+	v, reinit, err := q.drv.Step()
+	round := q.drv.Round()
 	if err != nil {
-		q.failed = fmt.Errorf("round %d: %w", q.round, err)
-		q.publish(Update{Query: q.id, Round: q.round, Failed: q.failed.Error()}, dropped)
+		q.failed = err
+		q.publish(Update{Query: q.id, Round: round, Failed: err.Error()}, dropped)
 		return
 	}
-	q.rt.TraceDecision(q.k, v)
+	k := q.drv.K()
 	u := Update{
 		Query:     q.id,
-		Round:     q.round,
+		Round:     round,
 		Quantile:  v,
-		Oracle:    q.rt.Oracle(q.k),
-		RankError: q.rt.RankErrorOf(q.k, v),
-		Joules:    q.rt.Ledger().TotalSpent(),
-		Frames:    q.rt.Stats().FramesSent,
-		Degraded:  q.rt.CoverageDeficit() > 0,
-		Staleness: q.rt.Staleness(),
-		Missing:   q.rt.Missing(),
+		Oracle:    rt.Oracle(k),
+		RankError: rt.RankErrorOf(k, v),
+		Joules:    rt.Ledger().TotalSpent(),
+		Frames:    rt.Stats().FramesSent,
+		Degraded:  rt.CoverageDeficit() > 0,
+		Staleness: rt.Staleness(),
+		Missing:   rt.Missing(),
+		Reinit:    reinit,
 	}
 	if q.eng != nil {
 		u.Alerts, q.alertAt = q.eng.LogSince(q.alertAt)
@@ -766,9 +759,9 @@ func (q *Query) step(dropped *atomic.Int64) {
 		u.LatencyMs = float64(time.Since(began)) / float64(time.Millisecond)
 		q.stepMs += u.LatencyMs
 		u.SLO = q.slo.Observe(q.spec.Key, slo.Sample{
-			Round:     q.round,
+			Round:     round,
 			RankError: u.RankError,
-			N:         q.rt.N(),
+			N:         rt.N(),
 			Degraded:  u.Degraded,
 			Staleness: u.Staleness,
 			LatencyMs: u.LatencyMs,
@@ -811,7 +804,7 @@ func (q *Query) close() {
 		return
 	}
 	q.closed = true
-	q.rt.EndTrace()
+	q.drv.Runtime().EndTrace()
 	for _, s := range q.subs {
 		close(s.ch)
 	}

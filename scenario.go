@@ -4,9 +4,7 @@ import (
 	"context"
 	"io"
 
-	"wsnq/internal/experiment"
 	"wsnq/internal/scenario"
-	"wsnq/internal/sim"
 )
 
 // This file is the public face of the scenario layer
@@ -211,42 +209,21 @@ func NewScenarioSimulation(sc *Scenario, alg Algorithm) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := factory(alg)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := experiment.BuildRuntime(icfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	s := &Simulation{
-		rt: rt, alg: f(), k: icfg.K(),
-		seed:   icfg.Seed ^ 0xFA07,
-		budget: icfg.Energy.InitialBudget,
-	}
-	if sc.s.Faults != nil {
-		arq := sim.DefaultARQ()
-		if sc.s.ARQ != nil {
-			arq = *sc.s.ARQ
-		}
-		if err := rt.SetFaults(sc.s.Faults, s.seed, arq); err != nil {
-			return nil, err
-		}
-		s.faults = true
-	}
-	return s, nil
+	return newSimulation(icfg, alg, sc.s.Faults, sc.s.ARQ)
 }
 
 // AddFleetScenario builds one shared deployment from the scenario's
-// topology and data source and registers it under name, exactly like
-// AddFleet from a Config. Queries on the fleet then run against the
-// scenario's deployment; the scenario's algorithm line-up, fault plan,
-// and alert rules are not applied here — queries bring their own.
+// topology and data source and registers it under name, like AddFleet
+// from a Config. The scenario's fault plan and ARQ configuration carry
+// into the fleet: every query on it attaches them with run 0's fault
+// seed, exactly as NewScenarioSimulation does. The scenario's algorithm
+// line-up, alert rules, and adaptation policies are not applied —
+// queries bring their own.
 func (s *Server) AddFleetScenario(name string, sc *Scenario) error {
 	icfg, err := sc.s.Config()
 	if err != nil {
 		return err
 	}
-	_, err = s.reg.AddFleet(name, icfg)
+	_, err = s.reg.AddFaultyFleet(name, icfg, sc.s.Faults, sc.s.ARQ)
 	return err
 }

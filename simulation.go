@@ -6,7 +6,7 @@ import (
 	"wsnq/internal/adapt"
 	"wsnq/internal/core"
 	"wsnq/internal/experiment"
-	"wsnq/internal/protocol"
+	"wsnq/internal/fault"
 	"wsnq/internal/series"
 	"wsnq/internal/sim"
 	"wsnq/internal/trace"
@@ -16,14 +16,10 @@ import (
 // monitoring, visualization, or custom metrics. It wraps one run of the
 // configured study (Runs is ignored; use Run for averaged studies).
 type Simulation struct {
+	drv    *experiment.Driver
 	rt     *sim.Runtime
-	alg    protocol.Algorithm
-	k      int
 	seed   int64
 	budget float64
-	round  int
-	init   bool
-	faults bool
 
 	userTrace TraceCollector  // collector attached via SetTrace
 	adaptTap  trace.Collector // private point derivation for the controller
@@ -45,11 +41,12 @@ type RoundResult struct {
 	Convergecasts int // convergecast phases executed
 	Broadcasts    int // broadcast phases executed
 
-	// Fault-mode status (zero without SetFaults): whether this round's
-	// answer was computed with incomplete sensor coverage, the rounds
-	// since the last fully covered answer, the alive-but-orphaned
-	// nodes awaiting tree repair, and whether the round replayed the
-	// protocol's initialization after repair or a desynchronization.
+	// Recovery status: whether this round's answer was computed with
+	// incomplete sensor coverage, the rounds since the last fully
+	// covered answer, the alive-but-orphaned nodes awaiting tree repair
+	// (these three are zero without SetFaults), and whether the round
+	// replayed the protocol's initialization after a repair or a
+	// desynchronization under loss or faults.
 	Degraded  bool
 	Staleness int
 	Orphans   int
@@ -67,6 +64,13 @@ func NewSimulation(cfg Config, alg Algorithm) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSimulation(icfg, alg, nil, nil)
+}
+
+// newSimulation is the one constructor path: run 0's runtime of icfg
+// driving alg, with plan (nil for none) attached under arq (nil for
+// sim.DefaultARQ) and run 0's fault seed.
+func newSimulation(icfg experiment.Config, alg Algorithm, plan *fault.Plan, arq *sim.ARQConfig) (*Simulation, error) {
 	f, err := factory(alg)
 	if err != nil {
 		return nil, err
@@ -75,11 +79,12 @@ func NewSimulation(cfg Config, alg Algorithm) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{
-		rt: rt, alg: f(), k: icfg.K(),
-		seed:   icfg.Seed ^ 0xFA07,
-		budget: icfg.Energy.InitialBudget,
-	}, nil
+	seed := experiment.FaultSeed(icfg, 0)
+	drv, err := experiment.NewDriver(rt, f(), icfg.K(), experiment.Rig{Faults: plan, ARQ: arq, FaultSeed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return &Simulation{drv: drv, rt: rt, seed: seed, budget: icfg.Energy.InitialBudget}, nil
 }
 
 // SetFaults attaches a fault plan with the default ARQ recovery
@@ -94,11 +99,7 @@ func (s *Simulation) SetFaults(p *FaultPlan) error {
 	if p == nil {
 		return fmt.Errorf("wsnq: nil fault plan")
 	}
-	if err := s.rt.SetFaults(p.plan, s.seed, sim.DefaultARQ()); err != nil {
-		return err
-	}
-	s.faults = true
-	return nil
+	return s.rt.SetFaults(p.plan, s.seed, sim.DefaultARQ())
 }
 
 // SetTrace attaches a flight recorder to the simulation (nil detaches):
@@ -128,6 +129,7 @@ func (s *Simulation) syncTrace() {
 func (s *Simulation) SetController(c *Controller) error {
 	if c == nil || len(c.policies) == 0 {
 		s.ctl, s.adaptTap = nil, nil
+		s.drv.SetController(nil)
 		s.syncTrace()
 		return nil
 	}
@@ -135,9 +137,9 @@ func (s *Simulation) SetController(c *Controller) error {
 	if err != nil {
 		return err
 	}
-	ctl.Bind(adapt.BindRuntime(s.alg, s.rt))
+	s.drv.SetController(ctl)
 	s.ctl = ctl
-	s.adaptTap = series.New(1).IngestTotals(s.alg.Name(), experiment.SeriesSampler(s.rt), ctl.Observe)
+	s.adaptTap = series.New(1).IngestTotals(s.AlgorithmName(), experiment.SeriesSampler(s.rt), ctl.Observe)
 	s.syncTrace()
 	return nil
 }
@@ -159,7 +161,7 @@ func (s *Simulation) AdaptDecisions() []AdaptDecision {
 func (s *Simulation) FinishTrace() { s.rt.EndTrace() }
 
 // K returns the queried rank.
-func (s *Simulation) K() int { return s.k }
+func (s *Simulation) K() int { return s.drv.K() }
 
 // N returns the number of sensor nodes.
 func (s *Simulation) N() int { return s.rt.N() }
@@ -168,61 +170,24 @@ func (s *Simulation) N() int { return s.rt.N() }
 func (s *Simulation) Universe() (lo, hi int) { return s.rt.Universe() }
 
 // AlgorithmName returns the running algorithm's display name.
-func (s *Simulation) AlgorithmName() string { return s.alg.Name() }
+func (s *Simulation) AlgorithmName() string { return s.drv.Algorithm().Name() }
 
 // Step executes the next round (the first call runs initialization) and
-// reports the result.
+// reports the result. It follows the recovery contract of every driver
+// (experiment.Driver): after a tree repair, or a desynchronization
+// under loss or faults, the round replays initialization over reliable
+// links and RoundResult.Reinit reports it.
 func (s *Simulation) Step() (RoundResult, error) {
-	var (
-		q      int
-		err    error
-		reinit bool
-	)
-	replay := func() (int, error) {
-		// Initialization is modeled as reliable transfer, exactly like
-		// the batch engine: iid loss and link-level faults are suspended
-		// so the round-by-round driver derives the same streams.
-		if p := s.rt.LossProb(); p > 0 {
-			_ = s.rt.SetLossProb(0)
-			defer func() { _ = s.rt.SetLossProb(p) }()
-		}
-		s.rt.SetFaultReliable(true)
-		defer s.rt.SetFaultReliable(false)
-		return s.alg.Init(s.rt, s.k)
-	}
-	if !s.init {
-		q, err = replay()
-		s.init = true
-	} else {
-		s.rt.AdvanceRound()
-		s.round++
-		if s.ctl != nil {
-			// The previous round's point has flushed through the
-			// controller's tap during AdvanceRound; queued actions apply
-			// before this round's protocol work. A proactive reroot sets
-			// the repair flag the reinit check below consumes.
-			s.ctl.Apply()
-		}
-		if s.faults && s.rt.ConsumeReinit() {
-			reinit = true
-			q, err = replay()
-		} else if q, err = s.alg.Step(s.rt); err != nil && s.faults {
-			// Faults desynchronized the protocol; replay initialization
-			// like the experiment engine does.
-			reinit = true
-			q, err = replay()
-		}
-	}
+	q, reinit, err := s.drv.Step()
 	if err != nil {
-		return RoundResult{}, fmt.Errorf("round %d: %w", s.round, err)
+		return RoundResult{}, err
 	}
-	s.rt.TraceDecision(s.k, q)
 	st := s.rt.Stats()
 	_, hotspot := s.rt.Ledger().MaxSpent()
 	return RoundResult{
-		Round:         s.round,
+		Round:         s.drv.Round(),
 		Quantile:      q,
-		Oracle:        s.rt.Oracle(s.k),
+		Oracle:        s.rt.Oracle(s.drv.K()),
 		TotalEnergy:   s.rt.Ledger().TotalSpent(),
 		HotspotEnergy: hotspot,
 		BitsSent:      st.BitsSent,
@@ -258,7 +223,7 @@ func (s *Simulation) Readings() []int {
 // the filter v^{t-1} and the offsets ξ_l, ξ_r. ok is false when the
 // simulation does not run IQ.
 func (s *Simulation) IQState() (filter, xiL, xiR int, ok bool) {
-	iq, isIQ := s.alg.(*core.IQ)
+	iq, isIQ := s.drv.Algorithm().(*core.IQ)
 	if !isIQ {
 		return 0, 0, 0, false
 	}
