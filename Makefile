@@ -18,7 +18,8 @@ help:
 	@echo "  race        full suite under the race detector"
 	@echo "  oracle      flight-recorder collectors + invariant oracle suite"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
-	@echo "  alert       series ring race-hammer and alert rule-engine determinism"
+	@echo "  alert       series ring race-hammer, the shared windowed-level package,"
+	@echo "              alert rule-engine determinism and zero-allocation observe"
 	@echo "  chaos       seeded crash+burst fault smoke of HBC and IQ plus the"
 	@echo "              three-way driver differential, under -race"
 	@echo "  serve       query-service gate: registry race hammer + seeded 1,000-query load smoke"
@@ -73,11 +74,15 @@ telemetry:
 	$(GO) test -race -run '^(TestRegistryConcurrent|TestSnapshotDeterminism)$$' -v ./internal/telemetry/
 
 # alert gates the streaming-observability layer: the series ring must
-# survive concurrent ingest/read hammering under the race detector, and
-# the alert rule engine must produce byte-identical logs across runs.
+# survive concurrent ingest/read hammering under the race detector, the
+# windowed-level package the alert, SLO and adaptation layers share
+# (ring, standing level, bounded log with absolute cursors) must pass
+# its suite, and the alert rule engine must produce byte-identical logs
+# across runs and observe a transition-free round without allocating.
 alert:
 	$(GO) test -race -run '^TestSeriesRingRace$$' -v ./internal/series/
-	$(GO) test -run '^TestRuleEngineDeterminism$$' -v ./internal/alert/
+	$(GO) test -v ./internal/level/
+	$(GO) test -run '^(TestRuleEngineDeterminism|TestObserveAllocatesNothing)$$' -v ./internal/alert/
 
 # prof gates the profiling layer: the recorder/report unit suite, the
 # benchfmt schema-v2 + diff-table suite, the telemetry exposition

@@ -10,6 +10,7 @@
 package wsnq
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"strings"
@@ -188,7 +189,7 @@ func benchCompare(b *testing.B, parallelism int) {
 	cfg.Rounds = 100
 	cfg.Runs = 20
 	for i := 0; i < b.N; i++ {
-		if _, err := Compare(cfg, StandardAlgorithms(), WithParallelism(parallelism)); err != nil {
+		if _, err := CompareContext(context.Background(), cfg, StandardAlgorithms(), WithParallelism(parallelism)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package wsnq_test
 
 import (
+	"context"
 	"fmt"
 
 	"wsnq"
@@ -57,8 +58,9 @@ func ExampleNewSimulation() {
 	// algorithm HBC, k=25, exact 10/10
 }
 
-// ExampleCompare contrasts two algorithms on identical deployments.
-func ExampleCompare() {
+// ExampleCompareContext contrasts two algorithms on identical
+// deployments.
+func ExampleCompareContext() {
 	cfg := wsnq.DefaultConfig()
 	cfg.Nodes = 60
 	cfg.RadioRange = 50
@@ -66,13 +68,14 @@ func ExampleCompare() {
 	cfg.Runs = 1
 	cfg.Seed = 11
 
-	res, err := wsnq.Compare(cfg, []wsnq.Algorithm{wsnq.TAG, wsnq.IQ})
+	res, err := wsnq.CompareContext(context.Background(), cfg, []wsnq.Algorithm{wsnq.TAG, wsnq.IQ})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("IQ cheaper than TAG: %v\n",
-		res[wsnq.IQ].MaxNodeEnergyPerRound < res[wsnq.TAG].MaxNodeEnergyPerRound)
+	iq, _ := res.Get(wsnq.IQ)
+	tag, _ := res.Get(wsnq.TAG)
+	fmt.Printf("IQ cheaper than TAG: %v\n", iq.MaxNodeEnergyPerRound < tag.MaxNodeEnergyPerRound)
 	// Output:
 	// IQ cheaper than TAG: true
 }

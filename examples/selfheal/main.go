@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,24 +40,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	static, err := wsnq.Compare(cfg, []wsnq.Algorithm{wsnq.IQ, wsnq.HBC}, wsnq.WithFaults(plan))
+	ctx := context.Background()
+	static, err := wsnq.CompareContext(ctx, cfg, []wsnq.Algorithm{wsnq.IQ, wsnq.HBC}, wsnq.WithFaults(plan))
 	if err != nil {
 		log.Fatal(err)
 	}
-	adaptive, err := wsnq.Compare(cfg, []wsnq.Algorithm{wsnq.IQ},
+	adaptive, err := wsnq.CompareContext(ctx, cfg, []wsnq.Algorithm{wsnq.IQ},
 		wsnq.WithFaults(plan), wsnq.WithAdaptation(ctl))
 	if err != nil {
 		log.Fatal(err)
 	}
+	staticIQ, _ := static.Get(wsnq.IQ)
+	staticHBC, _ := static.Get(wsnq.HBC)
+	adaptiveIQ, _ := adaptive.Get(wsnq.IQ)
 
 	fmt.Println("configuration     degraded rounds   lifetime[rounds]   frames/round")
 	for _, row := range []struct {
 		name string
 		m    wsnq.Metrics
 	}{
-		{"static IQ", static[wsnq.IQ]},
-		{"static HBC", static[wsnq.HBC]},
-		{"IQ + controller", adaptive[wsnq.IQ]},
+		{"static IQ", staticIQ},
+		{"static HBC", staticHBC},
+		{"IQ + controller", adaptiveIQ},
 	} {
 		fmt.Printf("%-17s %15d %18.0f %14.1f\n",
 			row.name, row.m.DegradedRounds, row.m.LifetimeRounds, row.m.FramesPerRound)

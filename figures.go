@@ -72,29 +72,6 @@ type FigureOptions struct {
 	// order; series keys are "<variant>/<algorithm>" (prefixed with
 	// Observer.Key when set).
 	Observer *Observer
-	// Trace attaches a flight recorder to every simulation run of the
-	// figure, as in WithTrace.
-	//
-	// Deprecated: Set Observer.Trace instead; a non-nil Observer field
-	// wins over this one.
-	Trace TraceCollector
-	// Telemetry attaches a live telemetry sink, as in WithTelemetry.
-	//
-	// Deprecated: Set Observer.Telemetry instead; a non-nil Observer
-	// field wins over this one.
-	Telemetry *Telemetry
-	// Series records the per-round phase-attributed time series of
-	// every run, as in WithSeries.
-	//
-	// Deprecated: Set Observer.Series instead; a non-nil Observer
-	// field wins over this one.
-	Series *Series
-	// Alerts streams every run's per-round points through the alert
-	// rule engine, as in WithAlertRules.
-	//
-	// Deprecated: Set Observer.Alerts instead; a non-nil Observer
-	// field wins over this one.
-	Alerts *Alerts
 	// Faults, when non-nil, attaches the fault plan to every simulation
 	// run of the figure, as in WithFaults: scheduled crashes, bursty
 	// links, and partitions with the default ARQ recovery.
@@ -108,11 +85,6 @@ func (o *FigureOptions) engine() experiment.Options {
 	if o.Faults != nil {
 		eo.exp.Faults = o.Faults.plan
 	}
-	// The deprecated per-sink fields apply first, then the Observer
-	// bundle slot by slot, so its non-nil fields win over the legacy
-	// ones — the same layering WithObserver gives the option path.
-	legacy := Observer{Trace: o.Trace, Telemetry: o.Telemetry, Series: o.Series, Alerts: o.Alerts}
-	legacy.apply(&eo)
 	if o.Observer != nil {
 		o.Observer.apply(&eo)
 	}

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"wsnq/internal/alert"
+	"wsnq/internal/level"
 	"wsnq/internal/series"
 )
 
@@ -225,12 +226,7 @@ func ParsePolicy(s string) (Policy, error) {
 		}
 		lvl := trig[open+1 : len(trig)-1]
 		trig = trig[:open]
-		switch lvl {
-		case "warn":
-			p.Level = alert.Warn
-		case "crit":
-			p.Level = alert.Crit
-		default:
+		if err := p.Level.UnmarshalText([]byte(lvl)); err != nil || p.Level == alert.OK {
 			return Policy{}, fmt.Errorf("adapt: trigger level %q (want warn or crit)", lvl)
 		}
 	}
@@ -343,27 +339,20 @@ type policyState struct {
 	lastFire int
 }
 
-// levelKey scopes a standing alert level to one rule × series key.
-type levelKey struct {
-	rule, key string
-}
-
-// Controller subscribes to the alert transition stream and turns
-// standing levels into queued protocol actions. It owns a private
-// alert.Engine built from exactly the presets its policies reference,
-// so attaching a controller never perturbs (or depends on) any
-// user-attached alert engine. One controller observes one run's point
-// stream (the experiment engine builds one per run; the query service
-// one per query); it is not safe for concurrent use.
+// Controller reads the standing alert levels of its triggers and turns
+// them into queued protocol actions. It owns a private alert.Engine
+// built from exactly the presets its policies reference, so attaching
+// a controller never perturbs (or depends on) any user-attached alert
+// engine. One controller observes one run's point stream (the
+// experiment engine builds one per run; the query service one per
+// query); it is not safe for concurrent use.
 type Controller struct {
 	policies []Policy
 	eng      *alert.Engine
-	cursor   int // absolute alert-log cursor (alert.Engine.LogSince)
-	level    map[levelKey]alert.Level
 	st       []policyState
 	act      Actuator
 	pending  []Policy
-	log      []Decision
+	log      level.Log[Decision]
 }
 
 // NewController builds a controller over the given policies. budget is
@@ -398,7 +387,6 @@ func NewController(budget float64, policies ...Policy) (*Controller, error) {
 	c := &Controller{
 		policies: append([]Policy(nil), policies...),
 		eng:      eng,
-		level:    make(map[levelKey]alert.Level),
 		st:       make([]policyState, len(policies)),
 	}
 	for i := range c.st {
@@ -418,21 +406,16 @@ func (c *Controller) Policies() []Policy {
 func (c *Controller) Bind(a Actuator) { c.act = a }
 
 // Observe feeds one raw span-1 point through the controller: the
-// private alert engine evaluates it, the transition stream updates the
-// standing levels, and every policy's hysteresis window advances —
-// firing queues a Decision for the next Apply. It is a series.Sink;
-// attach it to the same ingester that feeds the other sinks.
+// private alert engine evaluates it, and every policy's hysteresis
+// window advances on its trigger's standing level for key — firing
+// queues a Decision for the next Apply. It is a series.Sink; attach it
+// to the same ingester that feeds the other sinks.
 func (c *Controller) Observe(key string, p series.Point) {
 	c.eng.Observe(key, p)
-	events, next := c.eng.LogSince(c.cursor)
-	c.cursor = next
-	for _, ev := range events {
-		c.level[levelKey{ev.Rule, ev.Key}] = ev.Level
-	}
 	for i := range c.policies {
 		pol := &c.policies[i]
 		st := &c.st[i]
-		lvl := c.level[levelKey{pol.Trigger, key}]
+		lvl := c.eng.Level(pol.Trigger, key)
 		if lvl < pol.Level {
 			st.armed = 0
 			continue
@@ -443,7 +426,7 @@ func (c *Controller) Observe(key string, p series.Point) {
 		}
 		st.lastFire = p.Round
 		c.pending = append(c.pending, *pol)
-		c.log = append(c.log, Decision{
+		c.log.Append(Decision{
 			Key: key, Round: p.Round,
 			Trigger: pol.Trigger, Level: lvl,
 			Action: pol.actionString(),
@@ -473,18 +456,16 @@ func (c *Controller) Apply() int {
 	return applied
 }
 
-// Decisions returns a copy of the decision log, oldest first.
+// Decisions returns a copy of the retained decision log, oldest first;
+// the log is bounded like the alert log (level.LogCap).
 func (c *Controller) Decisions() []Decision {
-	return append([]Decision(nil), c.log...)
+	return c.log.All()
 }
 
-// DecisionsSince returns the decisions logged after cursor (a value a
-// previous call returned as next; 0 reads from the start) — the
-// streaming form the query service stamps onto round updates.
+// DecisionsSince returns the decisions logged after an absolute cursor
+// (a value a previous call returned as next; 0 reads from the start)
+// and the cursor to resume from (level.Log.Since) — the streaming form
+// the query service stamps onto round updates.
 func (c *Controller) DecisionsSince(cursor int) (ds []Decision, next int) {
-	next = len(c.log)
-	if cursor >= next || cursor < 0 {
-		return nil, next
-	}
-	return append([]Decision(nil), c.log[cursor:]...), next
+	return c.log.Since(cursor)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wsnq/internal/alert"
+	"wsnq/internal/level"
 	"wsnq/internal/series"
 )
 
@@ -317,6 +318,43 @@ func TestDecisionsSince(t *testing.T) {
 	}
 	if ds, next := c.DecisionsSince(cursor); len(ds) != 0 || next != cursor {
 		t.Fatalf("drained cursor returned %v, %d", ds, next)
+	}
+}
+
+// TestControllerDecisionLogBounded checks a long-running controller's
+// decision log stays within the bounded-log cap while DecisionsSince
+// cursors keep counting every decision ever logged.
+func TestControllerDecisionLogBounded(t *testing.T) {
+	ps, _ := Parse("on storm do reroot cooldown 1")
+	c, err := NewController(0, ps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3 * level.LogCap
+	cursor, streamed := 0, 0
+	for r := 0; r < rounds; r++ {
+		c.Observe("q", stormPoint(r, 3))
+		if r%100 == 0 {
+			var ds []Decision
+			ds, cursor = c.DecisionsSince(cursor)
+			streamed += len(ds)
+		}
+	}
+	ds, next := c.DecisionsSince(cursor)
+	streamed += len(ds)
+	if next != rounds || streamed != rounds {
+		t.Fatalf("cursor %d, streamed %d decisions; want %d fires, one per round", next, streamed, rounds)
+	}
+	all := c.Decisions()
+	if len(all) > level.LogCap {
+		t.Fatalf("decision log grew to %d, cap %d", len(all), level.LogCap)
+	}
+	if last := all[len(all)-1]; last.Round != rounds-1 {
+		t.Errorf("newest retained decision at round %d, want %d", last.Round, rounds-1)
+	}
+	old, _ := c.DecisionsSince(0) // cursor into the discarded region
+	if !reflect.DeepEqual(old, all) {
+		t.Error("a discarded cursor must yield the oldest retained decisions")
 	}
 }
 

@@ -4,7 +4,7 @@
 // stateful detectors for refinement storms, energy burn-rate toward
 // first-node death, and quantile-error excursions — are evaluated as
 // rounds stream in, producing deduplicated OK→WARN→CRIT level
-// transitions with optional round-based throttled re-fires.
+// transitions.
 //
 // Everything is round-based and deterministic: no wall clocks, no
 // goroutines; the same rule set over the same point stream yields the
@@ -17,40 +17,18 @@ import (
 	"sort"
 	"sync"
 
+	"wsnq/internal/level"
 	"wsnq/internal/series"
 )
 
 // Level is an alert severity. Ordering is meaningful: OK < Warn < Crit.
-type Level uint8
+type Level = level.Level
 
 const (
-	OK Level = iota
-	Warn
-	Crit
+	OK   = level.OK
+	Warn = level.Warn
+	Crit = level.Crit
 )
-
-var levelNames = [...]string{"ok", "warn", "crit"}
-
-func (l Level) String() string {
-	if int(l) < len(levelNames) {
-		return levelNames[l]
-	}
-	return fmt.Sprintf("Level(%d)", uint8(l))
-}
-
-// MarshalText encodes the level as its lowercase name for JSON.
-func (l Level) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
-
-// UnmarshalText accepts the lowercase level names.
-func (l *Level) UnmarshalText(b []byte) error {
-	for i, n := range levelNames {
-		if string(b) == n {
-			*l = Level(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("alert: unknown level %q", b)
-}
 
 // Rule is one declarative alert rule: aggregate Metric with Agg over a
 // sliding window of Window rounds, compare the aggregate against the
@@ -214,23 +192,16 @@ type State struct {
 	Rounds int     `json:"rounds"`      // points observed
 }
 
-// defaultLogCap bounds the alert log; older events are dropped (and
-// counted) once exceeded.
-const defaultLogCap = 1024
-
 // Engine evaluates a fixed rule set against streaming points. Safe for
 // concurrent use, though the experiment engine feeds it sequentially
 // for determinism.
 type Engine struct {
-	mu       sync.Mutex
-	rules    []Rule
-	budget   float64 // per-node energy budget for the lifetime metric
-	throttle int     // rounds between re-fires of a standing non-OK level; 0 disables
-	logCap   int
-	states   map[stateKey]*ruleState
-	order    []stateKey
-	log      []Event
-	dropped  int
+	mu     sync.Mutex
+	rules  []Rule
+	budget float64 // per-node energy budget for the lifetime metric
+	states map[stateKey]*ruleState
+	order  []stateKey
+	log    level.Log[Event]
 }
 
 type stateKey struct {
@@ -240,14 +211,11 @@ type stateKey struct {
 
 // ruleState is the sliding window and standing level of one rule × key.
 type ruleState struct {
-	win      []float64 // ring of the newest Window samples
-	n        int       // samples currently in win
-	head     int       // next write position
-	rounds   int       // total points observed
-	level    Level
-	since    int
+	win      level.Ring[float64] // the newest Window samples
+	scratch  []float64           // p95 sort buffer, Window long; nil for other aggregators
+	rounds   int                 // total points observed
+	standing level.Standing
 	value    float64
-	lastFire int // round of the last emitted event, for throttling
 }
 
 // NewEngine builds an engine over the given rules. Invalid rules are
@@ -260,7 +228,6 @@ func NewEngine(rules ...Rule) (*Engine, error) {
 	}
 	return &Engine{
 		rules:  append([]Rule(nil), rules...),
-		logCap: defaultLogCap,
 		states: make(map[stateKey]*ruleState),
 	}, nil
 }
@@ -291,14 +258,6 @@ func (e *Engine) DefaultBudget(joules float64) {
 	e.mu.Unlock()
 }
 
-// SetThrottle enables re-firing a standing warn/crit level every
-// rounds rounds (0 restores transition-only logging).
-func (e *Engine) SetThrottle(rounds int) {
-	e.mu.Lock()
-	e.throttle = rounds
-	e.mu.Unlock()
-}
-
 // StartRun resets the sliding windows of every rule for key at a run
 // boundary so burn rates and windows never mix two runs' samples.
 // Standing levels and the log survive: an alert raised in run 3 is
@@ -308,7 +267,7 @@ func (e *Engine) StartRun(key string) {
 	defer e.mu.Unlock()
 	for i := range e.rules {
 		if st, ok := e.states[stateKey{i, key}]; ok {
-			st.n, st.head = 0, 0
+			st.win.Reset()
 		}
 	}
 }
@@ -322,7 +281,10 @@ func (e *Engine) Observe(key string, p series.Point) {
 		sk := stateKey{i, key}
 		st, ok := e.states[sk]
 		if !ok {
-			st = &ruleState{win: make([]float64, r.Window)}
+			st = &ruleState{win: level.NewRing[float64](r.Window)}
+			if r.Agg == "p95" && r.Metric != metricLifetime {
+				st.scratch = make([]float64, r.Window)
+			}
 			e.states[sk] = st
 			e.order = append(e.order, sk)
 		}
@@ -332,132 +294,116 @@ func (e *Engine) Observe(key string, p series.Point) {
 		} else {
 			sample = metrics[r.Metric](p)
 		}
-		st.win[st.head] = sample
-		st.head = (st.head + 1) % len(st.win)
-		if st.n < len(st.win) {
-			st.n++
-		}
+		st.win.Push(sample)
 		st.rounds++
 
 		v := e.aggregate(r, st)
 		st.value = v
-		level := r.classify(v)
-		fire := level != st.level
-		refire := !fire && level > OK && e.throttle > 0 && p.Round-st.lastFire >= e.throttle
-		if fire || refire {
-			prev := st.level
-			if refire {
-				prev = level
-			}
+		lvl := r.classify(v)
+		if prev, changed := st.standing.Set(lvl, p.Round); changed {
 			ev := Event{
 				Rule: r.Name, Key: key, Round: p.Round,
-				Level: level, Prev: prev, Value: sanitize(v),
+				Level: lvl, Prev: prev, Value: sanitize(v),
 			}
-			if level > OK {
-				ev.Threshold = r.threshold(level)
+			if lvl > OK {
+				ev.Threshold = r.threshold(lvl)
 			}
 			ev.Message = message(r, ev)
-			e.append(ev)
-			st.lastFire = p.Round
-		}
-		if fire {
-			st.since = p.Round
-			st.level = level
+			e.log.Append(ev)
 		}
 	}
 }
 
-// aggregate reduces the rule's window ring to one value; NaN means
-// "not enough data yet" and never alerts.
+// Level returns the standing level of the first rule named rule for
+// key; OK when that pair has never been observed.
+func (e *Engine) Level(rule, key string) Level {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, r := range e.rules {
+		if r.Name == rule {
+			if st, ok := e.states[stateKey{i, key}]; ok {
+				return st.standing.Level
+			}
+			break
+		}
+	}
+	return OK
+}
+
+// aggregate reduces the rule's window to one value, reading it in
+// place oldest first; NaN means "not enough data yet" and never alerts.
 func (e *Engine) aggregate(r Rule, st *ruleState) float64 {
-	if st.n == 0 {
+	w := &st.win
+	n := w.Len()
+	if n == 0 {
 		return math.NaN()
 	}
-	// oldest-first view of the ring
-	vs := make([]float64, st.n)
-	start := st.head - st.n
-	if start < 0 {
-		start += len(st.win)
-	}
-	for i := 0; i < st.n; i++ {
-		vs[i] = st.win[(start+i)%len(st.win)]
-	}
 	if r.Metric == metricLifetime {
-		return lifetime(vs, e.budget)
+		return lifetime(w.At(0), w.At(n-1), n, e.budget)
 	}
 	switch r.Agg {
 	case "last":
-		return vs[len(vs)-1]
-	case "mean":
+		return w.At(n - 1)
+	case "mean", "sum":
 		s := 0.0
-		for _, v := range vs {
-			s += v
+		for i := 0; i < n; i++ {
+			s += w.At(i)
 		}
-		return s / float64(len(vs))
-	case "sum":
-		s := 0.0
-		for _, v := range vs {
-			s += v
+		if r.Agg == "mean" {
+			return s / float64(n)
 		}
 		return s
 	case "max":
-		m := vs[0]
-		for _, v := range vs[1:] {
-			if v > m {
+		m := w.At(0)
+		for i := 1; i < n; i++ {
+			if v := w.At(i); v > m {
 				m = v
 			}
 		}
 		return m
 	case "min":
-		m := vs[0]
-		for _, v := range vs[1:] {
-			if v < m {
+		m := w.At(0)
+		for i := 1; i < n; i++ {
+			if v := w.At(i); v < m {
 				m = v
 			}
 		}
 		return m
 	case "p95":
-		return quantile95(vs)
+		// Nearest-rank p95, the mathx.QuantileFloat64 convention.
+		vs := st.scratch[:n]
+		for i := range vs {
+			vs[i] = w.At(i)
+		}
+		sort.Float64s(vs)
+		return vs[(95*n+99)/100-1] // ceil(0.95 n)
 	case "rate":
-		if len(vs) < 2 {
+		if n < 2 {
 			return math.NaN()
 		}
-		return (vs[len(vs)-1] - vs[0]) / float64(len(vs)-1)
+		return (w.At(n-1) - w.At(0)) / float64(n-1)
 	case "nz":
-		n := 0.0
-		for _, v := range vs {
-			if v != 0 {
-				n++
+		c := 0.0
+		for i := 0; i < n; i++ {
+			if w.At(i) != 0 {
+				c++
 			}
 		}
-		return n
+		return c
 	}
 	return math.NaN()
 }
 
-// quantile95 is the nearest-rank p95 (same convention as
-// mathx.QuantileFloat64, inlined to keep the window path allocation
-// predictable on small rings).
-func quantile95(vs []float64) float64 {
-	k := (95*len(vs) + 99) / 100 // ceil(0.95 n)
-	if k < 1 {
-		k = 1
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	return sorted[k-1]
-}
-
 // lifetime projects rounds until the hottest node exhausts budget,
-// from the HotJoules watermarks in the window: drain per round is the
-// watermark rise across the window. Unknown budget, a short window, or
-// zero drain projects +Inf (no death in sight; never alerts under <).
-func lifetime(hot []float64, budget float64) float64 {
-	if budget <= 0 || len(hot) < 2 {
+// from the first and last of the n HotJoules watermarks in the window:
+// drain per round is the watermark rise across the window. Unknown
+// budget, a short window, or zero drain projects +Inf (no death in
+// sight; never alerts under <).
+func lifetime(first, last float64, n int, budget float64) float64 {
+	if budget <= 0 || n < 2 {
 		return math.Inf(1)
 	}
-	last := hot[len(hot)-1]
-	drain := (last - hot[0]) / float64(len(hot)-1)
+	drain := (last - first) / float64(n-1)
 	if drain <= 0 {
 		return math.Inf(1)
 	}
@@ -480,50 +426,29 @@ func message(r Rule, ev Event) string {
 		r.Name, ev.Key, verb, r.Metric, r.Agg, r.Window, ev.Value, ev.Round)
 }
 
-// append adds an event to the bounded log, dropping the oldest half
-// when full so recent history always survives.
-func (e *Engine) append(ev Event) {
-	if len(e.log) >= e.logCap {
-		drop := e.logCap / 2
-		e.dropped += drop
-		e.log = append(e.log[:0], e.log[drop:]...)
-	}
-	e.log = append(e.log, ev)
-}
-
 // Log returns a copy of the alert log, oldest first.
 func (e *Engine) Log() []Event {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]Event(nil), e.log...)
+	return e.log.All()
 }
 
 // LogSince returns the events that fired after an absolute cursor —
 // the value a previous call returned as next (0 reads from the
-// beginning) — and the new cursor to resume from. Cursors count every
-// event ever appended, so they stay valid across the bounded log's
-// oldest-half discards; events aged out before the cursor advanced are
-// simply gone. Streaming consumers (the serve layer's per-round
-// subscription updates) poll it instead of re-copying the whole log.
+// beginning) — and the new cursor to resume from (level.Log.Since).
+// Streaming consumers (the serve layer's per-round subscription
+// updates) poll it instead of re-copying the whole log.
 func (e *Engine) LogSince(cursor int) (events []Event, next int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	next = e.dropped + len(e.log)
-	if cursor >= next {
-		return nil, next
-	}
-	from := cursor - e.dropped
-	if from < 0 {
-		from = 0
-	}
-	return append([]Event(nil), e.log[from:]...), next
+	return e.log.Since(cursor)
 }
 
 // Dropped reports how many old events the bounded log has discarded.
 func (e *Engine) Dropped() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.dropped
+	return e.log.Dropped()
 }
 
 // States returns the standing level of every rule × key pair, sorted
@@ -543,7 +468,7 @@ func (e *Engine) States() []State {
 		st := e.states[sk]
 		out = append(out, State{
 			Rule: e.rules[sk.rule].Name, Key: sk.key,
-			Level: st.level, Since: st.since, Value: sanitize(st.value), Rounds: st.rounds,
+			Level: st.standing.Level, Since: st.standing.Since, Value: sanitize(st.value), Rounds: st.rounds,
 		})
 	}
 	return out

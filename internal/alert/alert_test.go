@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wsnq/internal/level"
 	"wsnq/internal/series"
 )
 
@@ -338,33 +339,6 @@ func TestDefaultBudgetOnlyWhenUnset(t *testing.T) {
 	}
 }
 
-// TestThrottleRefires checks a standing warn re-fires every throttle
-// rounds with Prev == Level, and not more often.
-func TestThrottleRefires(t *testing.T) {
-	r := Rule{Name: "load", Metric: "frames", Agg: "last", Window: 1, Cmp: ">", Warn: 10}
-	e, _ := NewEngine(r)
-	e.SetThrottle(3)
-	for i := 0; i < 8; i++ {
-		observe(e, "k", i, 50)
-	}
-	log := e.Log()
-	// transition@0, refires @3 and @6.
-	if len(log) != 3 {
-		t.Fatalf("log = %+v, want transition + 2 refires", log)
-	}
-	for i, wantRound := range []int{0, 3, 6} {
-		if log[i].Round != wantRound {
-			t.Errorf("event %d at round %d, want %d", i, log[i].Round, wantRound)
-		}
-	}
-	if log[0].Prev != OK {
-		t.Errorf("transition prev = %v, want OK", log[0].Prev)
-	}
-	if log[1].Prev != Warn || log[2].Prev != Warn {
-		t.Errorf("refire prevs = %v/%v, want Warn/Warn", log[1].Prev, log[2].Prev)
-	}
-}
-
 // TestStartRunResetsWindows checks run boundaries clear the sliding
 // windows (no cross-run aggregates) but keep standing levels and log.
 func TestStartRunResetsWindows(t *testing.T) {
@@ -407,13 +381,13 @@ func TestStartRunKeepsStandingLevel(t *testing.T) {
 func TestLogBounded(t *testing.T) {
 	r := Rule{Name: "load", Metric: "frames", Agg: "last", Window: 1, Cmp: ">", Warn: 10}
 	e, _ := NewEngine(r)
-	rounds := defaultLogCap + 10
+	rounds := level.LogCap + 10
 	for i := 0; i < rounds; i++ {
 		observe(e, "k", 2*i, 50) // warn
 		observe(e, "k", 2*i+1, 0)
 	}
-	if len(e.Log()) > defaultLogCap {
-		t.Errorf("log grew to %d, capacity %d", len(e.Log()), defaultLogCap)
+	if len(e.Log()) > level.LogCap {
+		t.Errorf("log grew to %d, capacity %d", len(e.Log()), level.LogCap)
 	}
 	if e.Dropped() == 0 {
 		t.Error("dropped count = 0, want > 0 after overflow")
@@ -565,5 +539,45 @@ func TestStatesSorted(t *testing.T) {
 	}
 	if !reflect.DeepEqual(e.Rules(), rs) {
 		t.Error("Rules() does not round-trip the constructor's rule set")
+	}
+}
+
+// TestObserveAllocatesNothing checks a warmed-up observe that fires no
+// transition allocates nothing, for every aggregator and for the full
+// preset set: windows are reduced in place and p95 sorts a per-state
+// buffer.
+func TestObserveAllocatesNothing(t *testing.T) {
+	var cases [][]Rule
+	for _, agg := range []string{"last", "mean", "max", "min", "sum", "p95", "rate", "nz"} {
+		cases = append(cases, []Rule{{Name: agg, Metric: "frames", Agg: agg, Window: 8, Cmp: ">", Warn: 1e18}})
+	}
+	cases = append(cases, []Rule{{Name: "lifetime", Metric: "lifetime", Agg: "rate", Window: 32, Cmp: "<", Warn: 1}}, Presets())
+	for _, rules := range cases {
+		name := rules[0].Name
+		if len(rules) > 1 {
+			name = "presets"
+		}
+		e, err := NewEngine(rules...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetBudget(1)
+		round := 0
+		step := func() {
+			e.Observe("k", series.Point{
+				Round: round, Span: 1, Frames: round % 7,
+				HotJoules: float64(round) * 1e-9,
+			})
+			round++
+		}
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Errorf("%s: %v allocs per observe, want 0", name, allocs)
+		}
+		if log := e.Log(); len(log) != 0 {
+			t.Errorf("%s: observe stream fired %d transitions, want none", name, len(log))
+		}
 	}
 }

@@ -656,7 +656,7 @@ type Query struct {
 	closed  bool
 	alertAt int     // absolute alert-log cursor (alert.Engine.LogSince)
 	sloAt   int     // absolute SLO-event cursor (slo.Tracker.LogSince)
-	adaptAt int     // decision-log cursor (adapt.Controller.DecisionsSince)
+	adaptAt int     // absolute decision-log cursor (adapt.Controller.DecisionsSince)
 	stepMs  float64 // cumulative answer latency, sampled into the series
 	last    Update
 	hasLast bool

@@ -29,6 +29,7 @@ import (
 	"math"
 	"sync"
 
+	"wsnq/internal/level"
 	"wsnq/internal/series"
 )
 
@@ -40,38 +41,13 @@ const (
 )
 
 // Level is an SLO severity. Ordering is meaningful: OK < Warn < Crit.
-// It mirrors alert.Level but is declared locally so the package stays
-// importable from layers below the alert engine.
-type Level uint8
+type Level = level.Level
 
 const (
-	OK Level = iota
-	Warn
-	Crit
+	OK   = level.OK
+	Warn = level.Warn
+	Crit = level.Crit
 )
-
-var levelNames = [...]string{"ok", "warn", "crit"}
-
-func (l Level) String() string {
-	if int(l) < len(levelNames) {
-		return levelNames[l]
-	}
-	return fmt.Sprintf("Level(%d)", uint8(l))
-}
-
-// MarshalText encodes the level as its lowercase name for JSON.
-func (l Level) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
-
-// UnmarshalText accepts the lowercase level names.
-func (l *Level) UnmarshalText(b []byte) error {
-	for i, n := range levelNames {
-		if string(b) == n {
-			*l = Level(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("slo: unknown level %q", b)
-}
 
 // Spec declares one service-level objective. The zero value is not
 // valid; construct specs through ParseSpec or fill every field and
@@ -233,73 +209,64 @@ type Event struct {
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
-// ring is a fixed-size boolean window with a running count of set
-// (bad) slots. The denominator is the full window size from the first
-// sample on — the ring starts primed with good rounds.
-type ring struct {
-	slots []bool
-	head  int
-	bad   int
-}
-
-func newRing(n int) *ring { return &ring{slots: make([]bool, n)} }
-
-func (r *ring) push(bad bool) {
-	if r.slots[r.head] {
-		r.bad--
-	}
-	r.slots[r.head] = bad
-	if bad {
-		r.bad++
-	}
-	r.head++
-	if r.head == len(r.slots) {
-		r.head = 0
-	}
-}
-
-func (r *ring) reset() {
-	for i := range r.slots {
-		r.slots[i] = false
-	}
-	r.head, r.bad = 0, 0
-}
-
-// fraction returns bad slots over the fixed window size.
-func (r *ring) fraction() float64 { return float64(r.bad) / float64(len(r.slots)) }
-
-// state is the evaluation state of one Spec × key pair.
+// state is the evaluation state of one Spec × key pair. The windows
+// use a fixed denominator from the first sample on — they start primed
+// with good rounds — so each bad count is over the newest fast, slow,
+// or budget-window slots of one shared ring.
 type state struct {
-	fast    *ring
-	slow    *ring
-	budget  *ring
-	offsets []int64 // recording offsets of the fast window's rounds
-	rounds  []int   // rounds of the fast window, aligned with offsets
-	rhead   int
-	seen    int
-	round   int
-	level   Level
-	since   int
-	burn    float64
-	bfast   float64
-	bslow   float64
-	spend   float64
+	win       level.Ring[bool]         // the newest max(Window, SlowWindow) classifications
+	fastBad   int                      // bad rounds among the newest FastWindow
+	slowBad   int                      // bad rounds among the newest SlowWindow
+	budgetBad int                      // bad rounds among the newest Window
+	exemplar  level.Ring[exemplarSlot] // the fast window's rounds
+	seen      int
+	round     int
+	standing  level.Standing
+	burn      float64
+	bfast     float64
+	bslow     float64
+	spend     float64
 }
 
-// maxLog bounds the event log; on overflow the older half is dropped
-// and Dropped counts the discards (mirroring the alert engine).
-const maxLog = 1024
+// exemplarSlot locates one round of the fast window in the recording.
+type exemplarSlot struct {
+	round  int
+	offset int64 // recording line offset, 0 when not recorded
+}
+
+func newState(sp Spec) *state {
+	return &state{
+		win:      level.NewRing[bool](max(sp.Window, sp.SlowWindow)),
+		exemplar: level.NewRing[exemplarSlot](sp.FastWindow),
+	}
+}
+
+// push records one classification, moving the round that leaves each
+// suffix window out of its bad count.
+func (st *state) push(sp Spec, bad bool) {
+	n := st.win.Len()
+	slide := func(size int, count *int) {
+		if n >= size && st.win.At(n-size) {
+			*count--
+		}
+		if bad {
+			*count++
+		}
+	}
+	slide(sp.FastWindow, &st.fastBad)
+	slide(sp.SlowWindow, &st.slowBad)
+	slide(sp.Window, &st.budgetBad)
+	st.win.Push(bad)
+}
 
 // Tracker evaluates a set of Specs against per-key round samples. All
 // methods are safe for concurrent use.
 type Tracker struct {
-	mu      sync.Mutex
-	specs   []Spec
-	states  map[string][]*state // key → one state per spec
-	order   []string            // insertion order of keys
-	log     []Event
-	logBase int // events discarded from the front of log
-	dropped int
+	mu     sync.Mutex
+	specs  []Spec
+	states map[string][]*state // key → one state per spec
+	order  []string            // insertion order of keys
+	log    level.Log[Event]
 }
 
 // NewTracker validates the specs and builds a tracker. Duplicate spec
@@ -336,15 +303,10 @@ func (t *Tracker) StartRun(key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, st := range t.states[key] {
-		st.fast.reset()
-		st.slow.reset()
-		st.budget.reset()
-		for i := range st.offsets {
-			st.offsets[i], st.rounds[i] = 0, 0
-		}
-		st.rhead, st.seen, st.round = 0, 0, 0
-		st.level, st.since = OK, 0
-		st.burn, st.bfast, st.bslow, st.spend = 0, 0, 0, 0
+		win, ex := st.win, st.exemplar
+		win.Reset()
+		ex.Reset()
+		*st = state{win: win, exemplar: ex}
 	}
 }
 
@@ -353,13 +315,7 @@ func (t *Tracker) stateFor(key string) []*state {
 	if sts == nil {
 		sts = make([]*state, len(t.specs))
 		for i, sp := range t.specs {
-			sts[i] = &state{
-				fast:    newRing(sp.FastWindow),
-				slow:    newRing(sp.SlowWindow),
-				budget:  newRing(sp.Window),
-				offsets: make([]int64, sp.FastWindow),
-				rounds:  make([]int, sp.FastWindow),
-			}
+			sts[i] = newState(sp)
 		}
 		t.states[key] = sts
 		t.order = append(t.order, key)
@@ -377,67 +333,47 @@ func (t *Tracker) Observe(key string, sm Sample) []Status {
 	out := make([]Status, len(t.specs))
 	for i, sp := range t.specs {
 		st := sts[i]
-		bad := !sp.good(sm)
-		st.fast.push(bad)
-		st.slow.push(bad)
-		st.budget.push(bad)
-		st.offsets[st.rhead] = sm.Offset
-		st.rounds[st.rhead] = sm.Round
-		st.rhead++
-		if st.rhead == len(st.offsets) {
-			st.rhead = 0
-		}
+		st.push(sp, !sp.good(sm))
+		st.exemplar.Push(exemplarSlot{round: sm.Round, offset: sm.Offset})
 		st.seen++
 		st.round = sm.Round
 
 		rate := 1 - sp.Objective
-		st.bfast = st.fast.fraction() / rate
-		st.bslow = st.slow.fraction() / rate
+		st.bfast = float64(st.fastBad) / float64(sp.FastWindow) / rate
+		st.bslow = float64(st.slowBad) / float64(sp.SlowWindow) / rate
 		st.burn = math.Min(st.bfast, st.bslow)
-		st.spend = float64(st.budget.bad) / sp.Budget()
+		st.spend = float64(st.budgetBad) / sp.Budget()
 
-		level := OK
+		lvl := OK
 		switch {
 		case st.burn >= sp.CritBurn:
-			level = Crit
+			lvl = Crit
 		case st.burn >= sp.WarnBurn:
-			level = Warn
+			lvl = Warn
 		}
-		if level != st.level {
+		if prev, changed := st.standing.Set(lvl, sm.Round); changed {
 			ev := Event{
 				SLO: sp.Name, Key: key, Round: sm.Round,
-				Level: level, Prev: st.level,
+				Level: lvl, Prev: prev,
 				Burn: st.burn, Spend: st.spend,
 			}
-			if level > OK {
+			if lvl > OK {
 				// The fast window is the tighter of the two firing
-				// windows: its oldest retained round opens the
-				// offending span.
-				from, off := st.oldest()
-				ev.Exemplar = &Exemplar{FromRound: from, ToRound: sm.Round, Offset: off}
+				// windows: its oldest retained round (before it has
+				// filled, the run's first) opens the offending span.
+				from := st.exemplar.At(0)
+				ev.Exemplar = &Exemplar{FromRound: from.round, ToRound: sm.Round, Offset: from.offset}
 				ev.Message = fmt.Sprintf("%s %s %s: burn %.3g (fast %.3g, slow %.3g) ≥ %.3g, budget %.0f%% spent, rounds %d..%d",
-					level, sp.Name, key, st.burn, st.bfast, st.bslow, sp.threshold(level), 100*st.spend, from, sm.Round)
+					lvl, sp.Name, key, st.burn, st.bfast, st.bslow, sp.threshold(lvl), 100*st.spend, from.round, sm.Round)
 			} else {
 				ev.Message = fmt.Sprintf("ok %s %s: burn %.3g below %.3g at round %d",
 					sp.Name, key, st.burn, sp.WarnBurn, sm.Round)
 			}
-			t.append(ev)
-			st.level = level
-			st.since = sm.Round
+			t.log.Append(ev)
 		}
 		out[i] = st.status(sp, key)
 	}
 	return out
-}
-
-// oldest returns the round and offset opening the current fast
-// window. Before the window has filled, the first observed sample of
-// the run opens it.
-func (st *state) oldest() (round int, offset int64) {
-	if st.seen < len(st.offsets) {
-		return st.rounds[0], st.offsets[0]
-	}
-	return st.rounds[st.rhead], st.offsets[st.rhead]
 }
 
 func (sp Spec) threshold(l Level) float64 {
@@ -451,20 +387,10 @@ func (st *state) status(sp Spec, key string) Status {
 	return Status{
 		SLO: sp.Name, Key: key, Signal: sp.Signal,
 		Round: st.round, Rounds: st.seen,
-		Bad: st.budget.bad, Budget: sp.Budget(), Spend: st.spend,
+		Bad: st.budgetBad, Budget: sp.Budget(), Spend: st.spend,
 		BurnFast: st.bfast, BurnSlow: st.bslow, Burn: st.burn,
-		Level: st.level, Since: st.since,
+		Level: st.standing.Level, Since: st.standing.Since,
 	}
-}
-
-func (t *Tracker) append(ev Event) {
-	if len(t.log) >= maxLog {
-		drop := len(t.log) / 2
-		t.log = append(t.log[:0], t.log[drop:]...)
-		t.logBase += drop
-		t.dropped += drop
-	}
-	t.log = append(t.log, ev)
 }
 
 // Statuses returns the current status of every spec × key pair, keys
@@ -501,33 +427,22 @@ func (t *Tracker) StatusesFor(key string) []Status {
 func (t *Tracker) Log() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.log...)
+	return t.log.All()
 }
 
 // LogSince returns the events appended after the absolute cursor and
-// the new cursor, mirroring alert.Engine.LogSince: cursors are
-// positions in the all-time event sequence, so they survive log
-// discards (a cursor pointing into a discarded region yields the
-// oldest retained events).
+// the new cursor to resume from (level.Log.Since).
 func (t *Tracker) LogSince(cursor int) ([]Event, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	next := t.logBase + len(t.log)
-	if cursor >= next {
-		return nil, next
-	}
-	start := cursor - t.logBase
-	if start < 0 {
-		start = 0
-	}
-	return append([]Event(nil), t.log[start:]...), next
+	return t.log.Since(cursor)
 }
 
 // Dropped returns how many events have been discarded from the log.
 func (t *Tracker) Dropped() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.log.Dropped()
 }
 
 // Gauges returns the worst burn and spend across this key's specs, the

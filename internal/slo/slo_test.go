@@ -257,52 +257,51 @@ func TestExemplarWindow(t *testing.T) {
 	}
 }
 
-func TestLogSinceCursors(t *testing.T) {
-	tr := mustTracker(t, "rank objective=0.5 window=4 fast=1 slow=1 warn=1.5 crit=2 epsilon=0.05")
-	bad := Sample{RankError: 100, N: 10}
-	good := Sample{RankError: 0, N: 10}
-
-	evs, cur := tr.LogSince(0)
-	if len(evs) != 0 || cur != 0 {
-		t.Fatalf("empty log: LogSince(0) = %d events, cursor %d", len(evs), cur)
-	}
-	tr.Observe("k", bad) // crit (burn 2)
-	evs, cur = tr.LogSince(cur)
-	if len(evs) != 1 || cur != 1 {
-		t.Fatalf("after 1 transition: %d events, cursor %d", len(evs), cur)
-	}
-	tr.Observe("k", bad) // still crit: deduplicated
-	evs, cur = tr.LogSince(cur)
-	if len(evs) != 0 || cur != 1 {
-		t.Fatalf("dedup: %d events, cursor %d, want 0, 1", len(evs), cur)
-	}
-	tr.Observe("k", good) // back to ok
-	evs, cur = tr.LogSince(cur)
-	if len(evs) != 1 || evs[0].Level != OK || cur != 2 {
-		t.Fatalf("recovery: %+v cursor %d", evs, cur)
-	}
-
-	// Overflow the bounded log (alternating good/bad transitions every
-	// observe) and verify absolute cursors survive the discard.
-	for i := 0; i < 2*maxLog; i++ {
-		if i%2 == 0 {
-			tr.Observe("k", bad)
-		} else {
-			tr.Observe("k", good)
+// TestSuffixCountsMatchRecount checks the running bad counts over the
+// shared ring against a naive recount of the run's newest fast, slow,
+// and budget-window classifications, across a run boundary, for
+// fast == slow, slow > window, and window > slow.
+func TestSuffixCountsMatchRecount(t *testing.T) {
+	for _, spec := range []string{
+		"rank objective=0.5 window=6 fast=3 slow=3 epsilon=0.05",
+		"rank objective=0.5 window=4 fast=2 slow=9 epsilon=0.05",
+		"rank objective=0.5 window=11 fast=1 slow=5 epsilon=0.05",
+	} {
+		tr := mustTracker(t, spec)
+		sp := tr.Specs()[0]
+		rate := 1 - sp.Objective
+		var hist []bool // this run's classifications, oldest first
+		recount := func(size int) int {
+			n := 0
+			for _, bad := range hist[max(len(hist)-size, 0):] {
+				if bad {
+					n++
+				}
+			}
+			return n
 		}
-	}
-	if tr.Dropped() == 0 {
-		t.Fatal("log never overflowed; test needs more transitions")
-	}
-	evs, next := tr.LogSince(cur) // cursor points into the discarded region
-	if len(evs) == 0 {
-		t.Fatal("stale cursor returned nothing; want the oldest retained events")
-	}
-	if next != cur+2*maxLog {
-		t.Errorf("next cursor = %d, want %d (absolute positions)", next, cur+2*maxLog)
-	}
-	if evs2, _ := tr.LogSince(next); len(evs2) != 0 {
-		t.Errorf("cursor at head returned %d events", len(evs2))
+		for i := 0; i < 200; i++ {
+			if i == 97 {
+				tr.StartRun("k")
+				hist = nil
+			}
+			bad := (i*i+3*i)%7 < 3
+			sm := Sample{Round: i, N: 10}
+			if bad {
+				sm.RankError = 100
+			}
+			st := tr.Observe("k", sm)[0]
+			hist = append(hist, bad)
+			if want := recount(sp.Window); st.Bad != want {
+				t.Fatalf("%s round %d: budget bad = %d, recount %d", spec, i, st.Bad, want)
+			}
+			if want := float64(recount(sp.FastWindow)) / float64(sp.FastWindow) / rate; st.BurnFast != want {
+				t.Fatalf("%s round %d: fast burn = %v, recount %v", spec, i, st.BurnFast, want)
+			}
+			if want := float64(recount(sp.SlowWindow)) / float64(sp.SlowWindow) / rate; st.BurnSlow != want {
+				t.Fatalf("%s round %d: slow burn = %v, recount %v", spec, i, st.BurnSlow, want)
+			}
+		}
 	}
 }
 

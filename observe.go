@@ -13,9 +13,9 @@ import (
 
 // This file is the public face of the streaming-observability layer:
 // per-round time series (internal/series) and the alert rule engine
-// (internal/alert), attachable to any study via WithSeries and
-// WithAlertRules, to a Simulation via (*Series).Collector, and to the
-// telemetry HTTP surface via Telemetry.AttachSeries/AttachAlerts.
+// (internal/alert), attachable to any study via WithObserver, to a
+// Simulation via (*Series).Collector, and to the telemetry HTTP
+// surface via Telemetry.AttachSeries/AttachAlerts.
 
 // SeriesPoint is one per-round (or, after downsampling, per-span)
 // sample of a study's time series: frames, messages, joules, the
@@ -63,10 +63,10 @@ func (s *Series) Window(key string, lastN int, f func(SeriesPoint) float64) Seri
 }
 
 // Collector exposes the series store as a trace collector for one
-// event stream, outside the Option path (Simulation.SetTrace,
-// FigureOptions.Trace): every completed round appends one point under
-// key. When a is non-nil each raw point also streams through its alert
-// rules. Use one Collector per stream.
+// event stream, outside the Option path (Simulation.SetTrace): every
+// completed round appends one point under key. When a is non-nil each
+// raw point also streams through its alert rules. Use one Collector
+// per stream.
 func (s *Series) Collector(key string, a *Alerts) TraceCollector {
 	var sinks []series.Sink
 	if a != nil {
@@ -109,22 +109,6 @@ func (sim *Simulation) seriesCollector(ser *Series, key string, a *Alerts, sl *S
 	return ser.store.IngestTotals(key, experiment.SeriesSampler(sim.rt), sinks...)
 }
 
-// WithSeries attaches a time-series recorder to the study. Like
-// WithTrace it forces strictly sequential execution in deterministic
-// grid order, so each key's rounds append reproducibly. A nil s is
-// ignored.
-//
-// Deprecated: Use WithObserver(&Observer{Series: s}); Observer bundles
-// every observability sink into one composable value.
-func WithSeries(s *Series) Option {
-	return func(o *engineOptions) {
-		if s == nil {
-			return
-		}
-		(&Observer{Series: s}).apply(o)
-	}
-}
-
 // AlertLevel is an alert severity; ordering is meaningful
 // (AlertOK < AlertWarn < AlertCrit).
 type AlertLevel = alert.Level
@@ -141,7 +125,7 @@ const (
 type AlertRule = alert.Rule
 
 // AlertEvent is one alert-log entry: a rule × key level transition
-// (or throttled re-fire) with the offending aggregate value.
+// with the offending aggregate value.
 type AlertEvent = alert.Event
 
 // AlertState is the standing level of one rule × key pair.
@@ -163,8 +147,8 @@ func (l AlertLog) String() string {
 // Alerts is a streaming alert engine evaluating declarative rules as
 // study rounds complete, producing deduplicated OK→WARN→CRIT level
 // transitions. Build it from the rule grammar (see ParseAlertRules for
-// the syntax and the built-in presets) and attach it with
-// WithAlertRules; read the outcome via Log and States at any time,
+// the syntax and the built-in presets) and attach it as
+// Observer.Alerts; read the outcome via Log and States at any time,
 // including while the study runs.
 type Alerts struct {
 	eng *alert.Engine
@@ -220,25 +204,3 @@ func (a *Alerts) States() []AlertState { return a.eng.States() }
 // SetBudget overrides the per-node energy budget (joules) burn-rate
 // rules project against.
 func (a *Alerts) SetBudget(joules float64) { a.eng.SetBudget(joules) }
-
-// SetThrottle re-fires a standing warn/crit level every n rounds in
-// addition to the transition events (0, the default, logs transitions
-// only).
-func (a *Alerts) SetThrottle(n int) { a.eng.SetThrottle(n) }
-
-// WithAlertRules streams every round of the study through the alert
-// engine. Like WithTrace it forces strictly sequential execution in
-// deterministic grid order, making the alert log reproducible for a
-// fixed seed. Combine with WithSeries to also retain the series the
-// rules saw. A nil a is ignored.
-//
-// Deprecated: Use WithObserver(&Observer{Alerts: a}); Observer bundles
-// every observability sink into one composable value.
-func WithAlertRules(a *Alerts) Option {
-	return func(o *engineOptions) {
-		if a == nil {
-			return
-		}
-		(&Observer{Alerts: a}).apply(o)
-	}
-}

@@ -1,6 +1,7 @@
 package wsnq_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,8 +23,8 @@ func stormStudy(t *testing.T) (*wsnq.Series, *wsnq.Alerts) {
 		t.Fatal(err)
 	}
 	ser := wsnq.NewSeries()
-	if _, err := wsnq.Compare(cfg, []wsnq.Algorithm{wsnq.HBC, wsnq.IQ},
-		wsnq.WithSeries(ser), wsnq.WithAlertRules(alerts)); err != nil {
+	if _, err := wsnq.CompareContext(context.Background(), cfg, []wsnq.Algorithm{wsnq.HBC, wsnq.IQ},
+		wsnq.WithObserver(&wsnq.Observer{Series: ser, Alerts: alerts})); err != nil {
 		t.Fatal(err)
 	}
 	return ser, alerts

@@ -15,9 +15,8 @@ import (
 // Observer bundles every observability sink a study or a served query
 // can attach — the flight recorder, the live telemetry surface, the
 // per-round time series, the streaming alert rules, and the series key
-// prefix that namespaces them — into one composable value. It replaces
-// the accreted WithTrace/WithTelemetry/WithSeries/WithAlertRules
-// option zoo with a single contract used identically by:
+// prefix that namespaces them — into one composable value, with a
+// single contract used identically by:
 //
 //   - studies: wsnq.Run(cfg, alg, wsnq.WithObserver(o))
 //   - figures: FigureOptions{Observer: o}
@@ -25,9 +24,9 @@ import (
 //   - the query server: QuerySpec{Observer: o} (per-query isolation)
 //
 // Any field may be nil (or empty); only the bundled sinks attach.
-// Attaching a Trace, Series, or Alerts sink forces strictly sequential
-// study execution in deterministic grid order, exactly as the
-// individual options did.
+// Attaching a Trace, Series, Alerts, or Telemetry sink forces strictly
+// sequential study execution in deterministic grid order, so a shared
+// sink never sees interleaved runs.
 type Observer struct {
 	// Trace receives the raw flight-recorder event stream.
 	Trace TraceCollector
@@ -166,8 +165,8 @@ func (ob *Observer) Handler() http.Handler {
 }
 
 // WithObserver attaches an observer bundle to the study: every non-nil
-// sink in o attaches exactly as its deprecated standalone option
-// would, and o.Key prefixes the study's series keys. A nil o is
+// sink in o attaches to every run, and o.Key prefixes the study's
+// series keys. A nil o is
 // ignored. Later options (or a later observer) override earlier ones
 // slot by slot.
 func WithObserver(o *Observer) Option {

@@ -16,7 +16,7 @@ func TestWithTelemetry(t *testing.T) {
 	cfg.Runs = 2
 	tel := NewTelemetry()
 	algs := []Algorithm{TAG, IQ}
-	if _, err := Compare(cfg, algs, WithTelemetry(tel)); err != nil {
+	if _, err := CompareContext(context.Background(), cfg, algs, WithObserver(&Observer{Telemetry: tel})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +69,7 @@ func TestTelemetryServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg()
-	if _, err := Run(cfg, IQ, WithTelemetry(tel)); err != nil {
+	if _, err := Run(cfg, IQ, WithObserver(&Observer{Telemetry: tel})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,13 +105,14 @@ func TestTelemetryServe(t *testing.T) {
 }
 
 // TestWithTelemetryAndTrace checks that a telemetry sink composes with
-// an explicit trace collector: both must see the event stream.
+// an explicit trace collector attached by an earlier observer: both
+// must see the event stream.
 func TestWithTelemetryAndTrace(t *testing.T) {
 	cfg := quickCfg()
 	tel := NewTelemetry()
 	var events int
 	collector := collectorFunc(func(TraceEvent) { events++ })
-	if _, err := Run(cfg, TAG, WithTrace(collector), WithTelemetry(tel)); err != nil {
+	if _, err := Run(cfg, TAG, WithObserver(&Observer{Trace: collector}), WithObserver(&Observer{Telemetry: tel})); err != nil {
 		t.Fatal(err)
 	}
 	if events == 0 {

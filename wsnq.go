@@ -427,39 +427,10 @@ type TraceEvent = trace.Event
 // works.
 type TraceCollector = trace.Collector
 
-// WithTrace attaches a flight recorder to the study: c receives the
-// event stream of every simulation run. Tracing forces strictly
-// sequential execution in deterministic grid order, so a shared
-// collector never sees interleaved runs. A nil c detaches a
-// previously set recorder.
-//
-// Deprecated: Use WithObserver(&Observer{Trace: c}); Observer bundles
-// every observability sink into one composable value.
-func WithTrace(c TraceCollector) Option {
-	return func(o *engineOptions) {
-		if c == nil {
-			o.exp.Trace = nil
-			return
-		}
-		(&Observer{Trace: c}).apply(o)
-	}
-}
-
-// WithTraceJSONL streams the flight-recorder events of every simulation
-// run to w as JSON Lines (one event per line, in deterministic order).
-// The writer is not flushed or closed; wrap a *bufio.Writer and flush it
-// after the study returns.
-//
-// Deprecated: Use WithObserver(&Observer{Trace: NewTraceJSONL(w)});
-// Observer bundles every observability sink into one composable value.
-func WithTraceJSONL(w io.Writer) Option {
-	return WithTrace(NewTraceJSONL(w))
-}
-
 // NewTraceJSONL returns a collector that serializes every event to w as
-// one JSON object per line — for Simulation.SetTrace and
-// FigureOptions.Trace, where an Option does not apply. The writer is not
-// flushed or closed by the collector.
+// one JSON object per line — for Observer.Trace and
+// Simulation.SetTrace. The writer is not flushed or closed by the
+// collector.
 func NewTraceJSONL(w io.Writer) TraceCollector {
 	return trace.NewWriter(w)
 }
@@ -476,8 +447,8 @@ func MultiCollector(cs ...TraceCollector) TraceCollector {
 // timings, aggregate result histograms) plus a network-health analyzer
 // fed by the flight-recorder stream (per-node load distribution,
 // hotspots, Jain's fairness index, lifetime projection, per-round cost
-// percentiles). Attach it with WithTelemetry; read it at any time via
-// Metrics and Health, or serve it over HTTP via Serve/Handler. All
+// percentiles). Attach it as Observer.Telemetry; read it at any time
+// via Metrics and Health, or serve it over HTTP via Serve/Handler. All
 // methods are safe for concurrent use.
 type Telemetry struct {
 	reg *telemetry.Registry
@@ -517,9 +488,9 @@ func (t *Telemetry) Metrics() TelemetrySnapshot { return t.reg.Snapshot() }
 func (t *Telemetry) Health() HealthReport { return t.an.Report() }
 
 // Collector exposes the health analyzer as a trace collector, for
-// feeding it outside the Option path (Simulation.SetTrace,
-// FigureOptions.Trace); use MultiCollector to combine it with other
-// collectors such as NewTraceJSONL.
+// feeding it outside the Option path (Simulation.SetTrace); use
+// MultiCollector to combine it with other collectors such as
+// NewTraceJSONL.
 func (t *Telemetry) Collector() TraceCollector { return t.an }
 
 // AttachSeries adds a per-round time-series store to the HTTP surface:
@@ -595,24 +566,6 @@ func (t *Telemetry) Handler() http.Handler {
 func (t *Telemetry) Serve(ctx context.Context, addr string) (string, error) {
 	st, eng, rec, slt := t.attached()
 	return telemetry.Serve(ctx, addr, t.reg, t.an, st, eng, rec, slt)
-}
-
-// WithTelemetry attaches a live telemetry sink to the study. The engine
-// feeds the metrics registry concurrently (registry writes alone do not
-// force sequential execution), but the health analyzer consumes the
-// flight-recorder stream, so — like WithTrace — attaching telemetry
-// forces strictly sequential execution in deterministic grid order.
-// A nil t is ignored.
-//
-// Deprecated: Use WithObserver(&Observer{Telemetry: t}); Observer
-// bundles every observability sink into one composable value.
-func WithTelemetry(t *Telemetry) Option {
-	return func(o *engineOptions) {
-		if t == nil {
-			return
-		}
-		(&Observer{Telemetry: t}).apply(o)
-	}
 }
 
 func resolveOptions(opts []Option) experiment.Options {
@@ -706,18 +659,6 @@ func (rs CompareResults) Algorithms() []Algorithm {
 	return out
 }
 
-// Map returns the results keyed by algorithm.
-//
-// Deprecated: Map iteration order is nondeterministic; range over the
-// ordered CompareResults (or Algorithms + Get) instead.
-func (rs CompareResults) Map() map[Algorithm]Metrics {
-	out := make(map[Algorithm]Metrics, len(rs))
-	for _, r := range rs {
-		out[r.Algorithm] = r.Metrics
-	}
-	return out
-}
-
 // CompareContext runs several algorithms on identical deployments and
 // returns their metrics in the order of algs. The identical-deployment
 // guarantee is structural, not seed-derived: the engine builds each
@@ -748,23 +689,6 @@ func CompareContext(ctx context.Context, cfg Config, algs []Algorithm, opts ...O
 		out[i] = Result{Algorithm: a, Metrics: fromInternal(ms[i])}
 	}
 	return out, nil
-}
-
-// Compare runs several algorithms on identical deployments (same
-// topologies, same measurements — see CompareContext for how that is
-// guaranteed) and returns their metrics keyed by algorithm. It is a
-// one-line wrapper over CompareContext with a background context.
-//
-// Deprecated: Use CompareContext. It returns the ordered
-// CompareResults — deterministic iteration, Get and Algorithms
-// accessors — and supports cancellation; this map-returning form
-// survives only for existing callers.
-func Compare(cfg Config, algs []Algorithm, opts ...Option) (map[Algorithm]Metrics, error) {
-	res, err := CompareContext(context.Background(), cfg, algs, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), nil
 }
 
 // ReadTraceCSV loads measurement series for TraceData from CSV: one

@@ -110,10 +110,6 @@ func TestCompareResultsAccessors(t *testing.T) {
 	if _, ok := res.Get(Algorithm("NOPE")); ok {
 		t.Error("Get of an absent algorithm reported ok")
 	}
-	byAlg := res.Map()
-	if len(byAlg) != 2 || !reflect.DeepEqual(byAlg[TAG], res[0].Metrics) {
-		t.Errorf("Map() = %v, inconsistent with the slice", byAlg)
-	}
 }
 
 // TestRunContextCancelled checks that an already-cancelled context

@@ -1,6 +1,7 @@
 package wsnq
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestRunInvalidConfig(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	cfg := quickCfg()
-	res, err := Compare(cfg, []Algorithm{TAG, IQ})
+	res, err := CompareContext(context.Background(), cfg, []Algorithm{TAG, IQ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,13 @@ func TestCompare(t *testing.T) {
 	}
 	// The paper's headline: IQ beats TAG on hotspot energy and lifetime
 	// under temporally correlated data.
-	if res[IQ].MaxNodeEnergyPerRound >= res[TAG].MaxNodeEnergyPerRound {
-		t.Errorf("IQ energy %v >= TAG %v", res[IQ].MaxNodeEnergyPerRound, res[TAG].MaxNodeEnergyPerRound)
+	iq, _ := res.Get(IQ)
+	tag, _ := res.Get(TAG)
+	if iq.MaxNodeEnergyPerRound >= tag.MaxNodeEnergyPerRound {
+		t.Errorf("IQ energy %v >= TAG %v", iq.MaxNodeEnergyPerRound, tag.MaxNodeEnergyPerRound)
 	}
-	if res[IQ].LifetimeRounds <= res[TAG].LifetimeRounds {
-		t.Errorf("IQ lifetime %v <= TAG %v", res[IQ].LifetimeRounds, res[TAG].LifetimeRounds)
+	if iq.LifetimeRounds <= tag.LifetimeRounds {
+		t.Errorf("IQ lifetime %v <= TAG %v", iq.LifetimeRounds, tag.LifetimeRounds)
 	}
 }
 
@@ -79,11 +82,11 @@ func TestHeadlineOrdering(t *testing.T) {
 	cfg.RadioRange = 35
 	cfg.Rounds = 60
 	cfg.Runs = 2
-	res, err := Compare(cfg, []Algorithm{POS, LCLLH, LCLLS, HBC, IQ})
+	res, err := CompareContext(context.Background(), cfg, []Algorithm{POS, LCLLH, LCLLS, HBC, IQ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := func(a Algorithm) float64 { return res[a].MaxNodeEnergyPerRound }
+	e := func(a Algorithm) float64 { m, _ := res.Get(a); return m.MaxNodeEnergyPerRound }
 	if !(e(IQ) < e(HBC)) {
 		t.Errorf("IQ (%v) should beat HBC (%v)", e(IQ), e(HBC))
 	}
