@@ -35,8 +35,9 @@ help:
 	@echo "              and the adapt-clause scenario goldens"
 	@echo "  adapt-guard per-round policy evaluation overhead vs the 2% budget (idle machine)"
 	@echo "  prof        profiling gate: attribution unit suite, golden attribution"
-	@echo "              snapshot, /profilez + pprof endpoint coverage, and the"
-	@echo "              allocation-ceiling regression guard"
+	@echo "              snapshot, /profilez + pprof endpoint coverage, the"
+	@echo "              allocation-ceiling regression guard, and the"
+	@echo "              round-path allocation ratchet"
 	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target"
 	@echo "  trace-guard disabled-tracer overhead vs the 2% budget (idle machine)"
 	@echo "  series-guard series-ingest overhead vs the 2% budget (idle machine)"
@@ -87,15 +88,17 @@ alert:
 # prof gates the profiling layer: the recorder/report unit suite, the
 # benchfmt schema-v2 + diff-table suite, the telemetry exposition
 # endpoints (/profilez, /metrics runtime gauges, /debug/pprof labels),
-# the golden attribution snapshot of the 60-node lossy study, and the
-# allocation-ceiling arithmetic behind the regression guard. The timing
+# the golden attribution snapshot of the 60-node lossy study, the
+# allocation-ceiling arithmetic behind the regression guard, and the
+# round-path allocation ratchet (TestRoundAllocs: each standard
+# algorithm's warmed |N|=500 round under its ceiling). The timing
 # half of the layer (the ≤2% overhead budget) lives in prof-guard,
 # which — like trace-guard and series-guard — needs an idle machine.
 prof:
 	$(GO) test -v ./internal/prof/
 	$(GO) test -v ./internal/benchfmt/
 	$(GO) test -short -run '^(TestProfilezEndpoint|TestMetricsPublishRuntime|TestDebugPprofProfile)$$' -v ./internal/telemetry/
-	$(GO) test -count=1 -run '^(TestProfAttributionGolden|TestProfNamesLCLLSTopAllocPhase|TestProfResetAndReuse|TestBenchRegressionGuard|TestBenchGuardArithmetic)$$' -v .
+	$(GO) test -count=1 -run '^(TestProfAttributionGolden|TestProfNamesLCLLSTopAllocPhase|TestProfResetAndReuse|TestBenchRegressionGuard|TestBenchGuardArithmetic|TestRoundAllocs)$$' -v .
 
 # prof-guard measures phase attribution (pprof label switches plus the
 # allocation-delta accounting) against the traced hot path and fails
@@ -179,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBucketsIndex$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 
 # trace-guard measures the disabled flight recorder against the

@@ -18,7 +18,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"wsnq/internal/msg"
 	"wsnq/internal/protocol"
 	"wsnq/internal/qdigest"
 	"wsnq/internal/sim"
@@ -116,7 +115,6 @@ type Sample struct {
 	Prob float64
 
 	k, n    int
-	sizes   msg.Sizes
 	round   uint64
 	seed    uint64
 	last    int
@@ -138,7 +136,6 @@ func (s *Sample) Init(rt *sim.Runtime, k int) (int, error) {
 		return 0, fmt.Errorf("approx: sampling probability %v out of (0,1]", s.Prob)
 	}
 	s.k, s.n = k, rt.N()
-	s.sizes = rt.Sizes()
 	s.seed = 0x5A17ED ^ uint64(k)<<20 ^ uint64(rt.N())
 	rt.SetPhase(sim.PhaseInit)
 	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits}, nil)
@@ -152,23 +149,7 @@ func (s *Sample) Step(rt *sim.Runtime) (int, error) {
 	}
 	rt.SetPhase(sim.PhaseCollect)
 	s.round++
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var vals []int
-		if s.included(n) {
-			vals = append(vals, rt.Reading(n))
-		}
-		for _, ch := range children {
-			vals = append(vals, ch.(*protocol.Values).Vals...)
-		}
-		if len(vals) == 0 {
-			return nil
-		}
-		return protocol.NewValues(vals, s.sizes, 0)
-	})
-	var sample []int
-	for _, p := range atRoot {
-		sample = append(sample, p.(*protocol.Values).Vals...)
-	}
+	sample := protocol.GatherValues(rt, func(n, _ int) bool { return s.included(n) }, nil)
 	if len(sample) == 0 {
 		// An empty draw can happen at small n·p; reuse the previous
 		// estimate (stale but available), as a deployed system would.

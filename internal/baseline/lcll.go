@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"wsnq/internal/msg"
 	"wsnq/internal/protocol"
@@ -149,25 +150,33 @@ func (l *LCLL) validate(rt *sim.Runtime) {
 		oldC, ok1 := part.CellOf(l.prev[n])
 		newC, ok2 := part.CellOf(rt.Reading(n))
 		if ok1 && ok2 && oldC != newC {
-			d = newCellDeltas(sizes)
+			d = getCellDeltas(sizes)
 			d.add(oldC, -1)
 			d.add(newC, +1)
 		}
 		for _, ch := range children {
 			if d == nil {
-				d = newCellDeltas(sizes)
+				d = getCellDeltas(sizes)
 			}
-			d.merge(ch.(*cellDeltas))
+			child := ch.(*cellDeltas)
+			d.merge(child)
+			child.release()
 		}
-		if d == nil || d.empty() {
+		if d == nil {
+			return nil
+		}
+		if d.empty() {
+			d.release()
 			return nil
 		}
 		return d
 	})
 	for _, p := range atRoot {
-		for cell, dv := range p.(*cellDeltas).deltas {
+		d := p.(*cellDeltas)
+		for cell, dv := range d.deltas {
 			part.AddDelta(cell, dv)
 		}
+		d.release()
 	}
 }
 
@@ -399,15 +408,26 @@ func (l *LCLL) snapshotPrev(rt *sim.Runtime) {
 
 // --- payloads ---
 
-// cellDeltas is the validation payload: per-cell count deltas.
+// cellDeltas is the validation payload: per-cell count deltas. Like the
+// protocol package's payloads it is recycled through a pool: a child
+// goes back once merged, the root's once applied.
 type cellDeltas struct {
 	deltas map[int]int
 	sizes  msg.Sizes
 }
 
-func newCellDeltas(s msg.Sizes) *cellDeltas {
-	return &cellDeltas{deltas: make(map[int]int), sizes: s}
+var cellDeltasPool = sync.Pool{New: func() any { return &cellDeltas{deltas: make(map[int]int)} }}
+
+// getCellDeltas returns an empty pooled cellDeltas payload.
+func getCellDeltas(s msg.Sizes) *cellDeltas {
+	d := cellDeltasPool.Get().(*cellDeltas)
+	clear(d.deltas)
+	d.sizes = s
+	return d
 }
+
+// release returns d to its pool; d must not be used afterwards.
+func (d *cellDeltas) release() { cellDeltasPool.Put(d) }
 
 func (d *cellDeltas) add(cell, dv int) {
 	d.deltas[cell] += dv
@@ -435,35 +455,11 @@ func (d *cellDeltas) Bits() int {
 // [bounds[0], bounds[last]) respond, and histograms aggregate by
 // addition and travel compressed.
 func collectCellCounts(rt *sim.Runtime, bounds []int) []int {
-	sizes := rt.Sizes()
 	lo, hi := bounds[0], bounds[len(bounds)-1]
-	cellOf := func(v int) int {
-		return sort.SearchInts(bounds, v+1) - 1
-	}
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var counts []int
-		if v := rt.Reading(n); v >= lo && v < hi {
-			counts = make([]int, len(bounds)-1)
-			counts[cellOf(v)]++
+	return protocol.CollectCounts(rt, len(bounds)-1, func(v int) (int, bool) {
+		if v < lo || v >= hi {
+			return 0, false
 		}
-		for _, ch := range children {
-			if counts == nil {
-				counts = make([]int, len(bounds)-1)
-			}
-			for i, c := range ch.(*protocol.Histogram).Counts {
-				counts[i] += c
-			}
-		}
-		if counts == nil {
-			return nil
-		}
-		return protocol.NewHistogram(counts, sizes)
+		return sort.SearchInts(bounds, v+1) - 1, true
 	})
-	total := make([]int, len(bounds)-1)
-	for _, p := range atRoot {
-		for i, c := range p.(*protocol.Histogram).Counts {
-			total[i] += c
-		}
-	}
-	return total
 }

@@ -9,7 +9,8 @@
 // accounting already defines (sim.Phase*): every call to
 // sim.Runtime.SetPhase closes the open span and opens a new one, and a
 // span's wall-clock time and allocation-counter deltas (from
-// runtime/metrics, no stop-the-world) are booked to the scope and
+// runtime/metrics, no stop-the-world inside a window; exact flushes
+// only where a window opens and closes) are booked to the scope and
 // phase it ran under. The simulation's round loop is single-goroutine
 // and CPU-bound, so wall-clock time is an honest CPU proxy — and the
 // experiment engine forces strictly sequential execution whenever a
@@ -25,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/metrics"
 	"runtime/pprof"
 	"sort"
@@ -138,8 +140,17 @@ type Handle struct {
 }
 
 // read refreshes the pre-allocated sample slice and returns the two
-// cumulative allocation counters.
-func (h *Handle) read() (bytes, objects uint64) {
+// cumulative allocation counters. The runtime publishes them lazily:
+// each P reports its small-object counts when it refills a span or at
+// GC, so a span that allocates little may read zero while a later one
+// is charged for it. exact first flushes every P's allocation cache
+// (runtime.ReadMemStats, a brief stop-the-world), making the counters
+// exact at that instant.
+func (h *Handle) read(exact bool) (bytes, objects uint64) {
+	if exact {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+	}
 	metrics.Read(h.samples)
 	return h.samples[0].Value.Uint64(), h.samples[1].Value.Uint64()
 }
@@ -147,13 +158,15 @@ func (h *Handle) read() (bytes, objects uint64) {
 // Switch closes the open span (booking it to the previous phase) and
 // opens a new one under phase, relabeling the goroutine so sampling
 // profiles attribute the following work to it. An empty phase is
-// normalized to "other", mirroring sim.Runtime.Phase.
+// normalized to "other", mirroring sim.Runtime.Phase. Opening a closed
+// handle reads exact counters, so allocations made while it was closed
+// are never charged to it; switches inside an open window stay cheap.
 func (h *Handle) Switch(phase string) {
 	if phase == "" {
 		phase = "other"
 	}
 	now := time.Now()
-	bytes, objects := h.read()
+	bytes, objects := h.read(!h.open)
 	if h.open {
 		h.rec.add(h.scope, h.phase, now.Sub(h.start), bytes-h.bytes0, objects-h.objects0)
 	}
@@ -169,12 +182,15 @@ func (h *Handle) Switch(phase string) {
 }
 
 // Close flushes the open span and restores the goroutine labels the
-// handle was attached under. Further Switch calls reopen attribution,
-// so Close is safe to call more than once.
+// handle was attached under. It reads exact counters, so a window's
+// allocations are booked in full when it closes, however few; what the
+// runtime had not yet published goes to the closing span. Further
+// Switch calls reopen attribution, so Close is safe to call more than
+// once.
 func (h *Handle) Close() {
 	if h.open {
 		now := time.Now()
-		bytes, objects := h.read()
+		bytes, objects := h.read(true)
 		h.rec.add(h.scope, h.phase, now.Sub(h.start), bytes-h.bytes0, objects-h.objects0)
 		h.open = false
 	}

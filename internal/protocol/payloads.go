@@ -1,6 +1,10 @@
 package protocol
 
-import "wsnq/internal/msg"
+import (
+	"sync"
+
+	"wsnq/internal/msg"
+)
 
 // Request is a broadcast control payload (refinement requests, filter
 // updates). Its size is fixed at construction.
@@ -22,22 +26,38 @@ func IntervalRequestBits(s msg.Sizes) int { return 2 * s.BoundBits }
 // interval plus the requested count f.
 func CountedRequestBits(s msg.Sizes) int { return 2*s.BoundBits + s.CounterBits }
 
+// The convergecast payloads below are recycled through one sync.Pool
+// per type: a node takes a reset payload from the pool, and a payload
+// goes back as soon as its receiver has merged it (or, at the root,
+// once the phase has copied out its result). Slices and maps keep
+// their capacity across reuse, so a warmed convergecast allocates
+// nothing. Payloads lost in flight or dropped by a crash are left to
+// the garbage collector.
+var (
+	valuesPool    = sync.Pool{New: func() any { return new(Values) }}
+	histogramPool = sync.Pool{New: func() any { return new(Histogram) }}
+	countersPool  = sync.Pool{New: func() any { return new(Counters) }}
+)
+
 // Values is a convergecast payload carrying raw measurements (TAG
 // collection, direct retrieval, IQ refinement responses).
 type Values struct {
 	Vals  []int
 	sizes msg.Sizes
-	extra int // non-value bits riding along (e.g. counters)
 }
 
-// NewValues wraps vals in a payload sized at len(vals) measurements
-// plus extraBits of other fields.
-func NewValues(vals []int, sizes msg.Sizes, extraBits int) *Values {
-	return &Values{Vals: vals, sizes: sizes, extra: extraBits}
+// getValues returns an empty pooled Values payload.
+func getValues(sizes msg.Sizes) *Values {
+	v := valuesPool.Get().(*Values)
+	v.Vals, v.sizes = v.Vals[:0], sizes
+	return v
 }
+
+// release returns v to its pool; v must not be used afterwards.
+func (v *Values) release() { valuesPool.Put(v) }
 
 // Bits implements sim.Payload.
-func (v *Values) Bits() int { return len(v.Vals)*v.sizes.ValueBits + v.extra }
+func (v *Values) Bits() int { return len(v.Vals) * v.sizes.ValueBits }
 
 // ValueCount implements sim.ValueCarrier.
 func (v *Values) ValueCount() int { return len(v.Vals) }
@@ -49,9 +69,27 @@ type Histogram struct {
 	sizes  msg.Sizes
 }
 
-// NewHistogram wraps bucket counts in a payload.
-func NewHistogram(counts []int, sizes msg.Sizes) *Histogram {
-	return &Histogram{Counts: counts, sizes: sizes}
+// getHistogram returns a pooled Histogram payload of cells zero counts.
+func getHistogram(cells int, sizes msg.Sizes) *Histogram {
+	h := histogramPool.Get().(*Histogram)
+	if cap(h.Counts) < cells {
+		h.Counts = make([]int, cells)
+	} else {
+		h.Counts = h.Counts[:cells]
+		clear(h.Counts)
+	}
+	h.sizes = sizes
+	return h
+}
+
+// release returns h to its pool; h must not be used afterwards.
+func (h *Histogram) release() { histogramPool.Put(h) }
+
+// add folds o's counts into h (vector addition).
+func (h *Histogram) add(o *Histogram) {
+	for i, c := range o.Counts {
+		h.Counts[i] += c
+	}
 }
 
 // Bits implements sim.Payload.
@@ -82,6 +120,16 @@ type Counters struct {
 	mode  HintMode
 	sizes msg.Sizes
 }
+
+// getCounters returns a zeroed pooled Counters payload.
+func getCounters(mode HintMode, sizes msg.Sizes) *Counters {
+	c := countersPool.Get().(*Counters)
+	*c = Counters{Attached: c.Attached[:0], mode: mode, sizes: sizes}
+	return c
+}
+
+// release returns c to its pool; c must not be used afterwards.
+func (c *Counters) release() { countersPool.Put(c) }
 
 // Empty reports whether the payload carries no information at all and
 // can therefore be suppressed.

@@ -58,7 +58,7 @@ func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 	sizes := rt.Sizes()
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
 		cur := rt.Reading(n)
-		c := &Counters{mode: spec.Hints, sizes: sizes}
+		c := getCounters(spec.Hints, sizes)
 		oldR := Classify(spec.Prev(n), spec.Lb, spec.Ub)
 		newR := Classify(cur, spec.Lb, spec.Ub)
 		if oldR != newR {
@@ -81,16 +81,21 @@ func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 			c.Attached = append(c.Attached, cur)
 		}
 		for _, ch := range children {
-			c.merge(ch.(*Counters))
+			child := ch.(*Counters)
+			c.merge(child)
+			child.release()
 		}
 		if c.Empty() {
+			c.release()
 			return nil
 		}
 		return c
 	})
 	root := Counters{mode: spec.Hints, sizes: sizes}
 	for _, p := range atRoot {
-		root.merge(p.(*Counters))
+		c := p.(*Counters)
+		root.merge(c)
+		c.release()
 	}
 	sort.Ints(root.Attached)
 	return root
@@ -103,33 +108,59 @@ func (s LEG) Apply(c *Counters) LEG {
 	return LEG{L: l, E: s.N() - l - g, G: g}
 }
 
+// GatherValues runs a raw-value convergecast: node n contributes its
+// measurement v when keep(n, v) holds and appends its children's
+// values, then trim (if non-nil) cuts the list before it is forwarded;
+// nodes left with no values stay silent. The values that reach the
+// root are returned concatenated and untrimmed (nil when none arrive).
+func GatherValues(rt *sim.Runtime, keep func(node, v int) bool, trim func([]int) []int) []int {
+	sizes := rt.Sizes()
+	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+		v := getValues(sizes)
+		if r := rt.Reading(n); keep(n, r) {
+			v.Vals = append(v.Vals, r)
+		}
+		for _, ch := range children {
+			child := ch.(*Values)
+			v.Vals = append(v.Vals, child.Vals...)
+			child.release()
+		}
+		if trim != nil {
+			v.Vals = trim(v.Vals)
+		}
+		if len(v.Vals) == 0 {
+			v.release()
+			return nil
+		}
+		return v
+	})
+	total := 0
+	for _, p := range atRoot {
+		total += len(p.(*Values).Vals)
+	}
+	if total == 0 {
+		return nil
+	}
+	all := make([]int, 0, total)
+	for _, p := range atRoot {
+		v := p.(*Values)
+		all = append(all, v.Vals...)
+		v.release()
+	}
+	return all
+}
+
 // CollectSmallestK is the TAG-style collection: every node merges its
 // measurement with its children's lists and forwards the k smallest.
 // The returned slice holds the (up to k) smallest measurements that
 // reached the root, ascending. Under loss, fewer or other values may
 // arrive; loss-free it is exact.
 func CollectSmallestK(rt *sim.Runtime, k int) []int {
-	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		vals := []int{rt.Reading(n)}
-		for _, ch := range children {
-			vals = append(vals, ch.(*Values).Vals...)
-		}
+	smallest := func(vals []int) []int {
 		sort.Ints(vals)
-		if len(vals) > k {
-			vals = vals[:k]
-		}
-		return NewValues(vals, sizes, 0)
-	})
-	var all []int
-	for _, p := range atRoot {
-		all = append(all, p.(*Values).Vals...)
+		return vals[:min(len(vals), k)]
 	}
-	sort.Ints(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return smallest(GatherValues(rt, func(int, int) bool { return true }, smallest))
 }
 
 // CollectValuesIn performs a direct-retrieval convergecast: every node
@@ -137,24 +168,7 @@ func CollectSmallestK(rt *sim.Runtime, k int) []int {
 // are concatenated unmodified. The result arrives sorted ascending.
 func CollectValuesIn(rt *sim.Runtime, lo, hi int) []int {
 	rt.TraceRefine(lo, hi, -1)
-	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var vals []int
-		if v := rt.Reading(n); v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-		for _, ch := range children {
-			vals = append(vals, ch.(*Values).Vals...)
-		}
-		if len(vals) == 0 {
-			return nil
-		}
-		return NewValues(vals, sizes, 0)
-	})
-	var all []int
-	for _, p := range atRoot {
-		all = append(all, p.(*Values).Vals...)
-	}
+	all := GatherValues(rt, func(_, v int) bool { return v >= lo && v <= hi }, nil)
 	sort.Ints(all)
 	return all
 }
@@ -169,31 +183,13 @@ func CollectExtreme(rt *sim.Runtime, lo, hi, f int, largest bool) []int {
 		f = 0
 	}
 	rt.TraceRefine(lo, hi, f)
-	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var vals []int
-		if v := rt.Reading(n); v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-		for _, ch := range children {
-			vals = append(vals, ch.(*Values).Vals...)
-		}
-		vals = truncateExtreme(vals, f, largest)
-		if len(vals) == 0 {
-			return nil
-		}
-		return NewValues(vals, sizes, 0)
-	})
-	var all []int
-	for _, p := range atRoot {
-		all = append(all, p.(*Values).Vals...)
-	}
-	all = truncateExtreme(all, f, largest)
-	return all
+	trim := func(vals []int) []int { return truncateExtreme(vals, f, largest) }
+	return trim(GatherValues(rt, func(_, v int) bool { return v >= lo && v <= hi }, trim))
 }
 
 // truncateExtreme keeps the f largest (or smallest) elements plus any
-// boundary ties, returning them sorted ascending.
+// boundary ties, returning them sorted ascending in vals' own storage
+// (nil when f is 0).
 func truncateExtreme(vals []int, f int, largest bool) []int {
 	sort.Ints(vals)
 	if len(vals) <= f {
@@ -205,7 +201,7 @@ func truncateExtreme(vals []int, f int, largest bool) []int {
 	if largest {
 		boundary := vals[len(vals)-f] // f-th largest
 		i := sort.SearchInts(vals, boundary)
-		return vals[i:]
+		return vals[:copy(vals, vals[i:])]
 	}
 	boundary := vals[f-1] // f-th smallest
 	i := sort.SearchInts(vals, boundary+1)
@@ -217,32 +213,41 @@ func truncateExtreme(vals []int, f int, largest bool) []int {
 // aggregate by vector addition, and only non-empty subtrees transmit.
 func CollectHistogram(rt *sim.Runtime, bu Buckets) []int {
 	rt.TraceRefine(bu.Lo, bu.Hi-1, bu.Effective())
+	return CollectCounts(rt, bu.Effective(), bu.Index)
+}
+
+// CollectCounts gathers per-cell counts over cells cells: a node whose
+// measurement v has cellOf(v) = (i, true) counts itself into cell i,
+// histograms aggregate by vector addition and travel compressed, and
+// only non-empty subtrees transmit. The root's totals are returned.
+func CollectCounts(rt *sim.Runtime, cells int, cellOf func(v int) (int, bool)) []int {
 	sizes := rt.Sizes()
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		var counts []int
-		if idx, ok := bu.Index(rt.Reading(n)); ok {
-			counts = make([]int, bu.Effective())
-			counts[idx] = 1
+		var h *Histogram
+		if i, ok := cellOf(rt.Reading(n)); ok {
+			h = getHistogram(cells, sizes)
+			h.Counts[i] = 1
 		}
 		for _, ch := range children {
-			h := ch.(*Histogram)
-			if counts == nil {
-				counts = make([]int, bu.Effective())
+			if h == nil {
+				h = getHistogram(cells, sizes)
 			}
-			for i, c := range h.Counts {
-				counts[i] += c
-			}
+			child := ch.(*Histogram)
+			h.add(child)
+			child.release()
 		}
-		if counts == nil {
+		if h == nil {
 			return nil
 		}
-		return NewHistogram(counts, sizes)
+		return h
 	})
-	total := make([]int, bu.Effective())
+	total := make([]int, cells)
 	for _, p := range atRoot {
-		for i, c := range p.(*Histogram).Counts {
+		h := p.(*Histogram)
+		for i, c := range h.Counts {
 			total[i] += c
 		}
+		h.release()
 	}
 	return total
 }

@@ -1,0 +1,107 @@
+package scenario
+
+import (
+	"bufio"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"wsnq/internal/series"
+)
+
+// TestDecodeRecordMatchesEncodingJSON: on every line of every committed
+// recording, the round-record reader decodes exactly what encoding/json
+// decodes.
+func TestDecodeRecordMatchesEncodingJSON(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/recordings/*.jsonl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed recordings found (%v)", err)
+	}
+	rounds := 0
+	for _, name := range files {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(f)
+		sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
+		for line := 1; sc.Scan(); line++ {
+			var got, want fileRecord
+			if err := decodeRecord(sc.Bytes(), &got); err != nil {
+				t.Fatalf("%s:%d: %v", name, line, err)
+			}
+			if err := json.Unmarshal(sc.Bytes(), &want); err != nil {
+				t.Fatalf("%s:%d: %v", name, line, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s:%d: decoded %+v, encoding/json %+v", name, line, got, want)
+			}
+			if got.Round != nil {
+				rounds++
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rounds == 0 {
+		t.Fatal("recordings hold no round records")
+	}
+}
+
+// TestDecodeRoundEveryPointField: a round record with every Point field
+// set (escaped key, extreme floats) round-trips through the recorder's
+// encoder and the round-record reader — a Point field of a kind the
+// reader cannot parse fails here.
+func TestDecodeRoundEveryPointField(t *testing.T) {
+	want := roundRecord{Key: "fleet/\"q\"<1>", Answer: -3, K: 7, RankErr: 2}
+	v := reflect.ValueOf(&want.Point).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat([]float64{0.1, 1e-300, math.MaxFloat64, -2.5e21}[i%4])
+		default:
+			f.SetInt([]int64{math.MinInt64, math.MaxInt64, -1, int64(i) * 1e9}[i%4])
+		}
+	}
+	line, err := json.Marshal(fileRecord{Round: &want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got fileRecord
+	if err := decodeRecord(line, &got); err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	if got.Round == nil || !reflect.DeepEqual(*got.Round, want) {
+		t.Fatalf("decoded %+v, want %+v", got.Round, want)
+	}
+}
+
+func TestDecodeRoundRejectsMalformed(t *testing.T) {
+	for _, line := range []string{
+		`{"round":{"key":"IQ","answer":1`,
+		`{"round":{"key":"IQ","answer":1.5}}`,
+		`{"round":{"key":"IQ","answer":+1}}`,
+		`{"round":{"key":"IQ","answer":01}}`,
+		`{"round":{"key":"IQ","answer":1e2}}`,
+		`{"round":{"key":"IQ","answer":9223372036854775808}}`,
+		`{"round":{"key":"IQ","bogus":1}}`,
+		`{"round":{"key":"IQ","point":{"round":1,"nope":2}}}`,
+		`{"round":{"key":"IQ","point":{"joules":"x"}}}`,
+		`{"round":{"key":"IQ"}} trailing`,
+		`{"round":{"key":"I` + "\x01" + `Q"}}`,
+	} {
+		var rec fileRecord
+		if err := decodeRecord([]byte(line), &rec); err == nil {
+			t.Errorf("accepted %q", line)
+		}
+	}
+	var p series.Point
+	if err := (&jsonReader{b: []byte(`{"round": 4 , "joules" :0.5}`)}).point(&p); err != nil || p.Round != 4 || p.Joules != 0.5 {
+		t.Errorf("whitespace-separated point: %+v, %v", p, err)
+	}
+}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,6 +78,33 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if s.Hash() != s2.Hash() {
 			t.Fatalf("hash not stable across round trip")
+		}
+	})
+}
+
+// FuzzDecodeRecord checks the round-record reader against
+// encoding/json: it never panics, and whatever it accepts encoding/json
+// accepts too, decoding to the identical record. (It may reject what
+// encoding/json tolerates, such as unknown fields.)
+func FuzzDecodeRecord(f *testing.F) {
+	f.Add([]byte(`{"run":{"key":"IQ"}}`))
+	f.Add([]byte(`{"round":{"key":"HBC","answer":31970,"k":960,"rank_err":0,"point":{"round":0,"span":1,"frames":174,"joules":0.004225373999999998,"hot_joules":1e-05}}}`))
+	f.Add([]byte(`{"round":{"key":"aé\"b","point":{"round":-0,"joules":-0.0,"step_ms":2E+3}}}`))
+	f.Add([]byte(` { "round" : { "k" : 1 , "point" : { } } } `))
+	f.Add([]byte(`{"round":{"point":{"round":1},"point":{"span":2}}}`))
+	f.Add([]byte(`{"round":{"answer":01}}`))
+	f.Add([]byte(`{"round":null}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var got fileRecord
+		if decodeRecord(line, &got) != nil {
+			return
+		}
+		var want fileRecord
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("accepted %q, which encoding/json rejects: %v", line, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q decoded to %+v, encoding/json to %+v", line, got, want)
 		}
 	})
 }

@@ -144,7 +144,7 @@ func Replay(r io.Reader) (*Outcome, error) {
 			continue
 		}
 		var rec fileRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := decodeRecord(line, &rec); err != nil {
 			return nil, fmt.Errorf("scenario: recording line %d: %w", lineNo, err)
 		}
 		switch {
@@ -320,7 +320,7 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 			continue
 		}
 		var rec fileRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := decodeRecord(line, &rec); err != nil {
 			return nil, fmt.Errorf("scenario: recording line %d: %w", lineNo, err)
 		}
 		switch {

@@ -600,8 +600,11 @@ func (rt *Runtime) broadcastFaulty(p Payload, visit func(node int)) {
 	if rt.tr != nil {
 		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
 	}
-	n := rt.top.N()
-	got := make([]bool, n)
+	if rt.reached == nil {
+		rt.reached = make([]bool, rt.top.N())
+	}
+	got := rt.reached
+	clear(got)
 	po := rt.top.PostOrder
 	for i := len(po) - 1; i >= 0; i-- {
 		u := po[i]

@@ -125,6 +125,15 @@ type Runtime struct {
 	po        PhaseObserver   // nil = continuous profiling disabled
 	lossBcast bool
 	flt       *faultState // nil = fault/recovery layer disabled
+
+	// Convergecast scratch, reused across calls: the delivered-payload
+	// stack with each entry's receiver, and the root's arrivals.
+	inbox   []Payload
+	inboxTo []int
+	atRoot  []Payload
+
+	oracle  []int  // Oracle's reading buffer, refilled on every call
+	reached []bool // broadcastFaulty's per-node delivery flags
 }
 
 // PhaseObserver is the continuous-profiling hook (internal/prof): the
@@ -406,11 +415,14 @@ func (rt *Runtime) Universe() (lo, hi int) { return rt.src.Universe() }
 // round's measurements, computed centrally with no energy cost. It is
 // the ground truth the protocols are verified against.
 func (rt *Runtime) Oracle(k int) int {
-	vs := make([]int, rt.N())
-	for i := range vs {
-		vs[i] = rt.Reading(i)
+	if rt.oracle == nil {
+		rt.oracle = make([]int, rt.N())
 	}
-	return mathx.KthSmallest(vs, k)
+	// KthSmallest reorders the buffer, so every call refills it.
+	for i := range rt.oracle {
+		rt.oracle[i] = rt.Reading(i)
+	}
+	return mathx.KthSmallest(rt.oracle, k)
 }
 
 // charge accounts one hop: sender pays framing-inclusive transmission,
@@ -455,21 +467,37 @@ func (rt *Runtime) emitSend(sender, receiver int, cast trace.Cast, bits, wire, f
 
 // Convergecast runs one bottom-up phase. merge is invoked for every
 // sensor in post-order with the payloads that actually arrived from its
-// children; a nil return means the node stays silent (no transmission,
-// no energy). The payloads that reach the root are returned.
+// children, in delivery order; a nil return means the node stays silent
+// (no transmission, no energy). The payloads that reach the root are
+// returned.
+//
+// Ownership: children is valid only during the merge call, and each
+// child payload belongs to the merging node once handed over, so merge
+// may recycle it. The returned slice is valid until the next
+// Convergecast call on this runtime. merge must not start another
+// Convergecast on the same runtime.
+//
+// The inbox is one stack of delivered payloads, each tagged with its
+// receiver and reused across calls. Because PostOrder visits every
+// subtree as one contiguous run ending in its root, the payloads
+// addressed to u are exactly the top entries tagged u when u is reached.
 func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload) []Payload {
 	rt.stats.Convergecasts++
-	inbox := make([][]Payload, rt.N())
-	var atRoot []Payload
+	// Every entry is popped by its receiver, so the stack starts empty.
+	rt.atRoot = rt.atRoot[:0]
 	for _, u := range rt.top.PostOrder {
+		base := len(rt.inbox)
+		for base > 0 && rt.inboxTo[base-1] == u {
+			base--
+		}
 		if rt.flt != nil && rt.crashedNode(u) {
 			// A crashed sensor neither merges nor transmits; whatever
 			// its subtree delivered dies with it.
-			inbox[u] = nil
+			rt.popInbox(base)
 			continue
 		}
-		p := merge(u, inbox[u])
-		inbox[u] = nil
+		p := merge(u, rt.inbox[base:])
+		rt.popInbox(base)
 		if p == nil {
 			continue
 		}
@@ -478,11 +506,7 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 			// Fault-aware delivery: per-attempt charging, ARQ, and
 			// dead-link bookkeeping live in hopWithFaults.
 			if rt.hopWithFaults(u, parent, p) {
-				if parent == -1 {
-					atRoot = append(atRoot, p)
-				} else {
-					inbox[parent] = append(inbox[parent], p)
-				}
+				rt.deliver(parent, p)
 			}
 			continue
 		}
@@ -509,13 +533,28 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 				Bits: p.Bits(), Wire: rt.sizes.WireBits(p.Bits()),
 			})
 		}
-		if parent == -1 {
-			atRoot = append(atRoot, p)
-		} else {
-			inbox[parent] = append(inbox[parent], p)
-		}
+		rt.deliver(parent, p)
 	}
-	return atRoot
+	return rt.atRoot
+}
+
+// popInbox drops the inbox entries from base up, clearing their slots
+// so payloads dropped with a crashed node are not kept reachable.
+func (rt *Runtime) popInbox(base int) {
+	clear(rt.inbox[base:])
+	rt.inbox = rt.inbox[:base]
+	rt.inboxTo = rt.inboxTo[:base]
+}
+
+// deliver hands a payload that arrived at parent (-1: the root) to the
+// convergecast inbox.
+func (rt *Runtime) deliver(parent int, p Payload) {
+	if parent == -1 {
+		rt.atRoot = append(rt.atRoot, p)
+		return
+	}
+	rt.inbox = append(rt.inbox, p)
+	rt.inboxTo = append(rt.inboxTo, parent)
 }
 
 // Broadcast floods p from the root to every sensor: the root transmits

@@ -40,8 +40,10 @@ type Topology struct {
 	RootChildren []int   // sensors whose parent is the root
 	Depth        []int   // hop distance from the root (root's children have depth 1)
 
-	// PostOrder lists all sensors so that every node appears after all
-	// of its children; iterating it drives a convergecast.
+	// PostOrder lists all sensors in depth-first post-order: every node
+	// appears after all of its children, and every subtree is one
+	// contiguous run ending in its root. Iterating it drives a
+	// convergecast, whose inbox stack relies on the contiguity.
 	PostOrder []int
 
 	// VirtualEdge marks nodes whose link to their parent is intra-node:

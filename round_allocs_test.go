@@ -1,0 +1,61 @@
+package wsnq_test
+
+import (
+	"testing"
+
+	"wsnq"
+)
+
+// roundAllocCeilings is the allocation ratchet of the round path: the
+// allocations one warmed Simulation.Step may make at |N| = 500, seed 1.
+// The convergecast inbox is reused and every protocol payload is
+// recycled, so what remains is per-phase root results and, for the
+// LCLL variants, partition refinement. Lower a ceiling when a change
+// cuts a path's count; never raise one to absorb a regression.
+var roundAllocCeilings = []struct {
+	alg     wsnq.Algorithm
+	ceiling float64
+}{
+	{wsnq.TAG, 16},
+	{wsnq.POS, 16},
+	{wsnq.LCLLH, 32},
+	{wsnq.LCLLS, 200},
+	{wsnq.HBC, 16},
+	{wsnq.IQ, 16},
+}
+
+// TestRoundAllocs holds every standard algorithm's steady-state round
+// under its allocation ceiling.
+func TestRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of recycled payloads; allocation counts are only meaningful without it")
+	}
+	for _, c := range roundAllocCeilings {
+		t.Run(string(c.alg), func(t *testing.T) {
+			cfg := wsnq.DefaultConfig()
+			cfg.Nodes = 500
+			cfg.Seed = 1
+			cfg.Rounds = 1 << 30 // stepped manually
+			cfg.Runs = 1
+			sim, err := wsnq.NewSimulation(cfg, c.alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func() {
+				if _, err := sim.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The initialization round plus a few updates warm the
+			// payload pools and the runtime's scratch buffers.
+			for i := 0; i < 4; i++ {
+				step()
+			}
+			allocs := testing.AllocsPerRun(50, step)
+			t.Logf("%s: %.1f allocs/round (ceiling %.0f)", c.alg, allocs, c.ceiling)
+			if allocs > c.ceiling {
+				t.Errorf("%s round allocates %.1f objects, ceiling %.0f", c.alg, allocs, c.ceiling)
+			}
+		})
+	}
+}
