@@ -184,6 +184,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/adapt/
+	$(GO) test -run '^$$' -fuzz '^FuzzDiscGraph$$' -fuzztime $(FUZZTIME) ./internal/wsn/
 
 # trace-guard measures the disabled flight recorder against the
 # pre-instrumentation hot path and fails beyond the 2% budget. Timing

@@ -36,6 +36,7 @@ type LCLL struct {
 	win    spanRange
 	cover  spanRange
 	hasWin bool
+	bounds []int // slideTo's boundary buffer, reused across slides
 }
 
 // spanRange is a half-open refined region.
@@ -351,7 +352,7 @@ func (l *LCLL) slideTo(rt *sim.Runtime, win spanRange) error {
 		l.hasWin = false
 	}
 	cover := l.coveringTopRange(win)
-	bounds := []int{cover.Lo}
+	bounds := append(l.bounds[:0], cover.Lo)
 	for x := win.Lo; x <= win.Hi; x++ {
 		if x > cover.Lo && x < cover.Hi {
 			bounds = append(bounds, x)
@@ -360,6 +361,7 @@ func (l *LCLL) slideTo(rt *sim.Runtime, win spanRange) error {
 	if bounds[len(bounds)-1] != cover.Hi {
 		bounds = append(bounds, cover.Hi)
 	}
+	l.bounds = bounds
 	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
 	counts := collectCellCounts(rt, bounds)
 	if err := l.part.Replace(cover.Lo, cover.Hi, bounds, counts); err != nil {

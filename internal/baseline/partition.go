@@ -6,6 +6,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -102,7 +103,8 @@ func (p *Partition) cellRange(lo, hi int) (i, j int, err error) {
 
 // Replace substitutes the cells exactly covering [lo, hi) with new
 // cells given by innerBounds (which must start at lo and end at hi) and
-// their counts. Counts may be nil, meaning unknown-yet (zeros).
+// their counts. Counts may be nil, meaning unknown-yet (zeros). The
+// splice happens in place; neither argument is retained.
 func (p *Partition) Replace(lo, hi int, innerBounds []int, counts []int) error {
 	if len(innerBounds) < 2 || innerBounds[0] != lo || innerBounds[len(innerBounds)-1] != hi {
 		return fmt.Errorf("baseline: replacement bounds must span [%d,%d)", lo, hi)
@@ -122,13 +124,8 @@ func (p *Partition) Replace(lo, hi int, innerBounds []int, counts []int) error {
 	if counts == nil {
 		counts = make([]int, len(innerBounds)-1)
 	}
-	newBounds := append([]int{}, p.bounds[:i]...)
-	newBounds = append(newBounds, innerBounds[:len(innerBounds)-1]...)
-	newBounds = append(newBounds, p.bounds[j:]...)
-	newCounts := append([]int{}, p.counts[:i]...)
-	newCounts = append(newCounts, counts...)
-	newCounts = append(newCounts, p.counts[j:]...)
-	p.bounds, p.counts = newBounds, newCounts
+	p.bounds = slices.Replace(p.bounds, i, j, innerBounds[:len(innerBounds)-1]...)
+	p.counts = slices.Replace(p.counts, i, j, counts...)
 	return nil
 }
 
@@ -139,11 +136,12 @@ func (p *Partition) Merge(lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	sum := 0
-	for c := i; c < j; c++ {
-		sum += p.counts[c]
+	for c := i + 1; c < j; c++ {
+		p.counts[i] += p.counts[c]
 	}
-	return p.Replace(lo, hi, []int{lo, hi}, []int{sum})
+	p.bounds = slices.Delete(p.bounds, i+1, j)
+	p.counts = slices.Delete(p.counts, i+1, j)
+	return nil
 }
 
 // InnerBounds lists the boundaries of the cells covering [lo, hi),

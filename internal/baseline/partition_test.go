@@ -3,6 +3,7 @@ package baseline
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,8 +126,40 @@ func TestUnitAndEqualBounds(t *testing.T) {
 	}
 }
 
+// allocReplace is the allocating Replace that rebuilt both slices on
+// every splice, kept as the reference for the in-place one.
+func allocReplace(p *Partition, lo, hi int, innerBounds, counts []int) error {
+	i, j, err := p.cellRange(lo, hi)
+	if err != nil {
+		return err
+	}
+	newBounds := append([]int{}, p.bounds[:i]...)
+	newBounds = append(newBounds, innerBounds[:len(innerBounds)-1]...)
+	newBounds = append(newBounds, p.bounds[j:]...)
+	newCounts := append([]int{}, p.counts[:i]...)
+	newCounts = append(newCounts, counts...)
+	newCounts = append(newCounts, p.counts[j:]...)
+	p.bounds, p.counts = newBounds, newCounts
+	return nil
+}
+
+// allocMerge is the reference Merge: a Replace by one summed cell.
+func allocMerge(p *Partition, lo, hi int) error {
+	i, j, err := p.cellRange(lo, hi)
+	if err != nil {
+		return err
+	}
+	sum := 0
+	for c := i; c < j; c++ {
+		sum += p.counts[c]
+	}
+	return allocReplace(p, lo, hi, []int{lo, hi}, []int{sum})
+}
+
 // TestPartitionRandomOpsInvariant drives random subdivide/merge cycles
-// and checks structural invariants plus count conservation throughout.
+// and checks structural invariants plus count conservation throughout,
+// and that the in-place splices leave exactly the bounds and counts of
+// the allocating reference after every operation.
 func TestPartitionRandomOpsInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	p, _ := NewPartition(0, 1024, 16)
@@ -137,6 +170,7 @@ func TestPartitionRandomOpsInvariant(t *testing.T) {
 		counts[vals[i]/64]++
 	}
 	p.SetCounts(0, 1024, counts)
+	ref := &Partition{bounds: slices.Clone(p.bounds), counts: slices.Clone(p.counts)}
 
 	recount := func(lo, hi int, bounds []int) []int {
 		cs := make([]int, len(bounds)-1)
@@ -162,6 +196,9 @@ func TestPartitionRandomOpsInvariant(t *testing.T) {
 			if err := p.Merge(r[0], r[1]); err != nil {
 				t.Fatalf("op %d: merge [%d,%d): %v", op, r[0], r[1], err)
 			}
+			if err := allocMerge(ref, r[0], r[1]); err != nil {
+				t.Fatalf("op %d: reference merge [%d,%d): %v", op, r[0], r[1], err)
+			}
 			expanded = append(expanded[:i], expanded[i+1:]...)
 		} else {
 			// Subdivide a random coarse cell.
@@ -186,7 +223,14 @@ func TestPartitionRandomOpsInvariant(t *testing.T) {
 			if err := p.Replace(lo, hi, nb, recount(lo, hi, nb)); err != nil {
 				t.Fatalf("op %d: replace [%d,%d): %v", op, lo, hi, err)
 			}
+			if err := allocReplace(ref, lo, hi, nb, recount(lo, hi, nb)); err != nil {
+				t.Fatalf("op %d: reference replace [%d,%d): %v", op, lo, hi, err)
+			}
 			expanded = append(expanded, [2]int{lo, hi})
+		}
+		if !slices.Equal(p.bounds, ref.bounds) || !slices.Equal(p.counts, ref.counts) {
+			t.Fatalf("op %d: in-place splice diverged from the reference\n got  %v %v\n want %v %v",
+				op, p.bounds, p.counts, ref.bounds, ref.counts)
 		}
 		// Invariants: total conserved, bounds strictly increasing,
 		// every count matches a brute-force tally.

@@ -61,7 +61,12 @@ func (p Params) SendCost(bits int, rho float64) float64 {
 	if bits <= 0 {
 		return 0
 	}
-	return (p.Alpha + p.Beta*math.Pow(rho, p.P)) * float64(bits)
+	return p.sendPerBit(rho) * float64(bits)
+}
+
+// sendPerBit returns the per-bit transmission cost α+β·ρ^p.
+func (p Params) sendPerBit(rho float64) float64 {
+	return p.Alpha + p.Beta*math.Pow(rho, p.P)
 }
 
 // RecvCost returns the energy in joules to receive bits.
@@ -81,6 +86,12 @@ type Ledger struct {
 	spent  []float64 // cumulative consumption per node [J]
 	round  []float64 // consumption in the current round [J]
 
+	// The last range ChargeSend charged and its per-bit cost. Every
+	// hop pays the nominal range unless charging is by distance, so
+	// math.Pow runs once per distinct range. NaN never compares equal,
+	// so the initial NaN forces the first computation.
+	sendRho, sendPerBit float64
+
 	tr    trace.Collector               // nil = debit tracing disabled
 	clock func() (round int, ph string) // round/phase stamp for debit events
 }
@@ -88,9 +99,10 @@ type Ledger struct {
 // NewLedger creates a ledger for n sensor nodes.
 func NewLedger(n int, params Params) *Ledger {
 	return &Ledger{
-		params: params,
-		spent:  make([]float64, n),
-		round:  make([]float64, n),
+		params:  params,
+		spent:   make([]float64, n),
+		round:   make([]float64, n),
+		sendRho: math.NaN(),
 	}
 }
 
@@ -126,7 +138,14 @@ func (l *Ledger) ChargeSend(node, bits int, rho float64) {
 	if node < 0 {
 		return
 	}
-	c := l.params.SendCost(bits, rho)
+	// The same arithmetic as Params.SendCost, with α+β·ρ^p memoized.
+	c := 0.0
+	if bits > 0 {
+		if rho != l.sendRho {
+			l.sendRho, l.sendPerBit = rho, l.params.sendPerBit(rho)
+		}
+		c = l.sendPerBit * float64(bits)
+	}
 	l.spent[node] += c
 	l.round[node] += c
 	if l.tr != nil {

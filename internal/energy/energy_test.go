@@ -2,8 +2,11 @@ package energy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"wsnq/internal/trace"
 )
 
 func TestDefaultParamsValid(t *testing.T) {
@@ -139,5 +142,59 @@ func TestLedgerConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// debits collects the ledger's energy events.
+type debits []trace.Event
+
+func (d *debits) Collect(e trace.Event) { *d = append(*d, e) }
+
+// TestChargeSendMatchesSendCost: the ledger's memoized per-bit cost
+// charges exactly Params.SendCost, bit for bit, across runs of the
+// nominal range, fresh link lengths (distance charging), repeats after
+// other ranges, ρ = 0 and non-positive bit counts.
+func TestChargeSendMatchesSendCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, pathLoss := range []float64{2, 3, 2.5} {
+		p := DefaultParams()
+		p.P = pathLoss
+		l := NewLedger(8, p)
+		var got debits
+		l.SetTrace(&got, func() (int, string) { return 0, "" })
+		want := make([]float64, 8)
+		var charges []float64
+		for i := 0; i < 4000; i++ {
+			var rho float64
+			switch k := rng.Intn(10); {
+			case k < 5:
+				rho = 35 // the nominal range
+			case k < 6:
+				rho = 0
+			case k < 7:
+				rho = float64(rng.Intn(3)) * 17.5 // repeats after other ranges
+			default:
+				rho = rng.Float64() * 35 // a link length
+			}
+			bits := rng.Intn(2000) - 100
+			node := rng.Intn(8)
+			l.ChargeSend(node, bits, rho)
+			c := p.SendCost(bits, rho)
+			want[node] += c
+			charges = append(charges, c)
+		}
+		if len(got) != len(charges) {
+			t.Fatalf("p=%v: %d debit events for %d charges", pathLoss, len(got), len(charges))
+		}
+		for i, e := range got {
+			if math.Float64bits(e.Joules) != math.Float64bits(charges[i]) {
+				t.Fatalf("p=%v charge %d: %v J, SendCost %v J", pathLoss, i, e.Joules, charges[i])
+			}
+		}
+		for node, w := range want {
+			if math.Float64bits(l.Spent(node)) != math.Float64bits(w) {
+				t.Errorf("p=%v node %d: spent %v J, want %v J", pathLoss, node, l.Spent(node), w)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -36,17 +35,16 @@ func decodeRecord(line []byte, rec *fileRecord) error {
 	return json.Unmarshal(line, rec)
 }
 
-// pointFields maps each series.Point JSON name to its field index. It
-// is read from the struct tags, so the recorder's encoding/json output
-// and this decoder share one schema.
-var pointFields = func() map[string]int {
+// pointNames lists each series.Point field's JSON name, by field
+// index. It is read from the struct tags, so the recorder's
+// encoding/json output and this decoder share one schema.
+var pointNames = func() []string {
 	t := reflect.TypeOf(series.Point{})
-	m := make(map[string]int, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		m[name] = i
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
 	}
-	return m
+	return names
 }()
 
 // jsonReader reads the JSON subset round records use: objects with
@@ -165,12 +163,15 @@ func (r *jsonReader) int() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	digits := bytes.TrimPrefix(b, []byte("-"))
-	if len(digits) > 18 || bytes.ContainsAny(digits, ".eE") {
-		return strconv.ParseInt(string(b), 10, 64)
+	digits := b
+	if digits[0] == '-' {
+		digits = digits[1:]
 	}
 	var n int64
-	for _, c := range digits {
+	for i, c := range digits {
+		if c < '0' || c > '9' || i == 18 {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
 		n = n*10 + int64(c-'0')
 	}
 	if len(digits) < len(b) {
@@ -236,11 +237,21 @@ func (r *jsonReader) round(rr *roundRecord) error {
 // encoding/json would for the field's type.
 func (r *jsonReader) point(p *series.Point) error {
 	v := reflect.ValueOf(p).Elem()
+	next := 0
 	return r.object(func(key []byte) error {
-		i, ok := pointFields[string(key)]
-		if !ok {
+		// The recorder writes fields in struct order, omitting empty
+		// ones, so the search starts after the previous field.
+		i := -1
+		for k := range pointNames {
+			if j := (next + k) % len(pointNames); pointNames[j] == string(key) {
+				i = j
+				break
+			}
+		}
+		if i < 0 {
 			return fmt.Errorf("unknown point field")
 		}
+		next = i + 1
 		f := v.Field(i)
 		switch f.Kind() {
 		case reflect.Int, reflect.Int64:

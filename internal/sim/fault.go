@@ -444,13 +444,9 @@ func (rt *Runtime) computeReach() {
 func (rt *Runtime) accountControl(wire, frames int) {
 	rt.stats.FramesSent += frames
 	rt.stats.BitsSent += wire
-	if rt.stats.PerPhase == nil {
-		rt.stats.PerPhase = make(map[string]PhaseStats)
-	}
-	ps := rt.stats.PerPhase[rt.Phase()]
+	ps := rt.phaseStats()
 	ps.Frames += frames
 	ps.Bits += wire
-	rt.stats.PerPhase[rt.Phase()] = ps
 }
 
 // emitControlFrame traces one header-only control frame (a link-layer

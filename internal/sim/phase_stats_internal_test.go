@@ -1,0 +1,87 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+)
+
+// carrierPayload carries vals raw measurements in bits bits.
+type carrierPayload struct{ bits, vals int }
+
+func (p *carrierPayload) Bits() int       { return p.bits }
+func (p *carrierPayload) ValueCount() int { return p.vals }
+
+// TestPerPhaseMatchesHandTally switches the traffic label between
+// operations — including the unlabeled "" that books as "other", a
+// label that sends nothing, and a caller-chosen label — on lossy,
+// faulty runtimes under ARQ, and requires Stats().PerPhase to equal a
+// tally that attributes each operation's change in the global counters
+// to its label by hand.
+func TestPerPhaseMatchesHandTally(t *testing.T) {
+	type op struct {
+		label string
+		send  func(rt *Runtime)
+	}
+	convergecast := func(rt *Runtime) {
+		rt.Convergecast(func(node int, children []Payload) Payload {
+			return &carrierPayload{bits: 16 + 8*len(children), vals: 1 + len(children)}
+		})
+	}
+	broadcast := func(rt *Runtime) { rt.Broadcast(&carrierPayload{bits: 40, vals: 2}, nil) }
+	ops := []op{
+		{PhaseValidation, convergecast},
+		{"", broadcast},
+		{PhaseOther, convergecast},
+		{PhaseRefinement, nil},
+		{PhaseValidation, broadcast},
+		{"custom", convergecast},
+		{"", convergecast},
+		{PhaseFilter, broadcast},
+	}
+	acks := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		faults := ""
+		if seed%2 == 1 {
+			faults = "crash@2-5:n3; burst(p=0.4,len=2):n7"
+		}
+		rt := randomRuntime(t, seed, seed%3 == 0, faults)
+		want := map[string]PhaseStats{}
+		// tally runs send under the current label and books the change
+		// in the global counters to that label.
+		tally := func(send func(rt *Runtime)) {
+			before := rt.Stats()
+			if send != nil {
+				send(rt)
+			}
+			after := rt.Stats()
+			if after.FramesSent == before.FramesSent {
+				return
+			}
+			ps := want[rt.Phase()]
+			ps.Payloads += after.PayloadsSent - before.PayloadsSent
+			ps.Frames += after.FramesSent - before.FramesSent
+			ps.Bits += after.BitsSent - before.BitsSent
+			ps.Values += after.ValuesSent - before.ValuesSent
+			want[rt.Phase()] = ps
+		}
+		for round := 0; round < 8; round++ {
+			for _, o := range ops {
+				rt.SetPhase(o.label)
+				tally(o.send)
+			}
+			if got := rt.Stats().PerPhase; !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: PerPhase\n got  %v\n want %v", seed, round, got, want)
+			}
+			// Tree repair after a crash sends join handshakes under the
+			// label in force.
+			tally((*Runtime).AdvanceRound)
+		}
+		if _, ok := rt.Stats().PerPhase[PhaseRefinement]; ok {
+			t.Errorf("seed %d: a phase that sent nothing has a PerPhase entry", seed)
+		}
+		acks += rt.Stats().AckFrames
+	}
+	if acks == 0 {
+		t.Error("fixture too tame: no ARQ control traffic")
+	}
+}

@@ -103,7 +103,7 @@ type Stats struct {
 	Adapts           int // closed-loop controller actions applied
 
 	// PerPhase attributes the traffic to protocol stages, keyed by the
-	// Phase* labels.
+	// Phase* labels (see Runtime.Stats for its snapshot semantics).
 	PerPhase map[string]PhaseStats
 }
 
@@ -126,11 +126,21 @@ type Runtime struct {
 	lossBcast bool
 	flt       *faultState // nil = fault/recovery layer disabled
 
+	// The per-phase tallies behind Stats().PerPhase, and the current
+	// label's tally (nil until the label's first transmission).
+	phases   map[string]*PhaseStats
+	phaseAcc *PhaseStats
+
 	// Convergecast scratch, reused across calls: the delivered-payload
 	// stack with each entry's receiver, and the root's arrivals.
 	inbox   []Payload
 	inboxTo []int
 	atRoot  []Payload
+
+	// Round data: every node's reading for round readRound, filled by
+	// the first Reading of each round.
+	readings  []int
+	readRound int
 
 	oracle  []int  // Oracle's reading buffer, refilled on every call
 	reached []bool // broadcastFaulty's per-node delivery flags
@@ -178,6 +188,9 @@ func New(cfg Config) (*Runtime, error) {
 		byDist:    cfg.ChargeByDistance,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		lossBcast: cfg.LossBroadcast,
+		phases:    make(map[string]*PhaseStats),
+		readings:  make([]int, cfg.Topology.N()),
+		readRound: -1,
 	}
 	if cfg.Trace != nil {
 		rt.SetTrace(cfg.Trace)
@@ -215,9 +228,19 @@ func (rt *Runtime) Sizes() msg.Sizes { return rt.sizes }
 // Ledger returns the energy ledger.
 func (rt *Runtime) Ledger() *energy.Ledger { return rt.ledger }
 
-// Stats returns a snapshot of the traffic statistics. The PerPhase map
-// is shared; treat it as read-only.
-func (rt *Runtime) Stats() Stats { return rt.stats }
+// Stats returns a snapshot of the traffic statistics. PerPhase is
+// refreshed from the runtime's per-phase tallies on every call, into
+// one map the runtime reuses: treat it as read-only, and copy it to
+// keep its values past the next Stats call.
+func (rt *Runtime) Stats() Stats {
+	if len(rt.phases) > 0 && rt.stats.PerPhase == nil {
+		rt.stats.PerPhase = make(map[string]PhaseStats, len(rt.phases))
+	}
+	for ph, ps := range rt.phases {
+		rt.stats.PerPhase[ph] = *ps
+	}
+	return rt.stats
+}
 
 // SetPhase labels all subsequent traffic with a protocol stage (one of
 // the Phase* constants, or any caller-chosen string). With a profiling
@@ -225,8 +248,11 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 // attribution span; redundant calls with the current label cost one
 // compare.
 func (rt *Runtime) SetPhase(phase string) {
-	if rt.po != nil && phase != rt.phase {
-		rt.po.Switch(phase)
+	if phase != rt.phase {
+		if rt.po != nil {
+			rt.po.Switch(phase)
+		}
+		rt.phaseAcc = nil
 	}
 	rt.phase = phase
 }
@@ -255,15 +281,27 @@ func (rt *Runtime) account(wire, frames, values int) {
 	rt.stats.PayloadsSent++
 	rt.stats.BitsSent += wire
 	rt.stats.ValuesSent += values
-	if rt.stats.PerPhase == nil {
-		rt.stats.PerPhase = make(map[string]PhaseStats)
-	}
-	ps := rt.stats.PerPhase[rt.Phase()]
+	ps := rt.phaseStats()
 	ps.Payloads++
 	ps.Frames += frames
 	ps.Bits += wire
 	ps.Values += values
-	rt.stats.PerPhase[rt.Phase()] = ps
+}
+
+// phaseStats returns the current label's tally. It is looked up on the
+// label's first transmission after a change and reused until the next
+// change, so a phase that sends nothing gets no entry.
+func (rt *Runtime) phaseStats() *PhaseStats {
+	if rt.phaseAcc == nil {
+		ph := rt.Phase()
+		ps := rt.phases[ph]
+		if ps == nil {
+			ps = new(PhaseStats)
+			rt.phases[ph] = ps
+		}
+		rt.phaseAcc = ps
+	}
+	return rt.phaseAcc
 }
 
 // Round returns the current round number, starting at 0.
@@ -367,8 +405,7 @@ func (rt *Runtime) TraceAdapt(action, arg int) {
 // reported value occupies in the true (oracle) data; 0 means exact.
 func (rt *Runtime) RankErrorOf(k, reported int) int {
 	below, equal := 0, 0
-	for i := 0; i < rt.N(); i++ {
-		v := rt.Reading(i)
+	for _, v := range rt.roundReadings() {
 		if v < reported {
 			below++
 		} else if v == reported {
@@ -402,10 +439,35 @@ func (rt *Runtime) TraceRefine(lo, hi, f int) {
 	})
 }
 
-// Reading returns node's measurement for the current round.
-func (rt *Runtime) Reading(node int) int { return rt.src.Value(node, rt.round) }
+// Reading returns node's measurement for the current round. The source
+// is evaluated once per node per round: the round's first Reading (or
+// Oracle, or RankErrorOf) fills the runtime's reading vector, and every
+// later call indexes it.
+func (rt *Runtime) Reading(node int) int { return rt.roundReadings()[node] }
 
-// ReadingAt returns node's measurement at an explicit round.
+// roundReadings returns the current round's reading vector, filling it
+// on the round's first use. The round stamp makes AdvanceRound
+// invalidate it without a hook.
+func (rt *Runtime) roundReadings() []int {
+	if rt.readRound != rt.round {
+		rt.fillReadings()
+	}
+	return rt.readings
+}
+
+// fillReadings is kept out of line so that Reading, the hot path of
+// every protocol's merge callback, stays inlinable.
+//
+//go:noinline
+func (rt *Runtime) fillReadings() {
+	for i := range rt.readings {
+		rt.readings[i] = rt.src.Value(i, rt.round)
+	}
+	rt.readRound = rt.round
+}
+
+// ReadingAt returns node's measurement at an explicit round, straight
+// from the source (uncached).
 func (rt *Runtime) ReadingAt(node, round int) int { return rt.src.Value(node, round) }
 
 // Universe returns the closed integer range of possible measurements.
@@ -419,9 +481,7 @@ func (rt *Runtime) Oracle(k int) int {
 		rt.oracle = make([]int, rt.N())
 	}
 	// KthSmallest reorders the buffer, so every call refills it.
-	for i := range rt.oracle {
-		rt.oracle[i] = rt.Reading(i)
-	}
+	copy(rt.oracle, rt.roundReadings())
 	return mathx.KthSmallest(rt.oracle, k)
 }
 

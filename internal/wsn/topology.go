@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -86,16 +87,26 @@ func RandomPlacement(n int, side float64, rng *rand.Rand) []Point {
 // deterministic tie-breaking by node index. It returns ErrDisconnected
 // if any sensor is unreachable.
 func BuildTree(pos []Point, root Point, radioRange float64) (*Topology, error) {
+	if err := checkTreeArgs(pos, radioRange); err != nil {
+		return nil, err
+	}
+	return shortestPathTree(pos, root, radioRange, newDiscGraph(pos, radioRange))
+}
+
+// checkTreeArgs validates the inputs both tree builders share.
+func checkTreeArgs(pos []Point, radioRange float64) error {
 	if radioRange <= 0 {
-		return nil, fmt.Errorf("wsn: radio range must be positive, got %v", radioRange)
+		return fmt.Errorf("wsn: radio range must be positive, got %v", radioRange)
 	}
+	if len(pos) == 0 {
+		return errors.New("wsn: no sensor nodes")
+	}
+	return nil
+}
+
+// shortestPathTree is BuildTree over the disc graph g.
+func shortestPathTree(pos []Point, root Point, radioRange float64, g discGraph) (*Topology, error) {
 	n := len(pos)
-	if n == 0 {
-		return nil, errors.New("wsn: no sensor nodes")
-	}
-
-	adj := neighborLists(pos, radioRange)
-
 	// Dijkstra from the root. Vertex -1 is the root; dist over sensors.
 	const inf = math.MaxFloat64
 	dist := make([]float64, n)
@@ -124,7 +135,7 @@ func BuildTree(pos []Point, root Point, radioRange float64) (*Topology, error) {
 			break
 		}
 		done[u] = true
-		for _, v := range adj[u] {
+		for _, v := range g.neighbors(u) {
 			if done[v] {
 				continue
 			}
@@ -148,14 +159,15 @@ func BuildTree(pos []Point, root Point, radioRange float64) (*Topology, error) {
 // index). Hop-count trees are shallower but route over longer edges
 // than the Euclidean SPT; the abl-tree study compares the two.
 func BuildTreeBFS(pos []Point, root Point, radioRange float64) (*Topology, error) {
-	if radioRange <= 0 {
-		return nil, fmt.Errorf("wsn: radio range must be positive, got %v", radioRange)
+	if err := checkTreeArgs(pos, radioRange); err != nil {
+		return nil, err
 	}
+	return hopCountTree(pos, root, radioRange, newDiscGraph(pos, radioRange))
+}
+
+// hopCountTree is BuildTreeBFS over the disc graph g.
+func hopCountTree(pos []Point, root Point, radioRange float64, g discGraph) (*Topology, error) {
 	n := len(pos)
-	if n == 0 {
-		return nil, errors.New("wsn: no sensor nodes")
-	}
-	adj := neighborLists(pos, radioRange)
 	parent := make([]int, n)
 	depth := make([]int, n)
 	for i := range parent {
@@ -173,7 +185,7 @@ func BuildTreeBFS(pos []Point, root Point, radioRange float64) (*Topology, error
 	for len(frontier) > 0 {
 		var next []int
 		for _, u := range frontier {
-			for _, v := range adj[u] {
+			for _, v := range g.neighbors(u) {
 				if parent[v] != -2 {
 					// Prefer the closer parent among same-depth options.
 					if depth[v] == depth[u]+1 && parent[v] >= 0 &&
@@ -266,44 +278,92 @@ func BuildTreeWithRootAt(pos []Point, rootIdx int, radioRange float64) (*Topolog
 	return BuildTree(pos, pos[rootIdx], radioRange)
 }
 
-// neighborLists returns, for every sensor, the indices of all sensors
-// within the radio range, using grid binning to avoid the quadratic
-// distance matrix for large deployments.
-func neighborLists(pos []Point, radioRange float64) [][]int {
+// discGraph is the radio disc graph in compressed sparse row form: the
+// sensors within radio range of sensor i are nbr[off[i]:off[i+1]], in
+// no particular order (neither tree builder depends on it).
+type discGraph struct {
+	off []int
+	nbr []int
+}
+
+func (g discGraph) neighbors(i int) []int { return g.nbr[g.off[i]:g.off[i+1]] }
+
+// newDiscGraph builds the disc graph over a grid of square cells at
+// least one radio range wide, so every neighbour of a sensor lies in
+// the 3×3 block of cells around its own. Sensors are counting-sorted by
+// cell, and the neighbour array is sized exactly before it is filled,
+// which keeps the build at a few flat allocations.
+func newDiscGraph(pos []Point, radioRange float64) discGraph {
 	n := len(pos)
-	adj := make([][]int, n)
+	g := discGraph{off: make([]int, n+1)}
 	if n == 0 {
-		return adj
+		return g
 	}
-	minX, minY := pos[0].X, pos[0].Y
+	minX, minY, maxX, maxY := pos[0].X, pos[0].Y, pos[0].X, pos[0].Y
 	for _, p := range pos {
-		if p.X < minX {
-			minX = p.X
-		}
-		if p.Y < minY {
-			minY = p.Y
-		}
+		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
+		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
 	}
-	cell := radioRange
-	type key struct{ cx, cy int }
-	grid := make(map[key][]int, n)
-	at := func(p Point) key {
-		return key{int((p.X - minX) / cell), int((p.Y - minY) / cell)}
+	w, h := maxX-minX, maxY-minY
+	// Where the area dwarfs the range, widen the cells so the grid has
+	// at most 3n+1 of them: with cell ≥ √(wh/n), w/n and h/n,
+	// (w/cell+1)·(h/cell+1) ≤ n + n + n + 1.
+	cell := max(radioRange, math.Sqrt(w*h/float64(n)), w/float64(n), h/float64(n))
+	// The margin absorbs the rounding of the coordinate differences, so
+	// a pair at exactly the radio range never lands two cells apart.
+	cell *= 1 + 1e-9
+	// Non-finite coordinates or range leave one cell holding everyone.
+	cols, rows := 1, 1
+	if cell < math.Inf(1) {
+		cols, rows = int(w/cell)+1, int(h/cell)+1
 	}
+	// Counting sort: sensor i sits in cell cellOf[i], and start[c] is
+	// where cell c's sensors begin in byCell.
+	cellOf := make([]int, n)
+	start := make([]int, cols*rows+1)
 	for i, p := range pos {
-		grid[at(p)] = append(grid[at(p)], i)
+		cx := min(max(int((p.X-minX)/cell), 0), cols-1)
+		cy := min(max(int((p.Y-minY)/cell), 0), rows-1)
+		cellOf[i] = cy*cols + cx
+		start[cellOf[i]+1]++
 	}
-	for i, p := range pos {
-		k := at(p)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range grid[key{k.cx + dx, k.cy + dy}] {
-					if j != i && p.Dist(pos[j]) <= radioRange {
-						adj[i] = append(adj[i], j)
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	byCell := make([]int, n)
+	next := slices.Clone(start[:len(start)-1])
+	for i, c := range cellOf {
+		byCell[next[c]] = i
+		next[c]++
+	}
+	// eachPair calls f once for every pair i < j within range.
+	eachPair := func(f func(i, j int)) {
+		for i, p := range pos {
+			cx, cy := cellOf[i]%cols, cellOf[i]/cols
+			for y := max(cy-1, 0); y <= min(cy+1, rows-1); y++ {
+				for x := max(cx-1, 0); x <= min(cx+1, cols-1); x++ {
+					c := y*cols + x
+					for _, j := range byCell[start[c]:start[c+1]] {
+						if j > i && p.Dist(pos[j]) <= radioRange {
+							f(i, j)
+						}
 					}
 				}
 			}
 		}
 	}
-	return adj
+	// The first pass counts degrees; the second fills the exactly
+	// sized neighbour array through per-sensor cursors.
+	eachPair(func(i, j int) { g.off[i+1]++; g.off[j+1]++ })
+	for i := 1; i <= n; i++ {
+		g.off[i] += g.off[i-1]
+	}
+	g.nbr = make([]int, g.off[n])
+	fill := slices.Clone(g.off[:n])
+	eachPair(func(i, j int) {
+		g.nbr[fill[i]], g.nbr[fill[j]] = j, i
+		fill[i]++
+		fill[j]++
+	})
+	return g
 }

@@ -8,9 +8,9 @@ import (
 
 // roundAllocCeilings is the allocation ratchet of the round path: the
 // allocations one warmed Simulation.Step may make at |N| = 500, seed 1.
-// The convergecast inbox is reused and every protocol payload is
-// recycled, so what remains is per-phase root results and, for the
-// LCLL variants, partition refinement. Lower a ceiling when a change
+// The convergecast inbox is reused, every protocol payload is recycled
+// and LCLL's partition splices in place, so what remains is per-phase
+// root results and LCLL's per-refinement boundary lists. Lower a ceiling when a change
 // cuts a path's count; never raise one to absorb a regression.
 var roundAllocCeilings = []struct {
 	alg     wsnq.Algorithm
@@ -18,8 +18,8 @@ var roundAllocCeilings = []struct {
 }{
 	{wsnq.TAG, 16},
 	{wsnq.POS, 16},
-	{wsnq.LCLLH, 32},
-	{wsnq.LCLLS, 200},
+	{wsnq.LCLLH, 12},
+	{wsnq.LCLLS, 16},
 	{wsnq.HBC, 16},
 	{wsnq.IQ, 16},
 }
