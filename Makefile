@@ -38,7 +38,8 @@ help:
 	@echo "              snapshot, /profilez + pprof endpoint coverage, the"
 	@echo "              allocation-ceiling regression guard, and the"
 	@echo "              round-path allocation ratchet"
-	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target"
+	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target (codecs,"
+	@echo "              parsers, the cell vector, the disc graph)"
 	@echo "  trace-guard disabled-tracer overhead vs the 2% budget (idle machine)"
 	@echo "  series-guard series-ingest overhead vs the 2% budget (idle machine)"
 	@echo "  prof-guard  phase-attribution overhead vs the 2% budget (idle machine)"
@@ -180,6 +181,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembleRobust$$' -fuzztime $(FUZZTIME) ./internal/msg/
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramCodec$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzBucketsIndex$$' -fuzztime $(FUZZTIME) ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzCellVector$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/

@@ -36,7 +36,8 @@ type LCLL struct {
 	win    spanRange
 	cover  spanRange
 	hasWin bool
-	bounds []int // slideTo's boundary buffer, reused across slides
+	// Splice buffers, reused across slides and direct retrievals.
+	bounds, counts []int
 }
 
 // spanRange is a half-open refined region.
@@ -146,27 +147,33 @@ func (l *LCLL) Step(rt *sim.Runtime) (int, error) {
 func (l *LCLL) validate(rt *sim.Runtime) {
 	sizes := rt.Sizes()
 	part := l.part
+	cells := part.Cells()
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+		// The first child's deltas are adopted and forwarded, so a node
+		// relaying one subtree takes no payload of its own.
 		var d *cellDeltas
+		for _, ch := range children {
+			child := ch.(*cellDeltas)
+			if d == nil {
+				d = child
+				continue
+			}
+			d.Merge(&child.CellVector)
+			child.release()
+		}
 		oldC, ok1 := part.CellOf(l.prev[n])
 		newC, ok2 := part.CellOf(rt.Reading(n))
 		if ok1 && ok2 && oldC != newC {
-			d = getCellDeltas(sizes)
-			d.add(oldC, -1)
-			d.add(newC, +1)
-		}
-		for _, ch := range children {
 			if d == nil {
-				d = getCellDeltas(sizes)
+				d = getCellDeltas(cells, sizes)
 			}
-			child := ch.(*cellDeltas)
-			d.merge(child)
-			child.release()
+			d.Add(oldC, -1)
+			d.Add(newC, +1)
 		}
 		if d == nil {
 			return nil
 		}
-		if d.empty() {
+		if d.Nonzero() == 0 {
 			d.release()
 			return nil
 		}
@@ -174,9 +181,7 @@ func (l *LCLL) validate(rt *sim.Runtime) {
 	})
 	for _, p := range atRoot {
 		d := p.(*cellDeltas)
-		for cell, dv := range d.deltas {
-			part.AddDelta(cell, dv)
-		}
+		d.Drain(part.AddDelta)
 		d.release()
 	}
 }
@@ -270,7 +275,7 @@ func (l *LCLL) directCell(rt *sim.Runtime, cLo, cHi, below int) (int, error) {
 	}
 	q := vals[localRank-1]
 	// Splice [cLo,q) | [q,q+1) | [q+1,cHi) with exact counts.
-	bounds := []int{cLo}
+	bounds := append(l.bounds[:0], cLo)
 	if q > cLo {
 		bounds = append(bounds, q)
 	}
@@ -278,7 +283,7 @@ func (l *LCLL) directCell(rt *sim.Runtime, cLo, cHi, below int) (int, error) {
 	if q+1 < cHi {
 		bounds = append(bounds, cHi)
 	}
-	counts := make([]int, len(bounds)-1)
+	counts := append(l.counts[:0], make([]int, len(bounds)-1)...)
 	for _, v := range vals {
 		for i := 0; i+1 < len(bounds); i++ {
 			if v >= bounds[i] && v < bounds[i+1] {
@@ -287,6 +292,7 @@ func (l *LCLL) directCell(rt *sim.Runtime, cLo, cHi, below int) (int, error) {
 			}
 		}
 	}
+	l.bounds, l.counts = bounds, counts
 	if err := l.part.Replace(cLo, cHi, bounds, counts); err != nil {
 		return 0, err
 	}
@@ -412,44 +418,35 @@ func (l *LCLL) snapshotPrev(rt *sim.Runtime) {
 
 // cellDeltas is the validation payload: per-cell count deltas. Like the
 // protocol package's payloads it is recycled through a pool: a child
-// goes back once merged, the root's once applied.
+// goes back once merged, the root's once applied, and a released one is
+// all-zero.
 type cellDeltas struct {
-	deltas map[int]int
-	sizes  msg.Sizes
+	protocol.CellVector
+	sizes msg.Sizes
 }
 
-var cellDeltasPool = sync.Pool{New: func() any { return &cellDeltas{deltas: make(map[int]int)} }}
+var cellDeltasPool = sync.Pool{New: func() any { return new(cellDeltas) }}
 
-// getCellDeltas returns an empty pooled cellDeltas payload.
-func getCellDeltas(s msg.Sizes) *cellDeltas {
+// getCellDeltas returns an empty pooled cellDeltas payload over cells
+// cells.
+func getCellDeltas(cells int, s msg.Sizes) *cellDeltas {
 	d := cellDeltasPool.Get().(*cellDeltas)
-	clear(d.deltas)
+	d.Reset(cells)
 	d.sizes = s
 	return d
 }
 
-// release returns d to its pool; d must not be used afterwards.
-func (d *cellDeltas) release() { cellDeltasPool.Put(d) }
-
-func (d *cellDeltas) add(cell, dv int) {
-	d.deltas[cell] += dv
-	if d.deltas[cell] == 0 {
-		delete(d.deltas, cell)
-	}
+// release empties d and returns it to its pool; d must not be used
+// afterwards.
+func (d *cellDeltas) release() {
+	d.Clear()
+	cellDeltasPool.Put(d)
 }
-
-func (d *cellDeltas) merge(o *cellDeltas) {
-	for c, dv := range o.deltas {
-		d.add(c, dv)
-	}
-}
-
-func (d *cellDeltas) empty() bool { return len(d.deltas) == 0 }
 
 // Bits implements sim.Payload: one (index, signed count) pair per
 // non-canceled cell.
 func (d *cellDeltas) Bits() int {
-	return len(d.deltas) * 2 * d.sizes.CounterBits
+	return d.Nonzero() * 2 * d.sizes.CounterBits
 }
 
 // collectCellCounts gathers the exact per-cell counts for the cell list

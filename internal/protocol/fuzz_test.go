@@ -6,7 +6,7 @@ import (
 
 // FuzzHistogramCodec checks that the byte-level histogram codec is a
 // lossless round trip for arbitrary non-negative count vectors, and that
-// DecodeHistogram never panics or silently mis-decodes arbitrary bytes.
+// decodeHistogram never panics or silently mis-decodes arbitrary bytes.
 func FuzzHistogramCodec(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0, 0, 0, 5}, 4)
@@ -25,13 +25,13 @@ func FuzzHistogramCodec(f *testing.F) {
 				counts[i] = int(raw[i])
 			}
 		}
-		enc, err := EncodeHistogram(counts)
+		enc, err := encodeHistogram(counts)
 		if err != nil {
-			t.Fatalf("EncodeHistogram(%v): %v", counts, err)
+			t.Fatalf("encodeHistogram(%v): %v", counts, err)
 		}
-		dec, err := DecodeHistogram(enc, buckets)
+		dec, err := decodeHistogram(enc, buckets)
 		if err != nil {
-			t.Fatalf("DecodeHistogram round trip failed: %v", err)
+			t.Fatalf("decodeHistogram round trip failed: %v", err)
 		}
 		for i := range counts {
 			if dec[i] != counts[i] {
@@ -41,11 +41,11 @@ func FuzzHistogramCodec(f *testing.F) {
 
 		// Direction 2: arbitrary bytes must decode cleanly or error —
 		// and anything accepted must re-encode to a valid histogram.
-		if got, err := DecodeHistogram(raw, buckets); err == nil {
+		if got, err := decodeHistogram(raw, buckets); err == nil {
 			if len(got) != buckets {
 				t.Fatalf("decode of raw bytes returned %d buckets, want %d", len(got), buckets)
 			}
-			if _, err := EncodeHistogram(got); err != nil {
+			if _, err := encodeHistogram(got); err != nil {
 				t.Fatalf("decoded histogram does not re-encode: %v", err)
 			}
 		}

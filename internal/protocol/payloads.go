@@ -29,10 +29,10 @@ func CountedRequestBits(s msg.Sizes) int { return 2*s.BoundBits + s.CounterBits 
 // The convergecast payloads below are recycled through one sync.Pool
 // per type: a node takes a reset payload from the pool, and a payload
 // goes back as soon as its receiver has merged it (or, at the root,
-// once the phase has copied out its result). Slices and maps keep
-// their capacity across reuse, so a warmed convergecast allocates
-// nothing. Payloads lost in flight or dropped by a crash are left to
-// the garbage collector.
+// once the phase has copied out its result). Slices keep their
+// capacity across reuse, so a warmed convergecast allocates nothing.
+// Payloads lost in flight or dropped by a crash are left to the
+// garbage collector.
 var (
 	valuesPool    = sync.Pool{New: func() any { return new(Values) }}
 	histogramPool = sync.Pool{New: func() any { return new(Histogram) }}
@@ -65,42 +65,28 @@ func (v *Values) ValueCount() int { return len(v.Vals) }
 // Histogram is a convergecast payload of per-bucket counts, transmitted
 // in whichever of the dense or sparse encodings is smaller.
 type Histogram struct {
-	Counts []int
-	sizes  msg.Sizes
+	CellVector
+	sizes msg.Sizes
 }
 
 // getHistogram returns a pooled Histogram payload of cells zero counts.
 func getHistogram(cells int, sizes msg.Sizes) *Histogram {
 	h := histogramPool.Get().(*Histogram)
-	if cap(h.Counts) < cells {
-		h.Counts = make([]int, cells)
-	} else {
-		h.Counts = h.Counts[:cells]
-		clear(h.Counts)
-	}
+	h.Reset(cells)
 	h.sizes = sizes
 	return h
 }
 
-// release returns h to its pool; h must not be used afterwards.
-func (h *Histogram) release() { histogramPool.Put(h) }
-
-// add folds o's counts into h (vector addition).
-func (h *Histogram) add(o *Histogram) {
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
+// release empties h and returns it to its pool; h must not be used
+// afterwards.
+func (h *Histogram) release() {
+	h.Clear()
+	histogramPool.Put(h)
 }
 
 // Bits implements sim.Payload.
 func (h *Histogram) Bits() int {
-	nonEmpty := 0
-	for _, c := range h.Counts {
-		if c != 0 {
-			nonEmpty++
-		}
-	}
-	return h.sizes.CompressedHistogramBits(nonEmpty, len(h.Counts))
+	return h.sizes.CompressedHistogramBits(h.nonzero, len(h.counts))
 }
 
 // Counters is the validation payload: the four movement counters of

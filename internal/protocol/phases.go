@@ -223,18 +223,23 @@ func CollectHistogram(rt *sim.Runtime, bu Buckets) []int {
 func CollectCounts(rt *sim.Runtime, cells int, cellOf func(v int) (int, bool)) []int {
 	sizes := rt.Sizes()
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+		// The first child's histogram is adopted and forwarded, so a
+		// node relaying one subtree takes no payload of its own.
 		var h *Histogram
-		if i, ok := cellOf(rt.Reading(n)); ok {
-			h = getHistogram(cells, sizes)
-			h.Counts[i] = 1
-		}
 		for _, ch := range children {
+			child := ch.(*Histogram)
+			if h == nil {
+				h = child
+				continue
+			}
+			h.Merge(&child.CellVector)
+			child.release()
+		}
+		if i, ok := cellOf(rt.Reading(n)); ok {
 			if h == nil {
 				h = getHistogram(cells, sizes)
 			}
-			child := ch.(*Histogram)
-			h.add(child)
-			child.release()
+			h.Add(i, 1)
 		}
 		if h == nil {
 			return nil
@@ -244,9 +249,7 @@ func CollectCounts(rt *sim.Runtime, cells int, cellOf func(v int) (int, bool)) [
 	total := make([]int, cells)
 	for _, p := range atRoot {
 		h := p.(*Histogram)
-		for i, c := range h.Counts {
-			total[i] += c
-		}
+		h.Drain(func(cell, c int) { total[cell] += c })
 		h.release()
 	}
 	return total
