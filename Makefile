@@ -26,8 +26,8 @@ help:
 	@echo "  scenario    golden-scenario gate: DSL round-trips, pinned replay digests,"
 	@echo "              live-vs-replay differential, replay speedup, fleet boot"
 	@echo "  slo         SLO gate: spec grammar round-trips, budget-arithmetic"
-	@echo "              goldens, serve /slo surface, and the live-vs-replay"
-	@echo "              budget-trajectory differential"
+	@echo "              goldens, zero-allocation observe, serve /slo surface,"
+	@echo "              and the live-vs-replay budget-trajectory differential"
 	@echo "  slo-guard   per-round SLO evaluation overhead vs the 2% budget (idle machine)"
 	@echo "  adapt       closed-loop adaptation gate: policy grammar round-trips,"
 	@echo "              controller hysteresis/cooldown determinism, the pinned"
@@ -139,7 +139,8 @@ scenario:
 	$(GO) test -count=1 -run '^(TestGoldenScenarioReplays|TestScenarioLiveReplayDifferential|TestScenarioReplaySpeedup|TestScenarioServe|TestScenarioSimulationFaults)$$' -v .
 
 # slo gates the SLO engine: the spec grammar and budget/burn-rate unit
-# suite (including the pinned budget-arithmetic goldens), the serve
+# suite (including the pinned budget-arithmetic goldens and the
+# zero-allocation transition-free observe), the serve
 # layer's /slo surface and update stamping, and the differential test
 # proving a live run and a replay of its recording produce identical
 # budget trajectories and burn-rate transitions. The timing half (the

@@ -224,7 +224,7 @@ func main() {
 	}
 	if ob.Prof != nil {
 		fmt.Println("per-phase attribution (CPU-heaviest first):")
-		if err := ob.Prof.WriteText(os.Stdout); err != nil {
+		if err := ob.Prof.Report().WriteText(os.Stdout); err != nil {
 			sess.Fatal(err)
 		}
 	}

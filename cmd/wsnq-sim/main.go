@@ -163,9 +163,8 @@ func main() {
 		if ob.Series == nil {
 			ob.Series = wsnq.NewSeries()
 		}
-		if ob.Telemetry != nil {
-			ob.Telemetry.AttachSLO(slos)
-		}
+		// Batch studies leave the SLO slot detached; it only serves /slo.
+		ob.SLO = slos
 	}
 	var controller *wsnq.Controller
 	if *adaptSpec != "" {
@@ -243,10 +242,8 @@ func main() {
 				slos.Observe(key, wsnq.SLOSampleFromPoint(p, cfg.Nodes, 0))
 			}
 		}
-		fmt.Printf("\nSLO budgets:\n%s", slos)
-		for _, ev := range slos.Log() {
-			fmt.Printf("  %s\n", ev.Message)
-		}
+		fmt.Println()
+		cli.PrintSLO(os.Stdout, slos.Statuses(), slos.Log())
 	}
 
 	if ob.Telemetry != nil {
@@ -367,16 +364,7 @@ func printOutcome(out *wsnq.ScenarioOutcome) {
 	if log := out.Alerts(); len(log) > 0 {
 		fmt.Print(log.String())
 	}
-	if slos := out.SLO(); len(slos) > 0 {
-		fmt.Println("SLO budgets:")
-		for _, st := range slos {
-			fmt.Printf("  %-8s %-20s %-4s burn=%.2f spend=%.0f%% (%d bad / %d rounds)\n",
-				st.SLO, st.Key, st.Level, st.Burn, 100*st.Spend, st.Bad, st.Rounds)
-		}
-		for _, ev := range out.SLOEvents() {
-			fmt.Printf("  %s\n", ev.Message)
-		}
-	}
+	cli.PrintSLO(os.Stdout, out.SLO(), out.SLOEvents())
 	if ds := out.AdaptDecisions(); len(ds) > 0 {
 		fmt.Println("adaptation decisions:")
 		for _, d := range ds {

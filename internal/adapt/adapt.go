@@ -191,7 +191,7 @@ func Parse(spec string) ([]Policy, error) {
 		if strings.TrimSpace(part) == "" {
 			continue
 		}
-		p, err := ParsePolicy(part)
+		p, err := parsePolicy(part)
 		if err != nil {
 			return nil, err
 		}
@@ -200,8 +200,8 @@ func Parse(spec string) ([]Policy, error) {
 	return ps, nil
 }
 
-// ParsePolicy parses a single policy clause.
-func ParsePolicy(s string) (Policy, error) {
+// parsePolicy parses a single policy clause.
+func parsePolicy(s string) (Policy, error) {
 	toks := strings.Fields(s)
 	p := Policy{Level: alert.Warn, Hold: DefaultHold, Cooldown: DefaultCooldown}
 	i := 0

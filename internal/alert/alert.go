@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"wsnq/internal/level"
@@ -426,8 +427,21 @@ func message(r Rule, ev Event) string {
 		r.Name, ev.Key, verb, r.Metric, r.Agg, r.Window, ev.Value, ev.Round)
 }
 
+// Log is a chronological alert history.
+type Log []Event
+
+// String renders the log one message per line.
+func (l Log) String() string {
+	var b strings.Builder
+	for _, ev := range l {
+		b.WriteString(ev.Message)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // Log returns a copy of the alert log, oldest first.
-func (e *Engine) Log() []Event {
+func (e *Engine) Log() Log {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.log.All()

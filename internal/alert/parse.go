@@ -93,7 +93,7 @@ func ParseRules(spec string) ([]Rule, error) {
 		if part == "" {
 			continue
 		}
-		r, err := ParseRule(part)
+		r, err := parseRule(part)
 		if err != nil {
 			return nil, err
 		}
@@ -102,8 +102,8 @@ func ParseRules(spec string) ([]Rule, error) {
 	return rules, nil
 }
 
-// ParseRule parses a single rule or preset reference.
-func ParseRule(s string) (Rule, error) {
+// parseRule parses a single rule or preset reference.
+func parseRule(s string) (Rule, error) {
 	s = strings.TrimSpace(s)
 	name := ""
 	// An optional "name=" prefix ends at the first '=' that is not

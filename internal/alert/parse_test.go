@@ -8,7 +8,7 @@ import (
 
 func TestParsePresets(t *testing.T) {
 	for _, want := range Presets() {
-		got, err := ParseRule(want.Name)
+		got, err := parseRule(want.Name)
 		if err != nil {
 			t.Fatalf("preset %s: %v", want.Name, err)
 		}
@@ -19,7 +19,7 @@ func TestParsePresets(t *testing.T) {
 }
 
 func TestParseRenamedPreset(t *testing.T) {
-	got, err := ParseRule("hbc-storm = storm")
+	got, err := parseRule("hbc-storm = storm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestParseRuleForms(t *testing.T) {
 			Rule{Name: "lifetime", Metric: "lifetime", Agg: "rate", Window: 32, Cmp: "<", Warn: 4000}},
 	}
 	for _, c := range cases {
-		got, err := ParseRule(c.in)
+		got, err := parseRule(c.in)
 		if err != nil {
 			t.Errorf("%q: %v", c.in, err)
 			continue
@@ -68,7 +68,7 @@ func TestParseRoundTrip(t *testing.T) {
 		Rule{Name: "frames", Metric: "frames", Agg: "last", Window: 1, Cmp: ">", Warn: 100},
 	)
 	for _, r := range rules {
-		got, err := ParseRule(r.String())
+		got, err := parseRule(r.String())
 		if err != nil {
 			t.Errorf("%s: %v", r.String(), err)
 			continue
@@ -114,7 +114,7 @@ func TestParseErrors(t *testing.T) {
 		{"joules:rate(4)<1e-6,2e-6", "less extreme"},
 	}
 	for _, c := range cases {
-		_, err := ParseRule(c.in)
+		_, err := parseRule(c.in)
 		if err == nil {
 			t.Errorf("%q: parsed without error", c.in)
 			continue

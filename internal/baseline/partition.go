@@ -68,15 +68,6 @@ func (p *Partition) CellOf(v int) (int, bool) {
 // AddDelta adjusts cell i's count (validation bookkeeping).
 func (p *Partition) AddDelta(i, d int) { p.counts[i] += d }
 
-// Total returns the sum of all cell counts.
-func (p *Partition) Total() int {
-	t := 0
-	for _, c := range p.counts {
-		t += c
-	}
-	return t
-}
-
 // OwningCell locates the cell containing global rank k (1-based) and
 // the number of measurements in cells before it.
 func (p *Partition) OwningCell(k int) (idx, below int, err error) {
@@ -142,39 +133,6 @@ func (p *Partition) Merge(lo, hi int) error {
 	p.bounds = slices.Delete(p.bounds, i+1, j)
 	p.counts = slices.Delete(p.counts, i+1, j)
 	return nil
-}
-
-// InnerBounds lists the boundaries of the cells covering [lo, hi),
-// which must be cell-aligned.
-func (p *Partition) InnerBounds(lo, hi int) ([]int, error) {
-	i, j, err := p.cellRange(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return append([]int(nil), p.bounds[i:j+1]...), nil
-}
-
-// SetCounts overwrites the counts of the cells covering [lo, hi).
-func (p *Partition) SetCounts(lo, hi int, counts []int) error {
-	i, j, err := p.cellRange(lo, hi)
-	if err != nil {
-		return err
-	}
-	if len(counts) != j-i {
-		return fmt.Errorf("baseline: %d counts for %d cells", len(counts), j-i)
-	}
-	copy(p.counts[i:j], counts)
-	return nil
-}
-
-// UnitBounds returns the boundary list that splits [lo, hi) into unit
-// cells.
-func UnitBounds(lo, hi int) []int {
-	out := make([]int, 0, hi-lo+1)
-	for x := lo; x <= hi; x++ {
-		out = append(out, x)
-	}
-	return out
 }
 
 // EqualBounds returns boundaries splitting [lo, hi) into at most b

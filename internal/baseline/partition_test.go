@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -50,13 +51,13 @@ func TestPartitionCellOf(t *testing.T) {
 
 func TestPartitionReplaceAndMerge(t *testing.T) {
 	p, _ := NewPartition(0, 100, 4) // cells of width 25
-	p.SetCounts(0, 100, []int{3, 7, 2, 8})
+	p.setCounts(0, 100, []int{3, 7, 2, 8})
 	// Subdivide [25,50) into [25,30),[30,50).
 	if err := p.Replace(25, 50, []int{25, 30, 50}, []int{2, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Cells() != 5 || p.Total() != 20 {
-		t.Fatalf("cells=%d total=%d", p.Cells(), p.Total())
+	if p.Cells() != 5 || p.total() != 20 {
+		t.Fatalf("cells=%d total=%d", p.Cells(), p.total())
 	}
 	cell, _ := p.CellOf(35)
 	if lo, hi := p.Bounds(cell); lo != 30 || hi != 50 {
@@ -93,7 +94,7 @@ func TestPartitionReplaceValidation(t *testing.T) {
 
 func TestPartitionOwningCell(t *testing.T) {
 	p, _ := NewPartition(0, 40, 4)
-	p.SetCounts(0, 40, []int{3, 0, 2, 5})
+	p.setCounts(0, 40, []int{3, 0, 2, 5})
 	idx, below, err := p.OwningCell(4)
 	if err != nil || idx != 2 || below != 3 {
 		t.Errorf("OwningCell(4) = (%d,%d,%v)", idx, below, err)
@@ -105,18 +106,18 @@ func TestPartitionOwningCell(t *testing.T) {
 
 func TestPartitionInnerBounds(t *testing.T) {
 	p, _ := NewPartition(0, 100, 4)
-	b, err := p.InnerBounds(25, 75)
+	b, err := p.innerBounds(25, 75)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b, []int{25, 50, 75}) {
-		t.Errorf("InnerBounds = %v", b)
+		t.Errorf("innerBounds = %v", b)
 	}
 }
 
 func TestUnitAndEqualBounds(t *testing.T) {
-	if got := UnitBounds(3, 6); !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
-		t.Errorf("UnitBounds = %v", got)
+	if got := unitBounds(3, 6); !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
+		t.Errorf("unitBounds = %v", got)
 	}
 	if got := EqualBounds(0, 10, 3); !reflect.DeepEqual(got, []int{0, 4, 8, 10}) {
 		t.Errorf("EqualBounds = %v", got)
@@ -169,7 +170,7 @@ func TestPartitionRandomOpsInvariant(t *testing.T) {
 		vals[i] = rng.Intn(1024)
 		counts[vals[i]/64]++
 	}
-	p.SetCounts(0, 1024, counts)
+	p.setCounts(0, 1024, counts)
 	ref := &Partition{bounds: slices.Clone(p.bounds), counts: slices.Clone(p.counts)}
 
 	recount := func(lo, hi int, bounds []int) []int {
@@ -234,8 +235,8 @@ func TestPartitionRandomOpsInvariant(t *testing.T) {
 		}
 		// Invariants: total conserved, bounds strictly increasing,
 		// every count matches a brute-force tally.
-		if p.Total() != 300 {
-			t.Fatalf("op %d: total = %d", op, p.Total())
+		if p.total() != 300 {
+			t.Fatalf("op %d: total = %d", op, p.total())
 		}
 		for i := 0; i < p.Cells(); i++ {
 			lo, hi := p.Bounds(i)
@@ -273,4 +274,46 @@ func TestPartitionCellOfProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// total returns the sum of all cell counts.
+func (p *Partition) total() int {
+	t := 0
+	for _, c := range p.counts {
+		t += c
+	}
+	return t
+}
+
+// innerBounds lists the boundaries of the cells covering [lo, hi),
+// which must be cell-aligned.
+func (p *Partition) innerBounds(lo, hi int) ([]int, error) {
+	i, j, err := p.cellRange(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return append([]int(nil), p.bounds[i:j+1]...), nil
+}
+
+// setCounts overwrites the counts of the cells covering [lo, hi).
+func (p *Partition) setCounts(lo, hi int, counts []int) error {
+	i, j, err := p.cellRange(lo, hi)
+	if err != nil {
+		return err
+	}
+	if len(counts) != j-i {
+		return fmt.Errorf("baseline: %d counts for %d cells", len(counts), j-i)
+	}
+	copy(p.counts[i:j], counts)
+	return nil
+}
+
+// unitBounds returns the boundary list that splits [lo, hi) into unit
+// cells.
+func unitBounds(lo, hi int) []int {
+	out := make([]int, 0, hi-lo+1)
+	for x := lo; x <= hi; x++ {
+		out = append(out, x)
+	}
+	return out
 }

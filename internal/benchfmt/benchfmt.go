@@ -22,7 +22,7 @@ import (
 
 // SchemaVersion identifies the BENCH JSON layout. Version 2 adds the
 // per-benchmark allocation ceiling (allocs_ceiling) the allocation-
-// budget gate enforces. Decode also accepts version-1 files — they
+// budget gate enforces. ReadFile also accepts version-1 files — they
 // simply carry no ceilings, so the gate falls back to a relative
 // budget — and rejects anything newer, so the regression guard never
 // compares measurements it does not understand.
@@ -104,8 +104,8 @@ func (f File) Result(name string) (Result, bool) {
 	return Result{}, false
 }
 
-// Encode writes f as indented, deterministic JSON.
-func Encode(w io.Writer, f File) error {
+// encode writes f as indented, deterministic JSON.
+func encode(w io.Writer, f File) error {
 	f.Schema = SchemaVersion
 	sort.Slice(f.Results, func(i, j int) bool { return f.Results[i].Name < f.Results[j].Name })
 	enc := json.NewEncoder(w)
@@ -113,8 +113,8 @@ func Encode(w io.Writer, f File) error {
 	return enc.Encode(f)
 }
 
-// Decode parses a BENCH file and validates its schema version.
-func Decode(r io.Reader) (File, error) {
+// decode parses a BENCH file and validates its schema version.
+func decode(r io.Reader) (File, error) {
 	var f File
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return File{}, fmt.Errorf("benchfmt: %w", err)
@@ -132,7 +132,7 @@ func ReadFile(path string) (File, error) {
 		return File{}, err
 	}
 	defer fd.Close()
-	f, err := Decode(fd)
+	f, err := decode(fd)
 	if err != nil {
 		return File{}, fmt.Errorf("%s: %w", path, err)
 	}
@@ -145,7 +145,7 @@ func WriteFile(path string, f File) error {
 	if err != nil {
 		return err
 	}
-	if err := Encode(fd, f); err != nil {
+	if err := encode(fd, f); err != nil {
 		fd.Close()
 		return err
 	}

@@ -25,10 +25,10 @@ func sample() File {
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Encode(&buf, sample()); err != nil {
+	if err := encode(&buf, sample()); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Decode(&buf)
+	f, err := decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRoundTrip(t *testing.T) {
 	if !ok || r.NsPerOp != 1000 || r.FramesPerRound != 40 {
 		t.Errorf("RoundIQ = %+v, ok=%v", r, ok)
 	}
-	// Encode sorts results by name for deterministic files.
+	// encode sorts results by name for deterministic files.
 	names := make([]string, len(f.Results))
 	for i, r := range f.Results {
 		names[i] = r.Name
@@ -50,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongSchema(t *testing.T) {
-	_, err := Decode(strings.NewReader(`{"schema": 99, "results": []}`))
+	_, err := decode(strings.NewReader(`{"schema": 99, "results": []}`))
 	if err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("wrong schema error = %v", err)
 	}
@@ -101,7 +101,7 @@ func TestListSortsFiles(t *testing.T) {
 // committed 2026-08-05 sessions are schema 1 and must keep loading —
 // without ceilings, which is what selects the gate's relative budget.
 func TestDecodeAcceptsSchema1(t *testing.T) {
-	f, err := Decode(strings.NewReader(`{
+	f, err := decode(strings.NewReader(`{
 		"schema": 1, "date": "2026-08-05",
 		"results": [{"name": "RoundIQ", "ns_per_op": 1000, "bytes_per_op": 640, "allocs_per_op": 12}]
 	}`))
@@ -209,7 +209,7 @@ func TestDiffTable(t *testing.T) {
 	cur.Results[0].AllocsPerOp = 24
 	cur.Results = append(cur.Results, Result{Name: "RoundNew", NsPerOp: 7})
 
-	rows := Diff(old, cur)
+	rows := diffRows(old, cur)
 	if len(rows) != 4 {
 		t.Fatalf("Diff rows = %d, want 4 (union of names)", len(rows))
 	}

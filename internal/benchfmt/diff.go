@@ -24,9 +24,9 @@ type DiffRow struct {
 	InNew      bool
 }
 
-// Diff compares every benchmark appearing in either session, sorted by
+// diffRows compares every benchmark appearing in either session, sorted by
 // name — the full benchstat-style table behind `wsnq-bench -diff`.
-func Diff(old, new File) []DiffRow {
+func diffRows(old, new File) []DiffRow {
 	names := map[string]bool{}
 	for _, r := range old.Results {
 		names[r.Name] = true
@@ -66,7 +66,7 @@ func Diff(old, new File) []DiffRow {
 func FormatDiff(w io.Writer, old, new File) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(tw, "benchmark\told ns/op\tnew ns/op\tdelta\told allocs\tnew allocs\tdelta\t\n")
-	for _, row := range Diff(old, new) {
+	for _, row := range diffRows(old, new) {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
 			row.Name,
 			numOr(row.InOld, "%.0f", row.OldNs), numOr(row.InNew, "%.0f", row.NewNs),

@@ -1,7 +1,7 @@
 // Package cli holds the small pieces shared by the cmd tools: the
 // -http flag behavior (every tool serves the same telemetry surface
-// the same way), unified Ctrl-C handling, and the -alert flag's help
-// text and report printer.
+// the same way), unified Ctrl-C handling, the -alert flag's help
+// text, and the alert and SLO report printers.
 package cli
 
 import (
@@ -15,13 +15,14 @@ import (
 	"syscall"
 
 	"wsnq/internal/alert"
+	"wsnq/internal/slo"
 )
 
-// SignalContext returns a context cancelled by Ctrl-C (SIGINT) or
+// signalContext returns a context cancelled by Ctrl-C (SIGINT) or
 // SIGTERM, so every tool shuts its -http server and lingering loop
 // down the same way. The stop function releases the signal handler;
 // a second signal after cancellation kills the process as usual.
-func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
+func signalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 }
 
@@ -42,14 +43,14 @@ func ServeHTTP(ctx context.Context, tool, addr string, h http.Handler) (string, 
 		srv.Close()
 	}()
 	bound := ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "%s: telemetry on http://%s (/metrics /health /series /alerts /dashboard /debug/pprof)\n", tool, bound)
+	fmt.Fprintf(os.Stderr, "%s: telemetry on http://%s/ (the index lists the endpoints)\n", tool, bound)
 	return bound, nil
 }
 
-// Linger keeps a tool alive after its work completes so the operator
+// linger keeps a tool alive after its work completes so the operator
 // can still read the telemetry endpoints; it blocks until ctx is
 // cancelled (Ctrl-C).
-func Linger(ctx context.Context, tool string) {
+func linger(ctx context.Context, tool string) {
 	if ctx.Err() != nil {
 		return
 	}
@@ -60,7 +61,7 @@ func Linger(ctx context.Context, tool string) {
 // Session bundles the lifecycle every cmd tool shares — the
 // signal-cancelled context, the optional -http telemetry server, and
 // the post-work linger loop — so each tool stops hand-rolling the same
-// SignalContext/ServeHTTP/Linger sequence.
+// signalContext/ServeHTTP/linger sequence.
 //
 //	s := cli.NewSession("wsnq-sim")
 //	defer s.Close()
@@ -77,7 +78,7 @@ type Session struct {
 // NewSession starts a tool session: its context cancels on Ctrl-C
 // (SIGINT) or SIGTERM.
 func NewSession(tool string) *Session {
-	ctx, stop := SignalContext(context.Background())
+	ctx, stop := signalContext(context.Background())
 	return &Session{tool: tool, ctx: ctx, stop: stop}
 }
 
@@ -99,9 +100,6 @@ func (s *Session) Serve(addr string, h http.Handler) error {
 	return nil
 }
 
-// Serving reports whether Serve bound a listener.
-func (s *Session) Serving() bool { return s.serving }
-
 // Linger keeps the tool alive for its telemetry endpoints after the
 // work completes: it blocks until Ctrl-C when Serve bound a listener
 // and returns immediately otherwise.
@@ -109,7 +107,7 @@ func (s *Session) Linger() {
 	if !s.serving {
 		return
 	}
-	Linger(s.ctx, s.tool)
+	linger(s.ctx, s.tool)
 }
 
 // Close releases the signal handler; a later Ctrl-C kills the process
@@ -157,5 +155,23 @@ func PrintAlerts(w io.Writer, states []alert.State, events []alert.Event) {
 		for _, ev := range events {
 			fmt.Fprintf(w, "  %s\n", ev.Message)
 		}
+	}
+}
+
+// PrintSLO writes the SLO budget report: every objective × key
+// standing budget and the chronological burn-rate transition log. It
+// prints nothing when there is nothing to say (no statuses, no
+// events).
+func PrintSLO(w io.Writer, statuses []slo.Status, events []slo.Event) {
+	if len(statuses) == 0 && len(events) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "SLO budgets:")
+	for _, st := range statuses {
+		fmt.Fprintf(w, "  %-8s %-24s %-4s burn=%.2f spend=%.0f%% (%d/%d bad over %d rounds)\n",
+			st.SLO, st.Key, st.Level, st.Burn, 100*st.Spend, st.Bad, int(st.Budget), st.Rounds)
+	}
+	for _, ev := range events {
+		fmt.Fprintf(w, "  %s\n", ev.Message)
 	}
 }

@@ -93,14 +93,6 @@ func NewAdaptive(opts AdaptiveOptions) *Adaptive {
 // Name implements protocol.Algorithm.
 func (a *Adaptive) Name() string { return "ADAPT" }
 
-// Using reports which strategy the next Step will run.
-func (a *Adaptive) Using() string {
-	if len(a.strategies) == 0 {
-		return ""
-	}
-	return a.strategies[a.current].name
-}
-
 // Pin forces the named strategy ("IQ", "HBC", "POS"; case-sensitive
 // protocol names) for every following round, overriding the EWMA cost
 // comparison — the hook the closed-loop controller (internal/adapt)
@@ -108,7 +100,7 @@ func (a *Adaptive) Using() string {
 // itself still happens inside the next Step, over the §4.2 shared
 // state, paying the usual mode-switch broadcast. Returns false when the
 // name matches no initialized strategy (e.g. "POS" without UsePOS) or
-// before Init. Unpin restores cost-driven selection.
+// before Init.
 func (a *Adaptive) Pin(name string) bool {
 	for i := range a.strategies {
 		if a.strategies[i].name == name {
@@ -117,17 +109,6 @@ func (a *Adaptive) Pin(name string) bool {
 		}
 	}
 	return false
-}
-
-// Unpin restores EWMA cost-driven strategy selection after a Pin.
-func (a *Adaptive) Unpin() { a.pinned = -1 }
-
-// Pinned returns the pinned strategy name ("" when cost-driven).
-func (a *Adaptive) Pinned() string {
-	if a.pinned < 0 || a.pinned >= len(a.strategies) {
-		return ""
-	}
-	return a.strategies[a.pinned].name
 }
 
 // IQ exposes the wrapped IQ strategy so the closed-loop controller can

@@ -312,13 +312,13 @@ func TestAdaptiveSwitchesStrategies(t *testing.T) {
 	}
 	for tRound := 1; tRound < 80; tRound++ {
 		rt.AdvanceRound()
-		used[ad.Using()] = true
+		used[ad.using()] = true
 		q, err := ad.Step(rt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := rt.Oracle(20); q != want {
-			t.Fatalf("round %d: adaptive %d != oracle %d (using %s)", tRound, q, want, ad.Using())
+			t.Fatalf("round %d: adaptive %d != oracle %d (using %s)", tRound, q, want, ad.using())
 		}
 	}
 	if !used["IQ"] || !used["HBC"] {
@@ -354,4 +354,12 @@ func TestCoreStepBeforeInitFails(t *testing.T) {
 			t.Errorf("%s: Step before Init accepted", alg.Name())
 		}
 	}
+}
+
+// using reports which strategy the next Step will run.
+func (a *Adaptive) using() string {
+	if len(a.strategies) == 0 {
+		return ""
+	}
+	return a.strategies[a.current].name
 }

@@ -119,15 +119,15 @@ func TestAdaptiveProbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	switches := 0
-	prev := ad.Using()
+	prev := ad.using()
 	for tR := 1; tR < 60; tR++ {
 		rt.AdvanceRound()
 		if _, err := ad.Step(rt); err != nil {
 			t.Fatal(err)
 		}
-		if ad.Using() != prev {
+		if ad.using() != prev {
 			switches++
-			prev = ad.Using()
+			prev = ad.using()
 		}
 	}
 	if switches == 0 {
@@ -166,13 +166,13 @@ func TestAdaptiveThreeWay(t *testing.T) {
 	used := map[string]bool{}
 	for tR := 1; tR < 100; tR++ {
 		rt.AdvanceRound()
-		used[ad.Using()] = true
+		used[ad.using()] = true
 		q, err := ad.Step(rt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := rt.Oracle(25); q != want {
-			t.Fatalf("round %d (%s): %d != oracle %d", tR, ad.Using(), q, want)
+			t.Fatalf("round %d (%s): %d != oracle %d", tR, ad.using(), q, want)
 		}
 	}
 	for _, want := range []string{"IQ", "HBC", "POS"} {

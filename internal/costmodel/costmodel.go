@@ -53,9 +53,9 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// BExact returns the continuous-relaxation optimum
+// bExact returns the continuous-relaxation optimum
 // exp(1 + W(C/(s_b·e))), the paper's closed-form estimate b_exact.
-func (m Model) BExact() (float64, error) {
+func (m Model) bExact() (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
@@ -67,9 +67,9 @@ func (m Model) BExact() (float64, error) {
 	return math.Exp(1 + w), nil
 }
 
-// Cost returns the discrete objective: total hotspot bits for a b-ary
+// cost returns the discrete objective: total hotspot bits for a b-ary
 // search over a universe of tau values.
-func (m Model) Cost(b, tau int) float64 {
+func (m Model) cost(b, tau int) float64 {
 	if b < 2 || tau < 2 {
 		return math.Inf(1)
 	}
@@ -79,10 +79,10 @@ func (m Model) Cost(b, tau int) float64 {
 }
 
 // BucketCount returns the optimal integer bucket count for a universe
-// of tau values: the discrete minimizer of Cost, located by scanning a
+// of tau values: the discrete minimizer of cost, located by scanning a
 // window around the continuous optimum (and always at least 2).
 func (m Model) BucketCount(tau int) (int, error) {
-	bx, err := m.BExact()
+	bx, err := m.bExact()
 	if err != nil {
 		return 0, err
 	}
@@ -99,7 +99,7 @@ func (m Model) BucketCount(tau int) (int, error) {
 	}
 	best, bestCost := lo, math.Inf(1)
 	for b := lo; b <= hi; b++ {
-		if c := m.Cost(b, tau); c < bestCost {
+		if c := m.cost(b, tau); c < bestCost {
 			best, bestCost = b, c
 		}
 	}

@@ -21,7 +21,7 @@ func TestValidate(t *testing.T) {
 
 func TestBExactSatisfiesStationarity(t *testing.T) {
 	m := defaultModel()
-	b, err := m.BExact()
+	b, err := m.bExact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +44,9 @@ func TestBucketCountIsDiscreteOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best := m.Cost(b, tau)
+		best := m.cost(b, tau)
 		for cand := 2; cand <= 256; cand++ {
-			if c := m.Cost(cand, tau); c < best-1e-9 {
+			if c := m.cost(cand, tau); c < best-1e-9 {
 				t.Errorf("tau=%d: BucketCount=%d (cost %v) beaten by b=%d (cost %v)", tau, b, best, cand, c)
 			}
 		}
@@ -64,7 +64,7 @@ func TestBucketCountBeatsBinarySearch(t *testing.T) {
 	if b <= 2 {
 		t.Fatalf("optimal bucket count %d does not beat binary search", b)
 	}
-	if m.Cost(b, 1<<16) >= m.Cost(2, 1<<16) {
+	if m.cost(b, 1<<16) >= m.cost(2, 1<<16) {
 		t.Error("optimal b not cheaper than binary search")
 	}
 }
@@ -96,7 +96,7 @@ func TestBucketCountDegenerate(t *testing.T) {
 	if b != 2 {
 		t.Errorf("degenerate universe: b = %d, want 2", b)
 	}
-	if !math.IsInf(m.Cost(1, 100), 1) || !math.IsInf(m.Cost(5, 1), 1) {
+	if !math.IsInf(m.cost(1, 100), 1) || !math.IsInf(m.cost(5, 1), 1) {
 		t.Error("degenerate cost should be infinite")
 	}
 }

@@ -1,10 +1,13 @@
 package data
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -87,7 +90,7 @@ func TestTraceSkip(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	tr, _ := NewTrace([][]int{{1, -2, 3}, {7, 8, 9}})
 	var buf bytes.Buffer
-	if err := WriteTracesCSV(&buf, tr); err != nil {
+	if err := writeTracesCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadTracesCSV(&buf)
@@ -118,11 +121,11 @@ func TestCSVComments(t *testing.T) {
 }
 
 func TestNoiseFieldProperties(t *testing.T) {
-	f, err := NewNoiseField(42, 12)
+	f, err := newNoiseField(42, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNoiseField(1, 1); err == nil {
+	if _, err := newNoiseField(1, 1); err == nil {
 		t.Error("degenerate lattice accepted")
 	}
 	// In range, deterministic, and spatially correlated: nearby samples
@@ -331,4 +334,25 @@ func TestSyntheticSpreadConcentrates(t *testing.T) {
 	if _, err := NewSynthetic(SyntheticConfig{Period: 10, SpreadFrac: 2}, pos, 200); err == nil {
 		t.Error("spread > 1 accepted")
 	}
+}
+
+// writeTracesCSV writes the trace in the format ReadTracesCSV accepts.
+func writeTracesCSV(w io.Writer, t *Trace) error {
+	bw := bufio.NewWriter(w)
+	for _, s := range t.series {
+		for j, v := range s {
+			if j > 0 {
+				if err := bw.WriteByte(','); err != nil {
+					return err
+				}
+			}
+			if _, err := bw.WriteString(strconv.Itoa(v)); err != nil {
+				return err
+			}
+		}
+		if err := bw.WriteByte('\n'); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

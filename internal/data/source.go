@@ -176,24 +176,3 @@ func ReadTracesCSV(r io.Reader) (*Trace, error) {
 	}
 	return NewTrace(series)
 }
-
-// WriteTracesCSV writes the trace in the format ReadTracesCSV accepts.
-func WriteTracesCSV(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range t.series {
-		for j, v := range s {
-			if j > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.Itoa(v)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

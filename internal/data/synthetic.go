@@ -15,10 +15,10 @@ type NoiseField struct {
 	lattice int // lattice cells per side
 }
 
-// NewNoiseField creates a field with the given lattice resolution
+// newNoiseField creates a field with the given lattice resolution
 // (the paper's image has 256 distinct grey levels; 8-16 lattice cells
 // produce comparable large-scale structure).
-func NewNoiseField(seed int64, lattice int) (*NoiseField, error) {
+func newNoiseField(seed int64, lattice int) (*NoiseField, error) {
 	if lattice < 2 {
 		return nil, fmt.Errorf("data: noise lattice must be >= 2, got %d", lattice)
 	}
@@ -141,7 +141,7 @@ func NewSynthetic(cfg SyntheticConfig, pos []wsn.Point, side float64) (*Syntheti
 	if side <= 0 {
 		return nil, fmt.Errorf("data: region side must be positive, got %v", side)
 	}
-	field, err := NewNoiseField(cfg.Seed, cfg.Lattice)
+	field, err := newNoiseField(cfg.Seed, cfg.Lattice)
 	if err != nil {
 		return nil, err
 	}

@@ -249,12 +249,6 @@ func SweepContext(ctx context.Context, base Config, title, rowLabel string, vari
 	return t, nil
 }
 
-// Sweep runs every (variant × algorithm) cell and collects a Table. It
-// delegates to SweepContext with default engine options.
-func Sweep(base Config, title, rowLabel string, variants []Variant, algs []NamedFactory) (*Table, error) {
-	return SweepContext(context.Background(), base, title, rowLabel, variants, algs, Options{})
-}
-
 // depSlot lazily builds the shared deployment of one (cell, run) pair.
 // Whichever algorithm job gets there first builds it; the others reuse
 // the result read-only.

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -152,7 +154,7 @@ func TestSweepAndFormat(t *testing.T) {
 		{"TAG", func() protocol.Algorithm { return baseline.NewTAG() }},
 		{"IQ", func() protocol.Algorithm { return core.NewIQ(core.DefaultIQOptions()) }},
 	}
-	tbl, err := Sweep(cfg, "test sweep", "|N|", variants, algs)
+	tbl, err := sweep(cfg, "test sweep", "|N|", variants, algs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestSweepAndFormat(t *testing.T) {
 			t.Errorf("formatted table missing %q:\n%s", want, out)
 		}
 	}
-	rank := tbl.Ranking("60", SelMaxEnergy)
+	rank := tbl.ranking("60", SelMaxEnergy)
 	if len(rank) != 2 || rank[0] != "IQ" {
 		t.Errorf("ranking = %v, want IQ first", rank)
 	}
@@ -193,4 +195,22 @@ func TestStandardAlgorithmsLineup(t *testing.T) {
 	if len(cont) != 5 || cont[0].Name != "POS" {
 		t.Errorf("continuous lineup wrong: %v", cont)
 	}
+}
+
+// ranking returns the algorithms ordered best-first (lowest value) for
+// one variant row under the given selector.
+func (t *Table) ranking(variant string, sel MetricSelector) []string {
+	algs := append([]string(nil), t.Algorithms...)
+	sort.SliceStable(algs, func(i, j int) bool {
+		mi, _ := t.Cell(variant, algs[i])
+		mj, _ := t.Cell(variant, algs[j])
+		return sel.Get(mi) < sel.Get(mj)
+	})
+	return algs
+}
+
+// sweep runs every (variant × algorithm) cell and collects a Table. It
+// delegates to SweepContext with default engine options.
+func sweep(base Config, title, rowLabel string, variants []Variant, algs []NamedFactory) (*Table, error) {
+	return SweepContext(context.Background(), base, title, rowLabel, variants, algs, Options{})
 }

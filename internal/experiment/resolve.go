@@ -8,18 +8,6 @@ import (
 	"wsnq/internal/protocol"
 )
 
-// Algorithm names understood by ResolveAlgorithm, in the paper's order.
-// The public API's Algorithm constants mirror this list exactly.
-var algorithmNames = []string{
-	"TAG", "POS", "LCLL-H", "LCLL-S", "HBC", "HBC-NB", "IQ", "ADAPT",
-}
-
-// AlgorithmNames returns every name ResolveAlgorithm accepts, in the
-// paper's order.
-func AlgorithmNames() []string {
-	return append([]string(nil), algorithmNames...)
-}
-
 // ResolveAlgorithm maps a public algorithm name to its constructor with
 // default options. It is the single source of truth behind the public
 // wsnq.Algorithm constants and the scenario DSL's algorithm line-up, so

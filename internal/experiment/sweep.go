@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"wsnq/internal/baseline"
@@ -129,16 +128,4 @@ func (t *Table) Format(sel MetricSelector) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Ranking returns the algorithms ordered best-first (lowest value) for
-// one variant row under the given selector.
-func (t *Table) Ranking(variant string, sel MetricSelector) []string {
-	algs := append([]string(nil), t.Algorithms...)
-	sort.SliceStable(algs, func(i, j int) bool {
-		mi, _ := t.Cell(variant, algs[i])
-		mj, _ := t.Cell(variant, algs[j])
-		return sel.Get(mi) < sel.Get(mj)
-	})
-	return algs
 }

@@ -17,11 +17,6 @@ func KthSmallest(vs []int, k int) int {
 	return quickselect(buf, k-1)
 }
 
-// KthLargest returns the k-th largest element (1-based rank) of vs.
-func KthLargest(vs []int, k int) int {
-	return KthSmallest(vs, len(vs)-k+1)
-}
-
 // quickselect returns the element that would be at index i of the
 // sorted slice, reordering buf in place. Median-of-three pivoting keeps
 // the expected running time linear; a fallback to sort.Ints guards
@@ -84,30 +79,6 @@ func threeWayPartition(buf []int, lo, hi, p int) (lt, gt int) {
 	return lt, gt
 }
 
-// SmallestK returns the k smallest elements of vs in ascending order.
-// If k >= len(vs) a sorted copy of vs is returned.
-func SmallestK(vs []int, k int) []int {
-	out := make([]int, len(vs))
-	copy(out, vs)
-	sort.Ints(out)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// LargestK returns the k largest elements of vs in ascending order.
-// If k >= len(vs) a sorted copy of vs is returned.
-func LargestK(vs []int, k int) []int {
-	out := make([]int, len(vs))
-	copy(out, vs)
-	sort.Ints(out)
-	if k < len(out) {
-		out = out[len(out)-k:]
-	}
-	return out
-}
-
 // MedianInts returns the lower median of vs (the ⌈n/2⌉-th smallest,
 // matching the paper's k = ⌊|N|/2⌋ convention for even n when ranks are
 // 1-based). It panics on an empty slice.
@@ -121,24 +92,6 @@ func MedianInts(vs []int) int {
 		k = 1
 	}
 	return KthSmallest(vs, k)
-}
-
-// MinMaxInts returns the smallest and largest elements of vs.
-// It panics on an empty slice.
-func MinMaxInts(vs []int) (minV, maxV int) {
-	if len(vs) == 0 {
-		panic("mathx: min/max of empty slice")
-	}
-	minV, maxV = vs[0], vs[0]
-	for _, v := range vs[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV
 }
 
 // CountLess returns how many elements of vs are strictly below x.

@@ -44,16 +44,6 @@ func TestKthSmallestPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestKthLargest(t *testing.T) {
-	vs := []int{10, 20, 30, 40}
-	if got := KthLargest(vs, 1); got != 40 {
-		t.Errorf("KthLargest(1) = %d, want 40", got)
-	}
-	if got := KthLargest(vs, 4); got != 10 {
-		t.Errorf("KthLargest(4) = %d, want 10", got)
-	}
-}
-
 // TestQuickselectAgainstSort is the core property test: for random
 // slices and ranks, quickselect must agree with full sorting.
 func TestQuickselectAgainstSort(t *testing.T) {
@@ -61,7 +51,7 @@ func TestQuickselectAgainstSort(t *testing.T) {
 		if len(vs) == 0 {
 			return true
 		}
-		k := AbsInt(rawK)%len(vs) + 1
+		k := absInt(rawK)%len(vs) + 1
 		want := append([]int(nil), vs...)
 		sort.Ints(want)
 		return KthSmallest(vs, k) == want[k-1]
@@ -88,19 +78,6 @@ func TestQuickselectEqualHeavy(t *testing.T) {
 	}
 }
 
-func TestSmallestLargestK(t *testing.T) {
-	vs := []int{9, 1, 8, 2, 7}
-	if got := SmallestK(vs, 3); !reflect.DeepEqual(got, []int{1, 2, 7}) {
-		t.Errorf("SmallestK = %v", got)
-	}
-	if got := LargestK(vs, 2); !reflect.DeepEqual(got, []int{8, 9}) {
-		t.Errorf("LargestK = %v", got)
-	}
-	if got := SmallestK(vs, 10); len(got) != 5 {
-		t.Errorf("SmallestK over-length = %v", got)
-	}
-}
-
 func TestMedianIntsConvention(t *testing.T) {
 	// Odd length: n=5 -> k=2? No: k = n/2 = 2 for n=5 is the paper's
 	// floor convention. Verify against the formula directly.
@@ -123,10 +100,6 @@ func TestMedianIntsConvention(t *testing.T) {
 
 func TestMinMaxCounts(t *testing.T) {
 	vs := []int{4, -2, 4, 9, 0}
-	mn, mx := MinMaxInts(vs)
-	if mn != -2 || mx != 9 {
-		t.Errorf("MinMaxInts = (%d,%d)", mn, mx)
-	}
 	if CountLess(vs, 4) != 2 {
 		t.Errorf("CountLess(4) = %d, want 2", CountLess(vs, 4))
 	}
@@ -146,19 +119,20 @@ func TestRunningStats(t *testing.T) {
 	if r.Mean() != 5 {
 		t.Errorf("Mean = %v, want 5", r.Mean())
 	}
-	if got := r.Var(); got < 4.56 || got > 4.58 { // 32/7
-		t.Errorf("Var = %v, want ~4.571", got)
-	}
 	if r.Min() != 2 || r.Max() != 9 {
 		t.Errorf("Min/Max = %v/%v", r.Min(), r.Max())
 	}
 }
 
 func TestClampCeilDiv(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp misbehaves")
-	}
 	if CeilDiv(10, 3) != 4 || CeilDiv(9, 3) != 3 || CeilDiv(0, 5) != 0 {
 		t.Error("CeilDiv misbehaves")
 	}
+}
+
+func absInt(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }

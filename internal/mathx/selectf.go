@@ -6,12 +6,12 @@ import (
 	"sort"
 )
 
-// KthSmallestFloat64 returns the k-th smallest element (1-based rank)
+// kthSmallestFloat64 returns the k-th smallest element (1-based rank)
 // of vs without fully sorting it — the float64 twin of KthSmallest,
 // sharing the same median-of-three quickselect with a sort fallback.
 // It panics if k is out of [1, len(vs)]. The input slice is not
 // modified.
-func KthSmallestFloat64(vs []float64, k int) float64 {
+func kthSmallestFloat64(vs []float64, k int) float64 {
 	if k < 1 || k > len(vs) {
 		panic(fmt.Sprintf("mathx: rank %d out of range for %d values", k, len(vs)))
 	}
@@ -39,7 +39,7 @@ func QuantileFloat64(vs []float64, p float64) float64 {
 	if k > len(vs) {
 		k = len(vs)
 	}
-	return KthSmallestFloat64(vs, k)
+	return kthSmallestFloat64(vs, k)
 }
 
 // quickselectF returns the element that would be at index i of the

@@ -18,7 +18,7 @@ func TestKthSmallestFloat64AgainstSort(t *testing.T) {
 		sorted := append([]float64(nil), vs...)
 		sort.Float64s(sorted)
 		k := 1 + rng.Intn(n)
-		if got := KthSmallestFloat64(vs, k); got != sorted[k-1] {
+		if got := kthSmallestFloat64(vs, k); got != sorted[k-1] {
 			t.Fatalf("trial %d: rank %d of %v = %v, want %v", trial, k, vs, got, sorted[k-1])
 		}
 	}
@@ -27,7 +27,7 @@ func TestKthSmallestFloat64AgainstSort(t *testing.T) {
 func TestKthSmallestFloat64DoesNotModifyInput(t *testing.T) {
 	vs := []float64{5, 1, 4, 2, 3}
 	want := append([]float64(nil), vs...)
-	KthSmallestFloat64(vs, 3)
+	kthSmallestFloat64(vs, 3)
 	for i := range vs {
 		if vs[i] != want[i] {
 			t.Fatalf("input modified: %v, want %v", vs, want)
@@ -43,7 +43,7 @@ func TestKthSmallestFloat64Panics(t *testing.T) {
 					t.Errorf("rank %d of 3 values did not panic", k)
 				}
 			}()
-			KthSmallestFloat64([]float64{1, 2, 3}, k)
+			kthSmallestFloat64([]float64{1, 2, 3}, k)
 		}()
 	}
 }

@@ -1,13 +1,11 @@
 package mathx
 
-import "math"
-
-// Running accumulates a stream of float64 samples and reports mean,
-// variance and extrema without storing the samples. It uses Welford's
-// online algorithm, which is numerically stable for long simulations.
+// Running accumulates a stream of float64 samples and reports mean
+// and extrema without storing the samples. The mean updates
+// incrementally, which stays numerically stable for long simulations.
 type Running struct {
 	n        int
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -24,9 +22,7 @@ func (r *Running) Add(x float64) {
 			r.max = x
 		}
 	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // N returns the number of samples seen.
@@ -34,17 +30,6 @@ func (r *Running) N() int { return r.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the unbiased sample variance, or 0 with fewer than two samples.
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Var()) }
 
 // Min returns the smallest sample, or 0 with no samples.
 func (r *Running) Min() float64 {
@@ -60,25 +45,6 @@ func (r *Running) Max() float64 {
 		return 0
 	}
 	return r.max
-}
-
-// Clamp restricts v to the closed interval [lo, hi].
-func Clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// AbsInt returns |v|.
-func AbsInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // CeilDiv returns ⌈a/b⌉ for positive b.

@@ -258,15 +258,6 @@ func (r *Recorder) Report() Report {
 	return rep
 }
 
-// Top returns the n largest buckets by CPU time (all of them when
-// n <= 0 or exceeds the bucket count).
-func (rep Report) Top(n int) []PhaseStat {
-	if n <= 0 || n > len(rep.Stats) {
-		n = len(rep.Stats)
-	}
-	return rep.Stats[:n]
-}
-
 // Scope filters the report down to one scope's buckets, preserving the
 // report order and the global shares.
 func (rep Report) Scope(scope string) []PhaseStat {

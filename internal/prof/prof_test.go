@@ -125,9 +125,6 @@ func TestReportDeterministicOrderAndScope(t *testing.T) {
 	if got := rep.Scope("a"); len(got) != 2 {
 		t.Errorf("Scope(a) returned %d buckets, want 2", len(got))
 	}
-	if got := rep.Top(2); len(got) != 2 {
-		t.Errorf("Top(2) returned %d buckets", len(got))
-	}
 	var sb strings.Builder
 	if err := rep.WriteText(&sb); err != nil {
 		t.Fatal(err)

@@ -55,7 +55,3 @@ func (bu Buckets) Bounds(i int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// UnitWidth reports whether every bucket covers a single integer, i.e.
-// the refinement has bottomed out.
-func (bu Buckets) UnitWidth() bool { return bu.width() == 1 }

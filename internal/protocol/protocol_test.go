@@ -157,7 +157,7 @@ func TestBucketsValidation(t *testing.T) {
 		t.Error("zero buckets accepted")
 	}
 	bu, _ := NewBuckets(0, 4, 16)
-	if !bu.UnitWidth() || bu.Effective() != 4 {
+	if bu.width() != 1 || bu.Effective() != 4 {
 		t.Error("small range should use unit buckets")
 	}
 }

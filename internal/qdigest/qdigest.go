@@ -43,8 +43,8 @@ func New(universeSize int, k int) (*Digest, error) {
 	return &Digest{height: h, k: k, counts: make(map[uint64]int64)}, nil
 }
 
-// UniverseSize returns the padded power-of-two universe size.
-func (d *Digest) UniverseSize() int { return 1 << d.height }
+// universeSize returns the padded power-of-two universe size.
+func (d *Digest) universeSize() int { return 1 << d.height }
 
 // N returns the total inserted weight.
 func (d *Digest) N() int64 { return d.n }
@@ -57,10 +57,10 @@ func (d *Digest) leafID(v int) uint64 {
 	return (uint64(1) << d.height) + uint64(v)
 }
 
-// Add inserts value v (0 <= v < UniverseSize) with the given weight.
+// Add inserts value v (0 <= v < universeSize) with the given weight.
 func (d *Digest) Add(v int, weight int64) error {
-	if v < 0 || v >= d.UniverseSize() {
-		return fmt.Errorf("qdigest: value %d outside universe [0,%d)", v, d.UniverseSize())
+	if v < 0 || v >= d.universeSize() {
+		return fmt.Errorf("qdigest: value %d outside universe [0,%d)", v, d.universeSize())
 	}
 	if weight <= 0 {
 		return fmt.Errorf("qdigest: weight %d must be positive", weight)

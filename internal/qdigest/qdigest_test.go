@@ -18,8 +18,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.UniverseSize() != 128 {
-		t.Errorf("universe padded to %d, want 128", d.UniverseSize())
+	if d.universeSize() != 128 {
+		t.Errorf("universe padded to %d, want 128", d.universeSize())
 	}
 }
 

@@ -65,10 +65,10 @@ var levelColors = map[string]string{
 	"crit": "#d62728",
 }
 
-// Sparkline renders a minimal inline-SVG line of ys (no axes, no
+// sparkline renders a minimal inline-SVG line of ys (no axes, no
 // labels), w×h pixels, auto-scaled to the data range. An empty or
 // flat series draws a midline.
-func Sparkline(ys []float64, w, h int, color string) string {
+func sparkline(ys []float64, w, h int, color string) string {
 	if w <= 0 {
 		w = 120
 	}
@@ -194,10 +194,10 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 			}
 			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s %s</td><td>%s %s</td><td>%s %s</td><td>%s %s</td><td class=\"num\">%d</td></tr>\n",
 				esc(s.Key),
-				Sparkline(s.Frames, 120, 24, palette[0]), last(s.Frames),
-				Sparkline(s.Joules, 120, 24, palette[1]), last(s.Joules),
-				Sparkline(s.RankError, 120, 24, palette[3]), last(s.RankError),
-				Sparkline(s.Refines, 120, 24, palette[4]), last(s.Refines),
+				sparkline(s.Frames, 120, 24, palette[0]), last(s.Frames),
+				sparkline(s.Joules, 120, 24, palette[1]), last(s.Joules),
+				sparkline(s.RankError, 120, 24, palette[3]), last(s.RankError),
+				sparkline(s.Refines, 120, 24, palette[4]), last(s.Refines),
 				rounds)
 		}
 		b.WriteString("</table>\n")

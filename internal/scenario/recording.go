@@ -60,9 +60,9 @@ type fileRecord struct {
 	Round  *roundRecord `json:"round,omitempty"`
 }
 
-// ReadHeader decodes and verifies just the header line of a recording —
+// readHeader decodes and verifies just the header line of a recording —
 // the cheap integrity check tools use before committing to a replay.
-func ReadHeader(r io.Reader) (*Header, *Scenario, error) {
+func readHeader(r io.Reader) (*Header, *Scenario, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	line, err := br.ReadBytes('\n')
 	if err != nil && len(line) == 0 {
@@ -103,7 +103,7 @@ func ReadHeader(r io.Reader) (*Header, *Scenario, error) {
 // faster than live.
 func Replay(r io.Reader) (*Outcome, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	_, s, err := ReadHeader(br)
+	_, s, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +281,7 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 		return nil, fmt.Errorf("scenario: replay window %d:%d is not a round range", from, to)
 	}
 	br := bufio.NewReaderSize(r, 64<<10)
-	_, s, err := ReadHeader(br)
+	_, s, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}

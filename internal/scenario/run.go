@@ -44,7 +44,7 @@ type Outcome struct {
 	Scenario  *Scenario
 	Replayed  bool
 	Series    map[string]series.Snapshot
-	Alerts    []alert.Event
+	Alerts    alert.Log
 	Verdicts  []Verdict
 	SLO       []slo.Status
 	SLOEvents []slo.Event

@@ -117,9 +117,6 @@ func (p Point) span() float64 {
 // FramesPerRound returns the span-normalized frame rate.
 func (p Point) FramesPerRound() float64 { return float64(p.Frames) / p.span() }
 
-// MessagesPerRound returns the span-normalized message rate.
-func (p Point) MessagesPerRound() float64 { return float64(p.Messages) / p.span() }
-
 // JoulesPerRound returns the span-normalized energy rate.
 func (p Point) JoulesPerRound() float64 { return p.Joules / p.span() }
 
@@ -264,26 +261,6 @@ func (s *Store) Add(key string, p Point, sinks ...Sink) Point {
 		sink(key, p)
 	}
 	return p
-}
-
-// Last returns key's freshest point — the partial pending span when
-// one is open, else the newest stored point. ok is false for an
-// unknown or empty key. Serving layers use it for "latest sample"
-// views without copying the whole series.
-func (s *Store) Last(key string) (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.m[key]
-	if !ok {
-		return Point{}, false
-	}
-	if st.pending.Span > 0 {
-		return st.pending, true
-	}
-	if len(st.pts) == 0 {
-		return Point{}, false
-	}
-	return st.pts[len(st.pts)-1], true
 }
 
 // Rounds returns the total number of rounds ingested for key (0 for an

@@ -242,9 +242,6 @@ func TestPointRates(t *testing.T) {
 	if got := p.FramesPerRound(); got != 2 {
 		t.Errorf("frames/round = %g, want 2", got)
 	}
-	if got := p.MessagesPerRound(); got != 1.5 {
-		t.Errorf("messages/round = %g, want 1.5", got)
-	}
 	if got := p.JoulesPerRound(); math.Abs(got-5e-7) > 1e-18 {
 		t.Errorf("joules/round = %g, want 5e-7", got)
 	}

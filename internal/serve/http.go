@@ -38,7 +38,7 @@ func Handler(r *Registry, next http.Handler) http.Handler {
 		writeJSON(w, http.StatusOK, statusView(r))
 	})
 	mux.HandleFunc("GET /slo", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, SLOView(r))
+		writeJSON(w, http.StatusOK, sloView(r))
 	})
 	mux.HandleFunc("GET /fleets", func(w http.ResponseWriter, req *http.Request) {
 		fleets := r.Fleets()
@@ -186,10 +186,10 @@ type QuerySLO struct {
 	Dropped  int          `json:"dropped_events,omitempty"`
 }
 
-// SLOView assembles the GET /slo response: one entry per query with
+// sloView assembles the GET /slo response: one entry per query with
 // attached objectives, sorted by query ID. Queries without objectives
 // are omitted; an empty registry yields an empty list.
-func SLOView(r *Registry) []QuerySLO {
+func sloView(r *Registry) []QuerySLO {
 	out := make([]QuerySLO, 0, 4)
 	for _, q := range r.Queries() {
 		tr := q.SLO()

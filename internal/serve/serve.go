@@ -758,7 +758,7 @@ func (q *Query) step(dropped *atomic.Int64) {
 	if q.slo != nil {
 		u.LatencyMs = float64(time.Since(began)) / float64(time.Millisecond)
 		q.stepMs += u.LatencyMs
-		u.SLO = q.slo.Observe(q.spec.Key, slo.Sample{
+		q.slo.Observe(q.spec.Key, slo.Sample{
 			Round:     round,
 			RankError: u.RankError,
 			N:         rt.N(),
@@ -766,6 +766,7 @@ func (q *Query) step(dropped *atomic.Int64) {
 			Staleness: u.Staleness,
 			LatencyMs: u.LatencyMs,
 		})
+		u.SLO = q.slo.StatusesFor(q.spec.Key)
 		u.SLOEvents, q.sloAt = q.slo.LogSince(q.sloAt)
 	}
 	q.publish(u, dropped)

@@ -39,9 +39,9 @@ const (
 	DefaultLatencyMs  = 50
 )
 
-// DefaultSpec returns the default spec for a signal, or an error for
+// defaultSpec returns the default spec for a signal, or an error for
 // an unknown signal name.
-func DefaultSpec(signal string) (Spec, error) {
+func defaultSpec(signal string) (Spec, error) {
 	sp := Spec{
 		Name:       signal,
 		Signal:     signal,
@@ -73,7 +73,7 @@ func ParseSpec(text string) (Spec, error) {
 	if len(fields) == 0 {
 		return Spec{}, fmt.Errorf("slo: empty spec")
 	}
-	sp, err := DefaultSpec(fields[0])
+	sp, err := defaultSpec(fields[0])
 	if err != nil {
 		return Spec{}, err
 	}

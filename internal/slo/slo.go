@@ -324,13 +324,13 @@ func (t *Tracker) stateFor(key string) []*state {
 }
 
 // Observe classifies one round's sample under every spec, updates the
-// budget ledger and burn windows, logs deduplicated level transitions,
-// and returns the refreshed status of every spec for the key.
-func (t *Tracker) Observe(key string, sm Sample) []Status {
+// budget ledger and burn windows, and logs deduplicated level
+// transitions. It allocates nothing on a transition-free round of a
+// known key; read the refreshed statuses with StatusesFor.
+func (t *Tracker) Observe(key string, sm Sample) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sts := t.stateFor(key)
-	out := make([]Status, len(t.specs))
 	for i, sp := range t.specs {
 		st := sts[i]
 		st.push(sp, !sp.good(sm))
@@ -371,9 +371,7 @@ func (t *Tracker) Observe(key string, sm Sample) []Status {
 			}
 			t.log.Append(ev)
 		}
-		out[i] = st.status(sp, key)
 	}
-	return out
 }
 
 func (sp Spec) threshold(l Level) float64 {

@@ -290,7 +290,8 @@ func TestSuffixCountsMatchRecount(t *testing.T) {
 			if bad {
 				sm.RankError = 100
 			}
-			st := tr.Observe("k", sm)[0]
+			tr.Observe("k", sm)
+			st := tr.StatusesFor("k")[0]
 			hist = append(hist, bad)
 			if want := recount(sp.Window); st.Bad != want {
 				t.Fatalf("%s round %d: budget bad = %d, recount %d", spec, i, st.Bad, want)
@@ -362,7 +363,7 @@ func TestTrackerRejectsBadSpecs(t *testing.T) {
 	if _, err := NewTracker(Spec{Signal: "bogus"}); err == nil {
 		t.Error("NewTracker accepted an invalid spec")
 	}
-	ok, _ := DefaultSpec(SignalRank)
+	ok, _ := defaultSpec(SignalRank)
 	if _, err := NewTracker(ok, ok); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate names: %v", err)
 	}
@@ -396,5 +397,25 @@ func TestTrackerConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := len(tr.Keys()); got != 2 {
 		t.Errorf("keys = %d, want 2", got)
+	}
+}
+
+// TestTrackerObserveAllocatesNothing pins the per-round cost of a
+// transition-free observe of a known key at zero heap allocations.
+func TestTrackerObserveAllocatesNothing(t *testing.T) {
+	tr := mustTracker(t, "rank; fresh; latency ms=50")
+	round := 0
+	step := func() {
+		tr.Observe("k", Sample{Round: round, N: 60, LatencyMs: 1, Offset: int64(round)})
+		round++
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("%v allocs per observe, want 0", allocs)
+	}
+	if log := tr.Log(); len(log) != 0 {
+		t.Fatalf("transition-free stream logged %d events", len(log))
 	}
 }

@@ -146,20 +146,14 @@ func (m *Map) bmu(sample float64) (x, y int) {
 	return bi % m.side, bi / m.side
 }
 
-// Side returns the lattice side length.
-func (m *Map) Side() int { return m.side }
-
-// Weight returns the neuron weight at lattice coordinates (x, y).
-func (m *Map) Weight(x, y int) float64 { return m.weights[y*m.side+x] }
-
-// Place maps each feature to the deployment-region position of its
+// place maps each feature to the deployment-region position of its
 // best-matching neuron, jittered within the neuron's cell so co-mapped
 // nodes do not collapse onto one point. Positions lie in [0,side)².
-func (m *Map) Place(features []int, regionSide float64, rng *rand.Rand) []wsn.Point {
+func (m *Map) place(features []int, regionSide float64, rng *rand.Rand) []wsn.Point {
 	return m.PlaceSpread(features, regionSide, 1, rng)
 }
 
-// PlaceSpread is Place with a configurable jitter radius: spread 1
+// PlaceSpread is like place, with a configurable jitter radius: spread 1
 // jitters within the neuron's own lattice cell; larger values smear
 // positions across neighboring cells, trading a little spatial
 // correlation for a connected deployment when the feature distribution
@@ -199,5 +193,5 @@ func PlaceByFirstValue(firstValues []int, regionSide float64, cfg Config, rng *r
 	if err != nil {
 		return nil, err
 	}
-	return m.Place(firstValues, regionSide, rng), nil
+	return m.place(firstValues, regionSide, rng), nil
 }

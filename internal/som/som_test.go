@@ -25,7 +25,7 @@ func TestTrainConstantFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := m.Place([]int{7, 7, 7, 7}, 100, rng)
+	pos := m.place([]int{7, 7, 7, 7}, 100, rng)
 	for _, p := range pos {
 		if p.X < 0 || p.X >= 100 || p.Y < 0 || p.Y >= 100 {
 			t.Fatalf("position out of region: %v", p)
@@ -105,13 +105,13 @@ func TestMapWeightsOrdered(t *testing.T) {
 	}
 	var neighborDiff float64
 	count := 0
-	for y := 0; y < m.Side(); y++ {
-		for x := 0; x+1 < m.Side(); x++ {
-			neighborDiff += math.Abs(m.Weight(x, y) - m.Weight(x+1, y))
+	for y := 0; y < m.side; y++ {
+		for x := 0; x+1 < m.side; x++ {
+			neighborDiff += math.Abs(m.weight(x, y) - m.weight(x+1, y))
 			count++
 		}
 	}
-	cornerDiff := math.Abs(m.Weight(0, 0) - m.Weight(m.Side()-1, m.Side()-1))
+	cornerDiff := math.Abs(m.weight(0, 0) - m.weight(m.side-1, m.side-1))
 	if neighborDiff/float64(count) >= cornerDiff {
 		t.Errorf("weight surface not smooth: neighbor %.1f vs corner span %.1f",
 			neighborDiff/float64(count), cornerDiff)
@@ -130,9 +130,12 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
-			if a.Weight(x, y) != b.Weight(x, y) {
+			if a.weight(x, y) != b.weight(x, y) {
 				t.Fatal("training not deterministic")
 			}
 		}
 	}
 }
+
+// weight returns the neuron weight at lattice coordinates (x, y).
+func (m *Map) weight(x, y int) float64 { return m.weights[y*m.side+x] }

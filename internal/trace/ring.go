@@ -5,10 +5,9 @@ package trace
 // to long simulations at bounded memory. It is not safe for concurrent
 // use; each runtime should own its collector.
 type Ring struct {
-	buf     []Event
-	next    int // write cursor
-	n       int // live events (<= cap)
-	evicted int // events overwritten since creation
+	buf  []Event
+	next int // write cursor
+	n    int // live events (<= cap)
 }
 
 // NewRing returns a ring buffer holding up to capacity events
@@ -22,9 +21,7 @@ func NewRing(capacity int) *Ring {
 
 // Collect implements Collector.
 func (r *Ring) Collect(e Event) {
-	if r.n == len(r.buf) {
-		r.evicted++
-	} else {
+	if r.n < len(r.buf) {
 		r.n++
 	}
 	r.buf[r.next] = e
@@ -33,9 +30,6 @@ func (r *Ring) Collect(e Event) {
 
 // Len returns the number of buffered events.
 func (r *Ring) Len() int { return r.n }
-
-// Evicted returns how many events have been overwritten.
-func (r *Ring) Evicted() int { return r.evicted }
 
 // Events returns the buffered events oldest-first, as a fresh slice.
 func (r *Ring) Events() []Event {
@@ -52,7 +46,7 @@ func (r *Ring) Events() []Event {
 
 // Reset empties the buffer, keeping its capacity.
 func (r *Ring) Reset() {
-	r.next, r.n, r.evicted = 0, 0, 0
+	r.next, r.n = 0, 0
 }
 
 // Recorder is an unbounded in-memory collector for tests and replay:

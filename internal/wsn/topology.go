@@ -267,17 +267,6 @@ func BuildConnectedTree(n int, side, radioRange float64, rng *rand.Rand, attempt
 	return nil, fmt.Errorf("wsn: no connected placement after %d attempts: %w", attempts, lastErr)
 }
 
-// BuildTreeWithRootAt builds a tree using one of the given positions as
-// the sink location (the sensor keeps existing; the sink is co-located).
-// This mirrors the real-dataset setup where runs differ only in which
-// root is selected.
-func BuildTreeWithRootAt(pos []Point, rootIdx int, radioRange float64) (*Topology, error) {
-	if rootIdx < 0 || rootIdx >= len(pos) {
-		return nil, fmt.Errorf("wsn: root index %d out of range", rootIdx)
-	}
-	return BuildTree(pos, pos[rootIdx], radioRange)
-}
-
 // discGraph is the radio disc graph in compressed sparse row form: the
 // sensors within radio range of sensor i are nbr[off[i]:off[i+1]], in
 // no particular order (neither tree builder depends on it).

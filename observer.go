@@ -3,11 +3,8 @@ package wsnq
 import (
 	"net/http"
 
-	"wsnq/internal/alert"
 	"wsnq/internal/experiment"
-	"wsnq/internal/prof"
 	"wsnq/internal/series"
-	"wsnq/internal/slo"
 	"wsnq/internal/telemetry"
 	"wsnq/internal/trace"
 )
@@ -31,7 +28,7 @@ type Observer struct {
 	// Trace receives the raw flight-recorder event stream.
 	Trace TraceCollector
 	// Telemetry feeds the live metrics registry and network-health
-	// analyzer (and provides the HTTP surface — see Handler).
+	// analyzer; Handler serves them as /metrics and /health.
 	Telemetry *Telemetry
 	// Series records bounded per-round time series.
 	Series *Series
@@ -77,13 +74,13 @@ func (ob *Observer) apply(o *engineOptions) {
 		o.health = ob.Telemetry.an
 	}
 	if ob.Series != nil {
-		o.exp.Series = ob.Series.store
+		o.exp.Series = ob.Series
 	}
 	if ob.Alerts != nil {
-		o.exp.Alerts = ob.Alerts.eng
+		o.exp.Alerts = ob.Alerts
 	}
 	if ob.Prof != nil {
-		o.exp.Prof = ob.Prof.rec
+		o.exp.Prof = ob.Prof
 	}
 	if ob.Adapt != nil {
 		o.exp.Adapt = ob.Adapt.engineOptions()
@@ -116,52 +113,24 @@ func (ob *Observer) Collector(sim *Simulation, key string) TraceCollector {
 			// Alerts or SLOs alone still need per-round points; derive
 			// them through a minimal throwaway store, like the engine
 			// does.
-			ser = &Series{store: series.New(1)}
+			ser = series.New(1)
 		}
 		cs = append(cs, sim.seriesCollector(ser, key, ob.Alerts, ob.SLO))
 	}
 	return MultiCollector(cs...)
 }
 
-// Handler returns the bundle's HTTP exposition surface: the telemetry
-// endpoints when Telemetry is set (with the bundled series and alerts
-// attached), else a reduced surface serving just /series, /alerts, and
-// /dashboard from the bundled stores. Endpoints without a backing sink
-// answer 404. Absent bundle fields are left alone, so sinks attached
-// to the Telemetry directly (Telemetry.AttachSLO and friends) survive.
+// Handler returns the bundle's HTTP exposition surface: /metrics and
+// /health from Telemetry, /series and /dashboard from Series, /alerts
+// from Alerts, /profilez from Prof, /slo from SLO, plus /debug/pprof
+// and an index at /. Endpoints without a backing sink answer 404.
 func (ob *Observer) Handler() http.Handler {
+	var reg *telemetry.Registry
+	var an *telemetry.Analyzer
 	if ob.Telemetry != nil {
-		if ob.Series != nil {
-			ob.Telemetry.AttachSeries(ob.Series)
-		}
-		if ob.Alerts != nil {
-			ob.Telemetry.AttachAlerts(ob.Alerts)
-		}
-		if ob.Prof != nil {
-			ob.Telemetry.AttachProf(ob.Prof)
-		}
-		if ob.SLO != nil {
-			ob.Telemetry.AttachSLO(ob.SLO)
-		}
-		return ob.Telemetry.Handler()
+		reg, an = ob.Telemetry.reg, ob.Telemetry.an
 	}
-	var st *series.Store
-	if ob.Series != nil {
-		st = ob.Series.store
-	}
-	var eng *alert.Engine
-	if ob.Alerts != nil {
-		eng = ob.Alerts.eng
-	}
-	var rec *prof.Recorder
-	if ob.Prof != nil {
-		rec = ob.Prof.rec
-	}
-	var slt *slo.Tracker
-	if ob.SLO != nil {
-		slt = ob.SLO.tr
-	}
-	return telemetry.Handler(nil, nil, st, eng, rec, slt)
+	return telemetry.Handler(reg, an, ob.Series, ob.Alerts, ob.Prof, ob.SLO)
 }
 
 // WithObserver attaches an observer bundle to the study: every non-nil

@@ -2,7 +2,6 @@ package wsnq
 
 import (
 	"context"
-	"io"
 
 	"wsnq/internal/prof"
 )
@@ -24,28 +23,15 @@ type ProfPhaseStat = prof.PhaseStat
 // buckets while a study or live simulation runs, and labels the
 // running goroutine (algorithm, phase, run) for /debug/pprof/profile.
 // Attach it via Observer{Prof: p}; read the attribution at any time
-// with Report, including while the study runs. Like the flight
-// recorder, attaching a Prof forces strictly sequential study
-// execution: the process-global allocation counters are only
-// attributable when one run executes at a time.
-type Prof struct {
-	rec *prof.Recorder
-}
+// with Report (Report().WriteText renders it as a table), including
+// while the study runs. Like the flight recorder, attaching a Prof
+// forces strictly sequential study execution: the process-global
+// allocation counters are only attributable when one run executes at
+// a time.
+type Prof = prof.Recorder
 
 // NewProf returns an empty profiling recorder.
-func NewProf() *Prof {
-	return &Prof{rec: prof.NewRecorder()}
-}
-
-// Report snapshots the attribution buckets accumulated so far.
-func (p *Prof) Report() ProfReport { return p.rec.Report() }
-
-// Reset discards the accumulated attribution.
-func (p *Prof) Reset() { p.rec.Reset() }
-
-// WriteText renders the current report as an aligned table, largest
-// CPU consumer first.
-func (p *Prof) WriteText(w io.Writer) error { return p.rec.Report().WriteText(w) }
+func NewProf() *Prof { return prof.NewRecorder() }
 
 // SetProf attaches per-phase CPU/allocation attribution to the
 // simulation under its algorithm name (nil detaches without flushing;
@@ -56,6 +42,6 @@ func (s *Simulation) SetProf(p *Prof) {
 		s.rt.SetProf(nil)
 		return
 	}
-	s.rt.SetProf(p.rec.Attach(context.Background(), s.AlgorithmName(),
+	s.rt.SetProf(p.Attach(context.Background(), s.AlgorithmName(),
 		"algorithm", s.AlgorithmName()))
 }

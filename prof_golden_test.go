@@ -101,7 +101,7 @@ func TestProfNamesLCLLSTopAllocPhase(t *testing.T) {
 	t.Logf("LCLL-S top allocating phase: %s (%.1f%%)", top.Phase, 100*top.AllocShare)
 
 	var buf bytes.Buffer
-	if err := p.WriteText(&buf); err != nil {
+	if err := p.Report().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

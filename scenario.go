@@ -110,7 +110,7 @@ func (o *ScenarioOutcome) Replayed() bool { return o.out.Replayed }
 func (o *ScenarioOutcome) Series() map[string]SeriesSnapshot { return o.out.Series }
 
 // Alerts returns the chronological alert log.
-func (o *ScenarioOutcome) Alerts() AlertLog { return AlertLog(o.out.Alerts) }
+func (o *ScenarioOutcome) Alerts() AlertLog { return o.out.Alerts }
 
 // Verdicts returns the per-round root decisions in stream order.
 func (o *ScenarioOutcome) Verdicts() []ScenarioVerdict { return o.out.Verdicts }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"wsnq/internal/experiment"
-	"wsnq/internal/prof"
 	"wsnq/internal/serve"
 )
 
@@ -115,9 +114,9 @@ type Server struct {
 
 // NewServer builds an empty query server.
 func NewServer(cfg ServerConfig) *Server {
-	var rec *prof.Recorder
-	if cfg.Observer != nil && cfg.Observer.Prof != nil {
-		rec = cfg.Observer.Prof.rec
+	var rec *Prof
+	if cfg.Observer != nil {
+		rec = cfg.Observer.Prof
 	}
 	return &Server{cfg: cfg, reg: serve.NewRegistry(serve.Config{
 		MaxQueries:       cfg.MaxQueries,
@@ -163,15 +162,7 @@ func (s *Server) Register(spec QuerySpec) (string, error) {
 	}
 	if ob := spec.Observer; ob != nil {
 		ispec.Key = ob.Key
-		if ob.Series != nil {
-			ispec.Series = ob.Series.store
-		}
-		if ob.Alerts != nil {
-			ispec.Alerts = ob.Alerts.eng
-		}
-		if ob.SLO != nil {
-			ispec.SLOTracker = ob.SLO.tr
-		}
+		ispec.Series, ispec.Alerts, ispec.SLOTracker = ob.Series, ob.Alerts, ob.SLO
 	}
 	q, err := s.reg.Register(ispec)
 	if err != nil {

@@ -1,10 +1,6 @@
 package wsnq
 
-import (
-	"fmt"
-
-	"wsnq/internal/slo"
-)
+import "wsnq/internal/slo"
 
 // This file is the public face of the SLO layer (internal/slo):
 // declarative service-level objectives over the signals the serving
@@ -63,7 +59,7 @@ const (
 //	         epsilon (rank) | stale (fresh) | ms (latency)
 //
 // Example: "rank objective=0.99 window=512; latency ms=25 warn=4".
-// Every key is optional; DefaultSpec fills the rest (objective 0.99 —
+// Every key is optional; the defaults fill the rest (objective 0.99 —
 // fresh 0.95 — window 512, fast 8, slow 64, warn burn 6, crit burn
 // 14.4).
 func ParseSLOSpecs(spec string) ([]SLOSpec, error) {
@@ -86,9 +82,7 @@ func SLOSampleFromPoint(p SeriesPoint, n int, offset int64) SLOSample {
 // Build it from the spec grammar (ParseSLOSpecs) and attach it via
 // Observer.SLO or QuerySpec.Observer; read Statuses and Log at any
 // time, including while the source runs. Safe for concurrent use.
-type SLOs struct {
-	tr *slo.Tracker
-}
+type SLOs = slo.Tracker
 
 // NewSLOs builds an SLO tracker from a semicolon-separated spec list,
 // e.g. "rank; fresh objective=0.9" — see ParseSLOSpecs.
@@ -97,49 +91,5 @@ func NewSLOs(spec string) (*SLOs, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := slo.NewTracker(specs...)
-	if err != nil {
-		return nil, err
-	}
-	return &SLOs{tr: tr}, nil
-}
-
-// Specs returns the tracker's objectives.
-func (s *SLOs) Specs() []SLOSpec { return s.tr.Specs() }
-
-// Observe feeds one round's sample under key and returns the updated
-// status of every objective for that key.
-func (s *SLOs) Observe(key string, sm SLOSample) []SLOStatus { return s.tr.Observe(key, sm) }
-
-// StartRun resets the rolling windows for key (a fresh run or replay
-// of the same key); the transition log is retained.
-func (s *SLOs) StartRun(key string) { s.tr.StartRun(key) }
-
-// Statuses returns the standing budget state of every objective × key.
-func (s *SLOs) Statuses() []SLOStatus { return s.tr.Statuses() }
-
-// StatusesFor returns the standing budget state of every objective
-// for one key.
-func (s *SLOs) StatusesFor(key string) []SLOStatus { return s.tr.StatusesFor(key) }
-
-// Log returns the burn-rate transition history so far, oldest first.
-func (s *SLOs) Log() []SLOEvent { return s.tr.Log() }
-
-// LogSince returns the transitions at or after cursor plus the cursor
-// for the next call; cursors are absolute, so they stay valid across
-// log discards (skipped events count toward Dropped).
-func (s *SLOs) LogSince(cursor int) ([]SLOEvent, int) { return s.tr.LogSince(cursor) }
-
-// Dropped returns how many old transitions the bounded log discarded.
-func (s *SLOs) Dropped() int { return s.tr.Dropped() }
-
-// String renders the tracker's standing state one status per line —
-// convenient for CLI summaries.
-func (s *SLOs) String() string {
-	var out string
-	for _, st := range s.tr.Statuses() {
-		out += fmt.Sprintf("%-8s %-24s %-4s burn=%.2f spend=%.0f%% (%d/%d bad over %d rounds)\n",
-			st.SLO, st.Key, st.Level, st.Burn, 100*st.Spend, st.Bad, int(st.Budget), st.Rounds)
-	}
-	return out
+	return slo.NewTracker(specs...)
 }

@@ -52,7 +52,8 @@ func TestSLOBudgetGolden(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s := bad
 		s.Round = round
-		st = slos.Observe("k", s)
+		slos.Observe("k", s)
+		st = slos.StatusesFor("k")
 		round++
 	}
 	if st[0].BurnFast != 2 || st[0].BurnSlow != 1 || st[0].Burn != 1 {
@@ -69,7 +70,8 @@ func TestSLOBudgetGolden(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s := bad
 		s.Round = round
-		st = slos.Observe("k", s)
+		slos.Observe("k", s)
+		st = slos.StatusesFor("k")
 		round++
 	}
 	if st[0].Burn != 2 || st[0].Level != wsnq.SLOCrit || st[0].Spend != 2 {
@@ -91,7 +93,8 @@ func TestSLOBudgetGolden(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s := good
 		s.Round = round
-		st = slos.Observe("k", s)
+		slos.Observe("k", s)
+		st = slos.StatusesFor("k")
 		round++
 	}
 	if st[0].Burn != 0 || st[0].Level != wsnq.SLOOK {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -58,24 +59,21 @@ func TestWithTelemetry(t *testing.T) {
 }
 
 // TestTelemetryServe drives the live HTTP surface end to end: run a
-// study with telemetry attached, then read /metrics and /health from
-// the bound socket.
+// study with telemetry attached, then read /metrics and /health through
+// the observer's handler on a test server.
 func TestTelemetryServe(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	tel := NewTelemetry()
-	addr, err := tel.Serve(ctx, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ob := &Observer{Telemetry: tel}
+	srv := httptest.NewServer(ob.Handler())
+	defer srv.Close()
 	cfg := quickCfg()
-	if _, err := Run(cfg, IQ, WithObserver(&Observer{Telemetry: tel})); err != nil {
+	if _, err := Run(cfg, IQ, WithObserver(ob)); err != nil {
 		t.Fatal(err)
 	}
 
 	get := func(path string) []byte {
 		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -126,3 +124,64 @@ func TestWithTelemetryAndTrace(t *testing.T) {
 type collectorFunc func(TraceEvent)
 
 func (f collectorFunc) Collect(e TraceEvent) { f(e) }
+
+// TestObserverHandler checks that every bundled sink answers on its
+// endpoints and that an absent sink answers 404: /series and /dashboard
+// follow Series, /alerts Alerts, /profilez Prof, /slo SLO, and
+// /metrics and /health Telemetry.
+func TestObserverHandler(t *testing.T) {
+	alerts, err := NewAlerts("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slos, err := NewSLOs("rank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func() *Observer {
+		return &Observer{Series: NewSeries(), Alerts: alerts, Prof: NewProf(), SLO: slos}
+	}
+	endpoints := map[string]func(*Observer) bool{
+		"/series":    func(ob *Observer) bool { return ob.Series != nil },
+		"/dashboard": func(ob *Observer) bool { return ob.Series != nil },
+		"/alerts":    func(ob *Observer) bool { return ob.Alerts != nil },
+		"/profilez":  func(ob *Observer) bool { return ob.Prof != nil },
+		"/slo":       func(ob *Observer) bool { return ob.SLO != nil },
+		"/metrics":   func(ob *Observer) bool { return ob.Telemetry != nil },
+		"/health":    func(ob *Observer) bool { return ob.Telemetry != nil },
+	}
+	cases := []struct {
+		name string
+		ob   func() *Observer
+	}{
+		{"empty", func() *Observer { return &Observer{} }},
+		{"telemetry only", func() *Observer { return &Observer{Telemetry: NewTelemetry()} }},
+		{"sinks without telemetry", full},
+		{"sinks with telemetry", func() *Observer { ob := full(); ob.Telemetry = NewTelemetry(); return ob }},
+		{"series only", func() *Observer { return &Observer{Series: NewSeries()} }},
+		{"alerts and slo with telemetry", func() *Observer {
+			return &Observer{Telemetry: NewTelemetry(), Alerts: alerts, SLO: slos}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ob := tc.ob()
+			srv := httptest.NewServer(ob.Handler())
+			defer srv.Close()
+			for path, live := range endpoints {
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+				resp.Body.Close()
+				want := http.StatusNotFound
+				if live(ob) {
+					want = http.StatusOK
+				}
+				if resp.StatusCode != want {
+					t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+				}
+			}
+		})
+	}
+}

@@ -40,18 +40,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
-	"sync"
 
-	"wsnq/internal/alert"
 	"wsnq/internal/data"
 	"wsnq/internal/energy"
 	"wsnq/internal/experiment"
 	"wsnq/internal/fault"
 	"wsnq/internal/msg"
-	"wsnq/internal/prof"
-	"wsnq/internal/series"
-	"wsnq/internal/slo"
 	"wsnq/internal/telemetry"
 	"wsnq/internal/trace"
 )
@@ -448,17 +442,11 @@ func MultiCollector(cs ...TraceCollector) TraceCollector {
 // fed by the flight-recorder stream (per-node load distribution,
 // hotspots, Jain's fairness index, lifetime projection, per-round cost
 // percentiles). Attach it as Observer.Telemetry; read it at any time
-// via Metrics and Health, or serve it over HTTP via Serve/Handler. All
-// methods are safe for concurrent use.
+// via Metrics and Health, or serve it over HTTP via Observer.Handler.
+// All methods are safe for concurrent use.
 type Telemetry struct {
 	reg *telemetry.Registry
 	an  *telemetry.Analyzer
-
-	mu  sync.Mutex
-	st  *series.Store
-	eng *alert.Engine
-	rec *prof.Recorder
-	slt *slo.Tracker
 }
 
 // NewTelemetry returns an empty telemetry sink. Lifetime projections
@@ -492,81 +480,6 @@ func (t *Telemetry) Health() HealthReport { return t.an.Report() }
 // MultiCollector to combine it with other collectors such as
 // NewTraceJSONL.
 func (t *Telemetry) Collector() TraceCollector { return t.an }
-
-// AttachSeries adds a per-round time-series store to the HTTP surface:
-// /series starts serving its snapshot and /dashboard renders it live.
-// A nil s detaches.
-func (t *Telemetry) AttachSeries(s *Series) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s == nil {
-		t.st = nil
-		return
-	}
-	t.st = s.store
-}
-
-// AttachAlerts adds an alert engine to the HTTP surface: /alerts starts
-// serving its states and log, and /dashboard shows live alert levels.
-// A nil a detaches.
-func (t *Telemetry) AttachAlerts(a *Alerts) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if a == nil {
-		t.eng = nil
-		return
-	}
-	t.eng = a.eng
-}
-
-// AttachProf adds a profiling recorder to the HTTP surface: /profilez
-// starts serving its per-phase CPU/alloc attribution report. A nil p
-// detaches.
-func (t *Telemetry) AttachProf(p *Prof) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if p == nil {
-		t.rec = nil
-		return
-	}
-	t.rec = p.rec
-}
-
-// AttachSLO adds an SLO tracker to the HTTP surface: /slo starts
-// serving its budget statuses and burn-rate log, and /dashboard grows
-// the error-budget panel. A nil s detaches.
-func (t *Telemetry) AttachSLO(s *SLOs) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s == nil {
-		t.slt = nil
-		return
-	}
-	t.slt = s.tr
-}
-
-func (t *Telemetry) attached() (*series.Store, *alert.Engine, *prof.Recorder, *slo.Tracker) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.st, t.eng, t.rec, t.slt
-}
-
-// Handler returns the HTTP exposition surface: /metrics (registry
-// snapshot plus runtime.* health gauges sampled at scrape time),
-// /health (health report), /series, /alerts, /profilez, and /slo
-// (when attached — see AttachSeries/AttachAlerts/AttachProf/
-// AttachSLO), /dashboard, and /debug/pprof.
-func (t *Telemetry) Handler() http.Handler {
-	st, eng, rec, slt := t.attached()
-	return telemetry.Handler(t.reg, t.an, st, eng, rec, slt)
-}
-
-// Serve binds addr (e.g. ":8080", "127.0.0.1:0") and serves Handler in
-// the background until ctx is cancelled, returning the bound address.
-func (t *Telemetry) Serve(ctx context.Context, addr string) (string, error) {
-	st, eng, rec, slt := t.attached()
-	return telemetry.Serve(ctx, addr, t.reg, t.an, st, eng, rec, slt)
-}
 
 func resolveOptions(opts []Option) experiment.Options {
 	var o engineOptions
