@@ -11,10 +11,11 @@ STATICCHECK_VERSION ?= 2025.1
 # they describe.
 help:
 	@echo "wsnq targets:"
-	@echo "  build       compile every package and tool"
+	@echo "  build       compile every package and tool, and build + vet the"
+	@echo "              perfbench module"
 	@echo "  test        run the full test suite"
 	@echo "  check       the merge gate: vet + staticcheck + race + oracle + telemetry + alert + prof + chaos + serve + scenario + slo + adapt + fuzz-smoke"
-	@echo "  vet         static analysis"
+	@echo "  vet         static analysis, plus the perfbench module's build + vet"
 	@echo "  race        full suite under the race detector"
 	@echo "  oracle      flight-recorder collectors + invariant oracle suite"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
@@ -52,14 +53,22 @@ help:
 	@echo "              committed BENCH_*.json sessions"
 	@echo "  fmt         gofmt the tree"
 
+# perfbench/ is its own module importing internal packages, so
+# `./...` does not reach it. build and vet (and through vet, check)
+# compile and vet it explicitly: an internal API change that breaks
+# the benchmark fails the gate.
+PERFBENCH = cd perfbench && $(GO) build -o /dev/null . && $(GO) vet .
+
 build:
 	$(GO) build ./...
+	$(PERFBENCH)
 
 test:
 	$(GO) test ./...
 
 vet:
 	$(GO) vet ./...
+	$(PERFBENCH)
 
 race:
 	$(GO) test -race ./...

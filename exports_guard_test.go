@@ -25,7 +25,6 @@ var exportAllowlist = map[string]string{
 	"internal/benchfmt/benchfmt.go:AllocRegressions": "TestBenchRegressionGuard's allocs/op gate",
 	"internal/energy/energy.go:SendCost":             "the radio model's closed-form cost; sim and telemetry tests check the memoized ledger against it",
 	"internal/energy/energy.go:RecvCost":             "the radio model's closed-form cost; sim and telemetry tests check the ledger against it",
-	"internal/energy/energy.go:EndRound":             "test-only with its per-round accumulator; deletion is a ROADMAP item",
 	"internal/level/level.go:MarshalText":            "implements encoding.TextMarshaler for JSON",
 	"internal/trace/trace.go:MarshalText":            "implements encoding.TextMarshaler for JSON (event kinds and energy ops)",
 	"internal/trace/ring.go:NewRecorder":             "test-support collector: tests in several packages record event streams with it",

@@ -159,7 +159,7 @@ func (t *Table) Format(metric string) string {
 		fmt.Fprintf(&b, "%-*s", w, r)
 		for _, c := range t.Cols {
 			if m, ok := t.Cell(r, c); ok {
-				fmt.Fprintf(&b, "%*s", w, fmt.Sprintf(sel.Format, sel.Get(toExpMetrics(m))*sel.Scale))
+				fmt.Fprintf(&b, "%*s", w, fmt.Sprintf(sel.Format, sel.Get(m)*sel.Scale))
 			} else {
 				fmt.Fprintf(&b, "%*s", w, "-")
 			}
@@ -187,7 +187,7 @@ func (t *Table) SVG(metric string, logY bool) (string, error) {
 	for _, r := range t.Rows {
 		for _, c := range t.Cols {
 			if m, ok := t.Cell(r, c); ok {
-				et.Cells[r+"\x00"+c] = toExpMetrics(m)
+				et.Cells[r+"\x00"+c] = m
 			}
 		}
 	}
@@ -209,7 +209,7 @@ func (t *Table) Ranking(row, metric string) []string {
 	sort.SliceStable(cols, func(i, j int) bool {
 		mi, _ := t.Cell(row, cols[i])
 		mj, _ := t.Cell(row, cols[j])
-		return sel.Get(toExpMetrics(mi)) < sel.Get(toExpMetrics(mj))
+		return sel.Get(mi) < sel.Get(mj)
 	})
 	return cols
 }
@@ -233,24 +233,6 @@ func selector(metric string) (experiment.MetricSelector, error) {
 	}
 }
 
-func toExpMetrics(m Metrics) experiment.Metrics {
-	return experiment.Metrics{
-		MaxNodeEnergyPerRound: m.MaxNodeEnergyPerRound,
-		LifetimeRounds:        m.LifetimeRounds,
-		TotalEnergy:           m.TotalEnergy,
-		ValuesPerRound:        m.ValuesPerRound,
-		FramesPerRound:        m.FramesPerRound,
-		BitsPerRound:          m.BitsPerRound,
-		ExactRounds:           m.ExactRounds,
-		Rounds:                m.Rounds,
-		MeanRankError:         m.MeanRankError,
-		Reinits:               m.Reinits,
-		EnergyGini:            m.EnergyGini,
-		HotspotToMedianRatio:  m.HotspotToMedianRatio,
-		PhaseBitsPerRound:     m.PhaseBitsPerRound,
-	}
-}
-
 func fromExpTable(t *experiment.Table) *Table {
 	out := &Table{
 		Title:    t.Title,
@@ -263,7 +245,7 @@ func fromExpTable(t *experiment.Table) *Table {
 		out.cells[r] = make(map[string]Metrics)
 		for _, c := range out.Cols {
 			if m, ok := t.Cell(r, c); ok {
-				out.cells[r][c] = fromInternal(m)
+				out.cells[r][c] = m
 			}
 		}
 	}

@@ -84,7 +84,6 @@ func (p Params) RecvCost(bits int) float64 {
 type Ledger struct {
 	params Params
 	spent  []float64 // cumulative consumption per node [J]
-	round  []float64 // consumption in the current round [J]
 
 	// The last range ChargeSend charged and its per-bit cost. Every
 	// hop pays the nominal range unless charging is by distance, so
@@ -101,7 +100,6 @@ func NewLedger(n int, params Params) *Ledger {
 	return &Ledger{
 		params:  params,
 		spent:   make([]float64, n),
-		round:   make([]float64, n),
 		sendRho: math.NaN(),
 	}
 }
@@ -147,7 +145,6 @@ func (l *Ledger) ChargeSend(node, bits int, rho float64) {
 		c = l.sendPerBit * float64(bits)
 	}
 	l.spent[node] += c
-	l.round[node] += c
 	if l.tr != nil {
 		l.debit(node, bits, c, trace.EnergySend)
 	}
@@ -161,23 +158,9 @@ func (l *Ledger) ChargeRecv(node, bits int) {
 	}
 	c := l.params.RecvCost(bits)
 	l.spent[node] += c
-	l.round[node] += c
 	if l.tr != nil {
 		l.debit(node, bits, c, trace.EnergyRecv)
 	}
-}
-
-// EndRound closes the current round and returns the maximum per-node
-// energy consumed during it.
-func (l *Ledger) EndRound() float64 {
-	maxE := 0.0
-	for i, e := range l.round {
-		if e > maxE {
-			maxE = e
-		}
-		l.round[i] = 0
-	}
-	return maxE
 }
 
 // Spent returns node's cumulative consumption in joules.
@@ -236,8 +219,5 @@ func (l *Ledger) Snapshot() []float64 {
 
 // Reset clears all consumption, keeping the parameters.
 func (l *Ledger) Reset() {
-	for i := range l.spent {
-		l.spent[i] = 0
-		l.round[i] = 0
-	}
+	clear(l.spent)
 }

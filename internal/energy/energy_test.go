@@ -87,23 +87,6 @@ func TestLedgerRootIsFree(t *testing.T) {
 	}
 }
 
-func TestEndRoundResetsAndReportsMax(t *testing.T) {
-	l := NewLedger(2, DefaultParams())
-	l.ChargeRecv(0, 100)
-	l.ChargeRecv(1, 300)
-	maxE := l.EndRound()
-	if math.Abs(maxE-DefaultParams().RecvCost(300)) > 1e-18 {
-		t.Errorf("round max = %v", maxE)
-	}
-	if l.EndRound() != 0 {
-		t.Error("round consumption not cleared")
-	}
-	// Cumulative totals survive EndRound.
-	if l.Spent(1) == 0 {
-		t.Error("cumulative total cleared by EndRound")
-	}
-}
-
 func TestExhaustedAndReset(t *testing.T) {
 	p := DefaultParams()
 	p.InitialBudget = 1e-6

@@ -17,10 +17,11 @@ import (
 // staleness, and a rank-error bound) that lets the root answer in
 // degraded mode while a subtree is unreachable.
 //
-// A Runtime without faults attached (rt.flt == nil) takes none of
-// these paths: payload routing, RNG consumption, and energy charges
-// are bit-identical to the pre-fault engine, which the golden-trace
-// regression pins.
+// A Runtime without faults attached (rt.flt == nil) runs the same hop
+// and flood (sim.go) with every fault check switched off: one attempt
+// per hop, no ACKs, no detach, a reliable flood. Payload routing, RNG
+// consumption, and energy charges are then bit-identical to the
+// pre-fault engine, which the golden-trace regression pins.
 
 // ARQConfig tunes the per-hop acknowledgement/retransmission scheme
 // used once faults are attached. The zero value disables ARQ (every
@@ -299,30 +300,37 @@ func (rt *Runtime) repairDetached() {
 			// broken invariant, so leave the node orphaned.
 			continue
 		}
-		f.detached[u], f.deadRounds[u] = false, 0
-		f.repairs++
-		f.reinit = true
+		rt.joined(u, newParent, oldParent)
 		repaired = true
-		// Join handshake: request up, confirm down, one header frame
-		// each way.
-		ackWire := rt.sizes.HeaderBits
-		rt.ledger.ChargeSend(u, ackWire, rt.uplinkRange(u))
-		rt.ledger.ChargeRecv(newParent, ackWire)
-		rt.ledger.ChargeSend(newParent, ackWire, rt.uplinkRange(u))
-		rt.ledger.ChargeRecv(u, ackWire)
-		rt.stats.AckFrames += 2
-		rt.accountControl(2*ackWire, 2)
-		if rt.tr != nil {
-			rt.tr.Collect(trace.Event{
-				Kind: trace.KindReparent, Round: rt.round, Phase: rt.Phase(),
-				Node: u, Peer: newParent, Aux: oldParent,
-			})
-			rt.emitControlFrame(u, newParent, ackWire)
-			rt.emitControlFrame(newParent, u, ackWire)
-		}
 	}
 	if repaired {
 		rt.computeReach()
+	}
+}
+
+// joined completes u's move from oldParent to newParent, which
+// Reparent has just made: u is attached again, the run is flagged for
+// protocol re-initialization, and the join handshake is paid —
+// request up, confirm down, one header frame each way.
+func (rt *Runtime) joined(u, newParent, oldParent int) {
+	f := rt.flt
+	f.detached[u], f.deadRounds[u] = false, 0
+	f.repairs++
+	f.reinit = true
+	ackWire := rt.sizes.HeaderBits
+	rt.ledger.ChargeSend(u, ackWire, rt.uplinkRange(u))
+	rt.ledger.ChargeRecv(newParent, ackWire)
+	rt.ledger.ChargeSend(newParent, ackWire, rt.uplinkRange(u))
+	rt.ledger.ChargeRecv(u, ackWire)
+	rt.stats.AckFrames += 2
+	rt.accountControl(2*ackWire, 2)
+	if rt.tr != nil {
+		rt.tr.Collect(trace.Event{
+			Kind: trace.KindReparent, Round: rt.round, Phase: rt.Phase(),
+			Node: u, Peer: newParent, Aux: oldParent,
+		})
+		rt.emitControlFrame(u, newParent, ackWire)
+		rt.emitControlFrame(newParent, u, ackWire)
 	}
 }
 
@@ -333,11 +341,10 @@ func (rt *Runtime) repairDetached() {
 // that still carries radio children and re-parents each of those
 // children onto the best in-range candidate *outside* the relay's
 // subtree — a sibling adoption would keep routing the traffic through
-// the hot node. Every successful move pays the same join handshake as
-// reactive repair (repairDetached) and flags the run for protocol
-// re-initialization. Returns the number of subtrees moved; zero without
-// an attached fault plan, because only SetFaults clones the topology
-// into privately mutable state.
+// the hot node. Every successful move is joined exactly like a
+// reactive repair (repairDetached). Returns the number of subtrees
+// moved; zero without an attached fault plan, because only SetFaults
+// clones the topology into privately mutable state.
 func (rt *Runtime) ProactiveReroot() int {
 	f := rt.flt
 	if f == nil {
@@ -379,27 +386,8 @@ func (rt *Runtime) ProactiveReroot() int {
 		if err := rt.top.Reparent(c, newParent); err != nil {
 			continue
 		}
-		f.detached[c], f.deadRounds[c] = false, 0
-		f.repairs++
-		f.reinit = true
+		rt.joined(c, newParent, hot)
 		moved++
-		// Join handshake: request up, confirm down, one header frame
-		// each way — identical to reactive repair.
-		ackWire := rt.sizes.HeaderBits
-		rt.ledger.ChargeSend(c, ackWire, rt.uplinkRange(c))
-		rt.ledger.ChargeRecv(newParent, ackWire)
-		rt.ledger.ChargeSend(newParent, ackWire, rt.uplinkRange(c))
-		rt.ledger.ChargeRecv(c, ackWire)
-		rt.stats.AckFrames += 2
-		rt.accountControl(2*ackWire, 2)
-		if rt.tr != nil {
-			rt.tr.Collect(trace.Event{
-				Kind: trace.KindReparent, Round: rt.round, Phase: rt.Phase(),
-				Node: c, Peer: newParent, Aux: hot,
-			})
-			rt.emitControlFrame(c, newParent, ackWire)
-			rt.emitControlFrame(newParent, c, ackWire)
-		}
 	}
 	if moved > 0 {
 		rt.computeReach()
@@ -464,203 +452,4 @@ func (rt *Runtime) emitControlFrame(from, to, wire int) {
 		Node: to, Peer: from, Cast: trace.Ack,
 		Wire: wire, Frames: 1,
 	})
-}
-
-// hopWithFaults carries one convergecast payload from u to parent
-// under the fault model: the sender pays for every attempt, delivered
-// payloads are acknowledged with a header-only ACK frame (ARQ), and a
-// hop that exhausts its budget records the loss for dead-parent
-// detection and the round's rank-error bound. Reports whether the
-// payload arrived.
-func (rt *Runtime) hopWithFaults(u, parent int, p Payload) bool {
-	f := rt.flt
-	if rt.top.IsVirtual(u) {
-		// Intra-node hop: free and radio-silent. It dies with a crashed
-		// host and keeps the legacy iid loss exposure.
-		if f.inj.Down(parent) {
-			return false
-		}
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
-			rt.stats.PayloadsLost++
-			rt.stats.PayloadsLostUp++
-			if f.reach[u] {
-				f.lostSub += rt.subtreeSize(u)
-			}
-			return false
-		}
-		return true
-	}
-	if f.detached[u] {
-		// The node knows its parent is gone and holds its traffic until
-		// repair: no transmission, no charge.
-		return false
-	}
-
-	bits := p.Bits()
-	wire := rt.sizes.WireBits(bits)
-	frames := rt.sizes.Frames(bits)
-	values := 0
-	if vc, ok := p.(ValueCarrier); ok {
-		values = vc.ValueCount()
-	}
-	down := rt.linkDown(u)
-	attempts := 1
-	if f.arq.Enabled {
-		attempts += f.arq.MaxRetries
-	}
-	delivered := false
-	for a := 0; a < attempts; a++ {
-		rt.ledger.ChargeSend(u, wire, rt.uplinkRange(u))
-		if a == 0 {
-			rt.account(wire, frames, values)
-			if rt.tr != nil {
-				rt.emitSend(u, parent, trace.Unicast, bits, wire, frames, values)
-			}
-		} else {
-			rt.stats.Retries++
-			rt.accountControl(wire, frames)
-			if rt.tr != nil {
-				rt.tr.Collect(trace.Event{
-					Kind: trace.KindRetry, Round: rt.round, Phase: rt.Phase(),
-					Node: u, Peer: parent, Cast: trace.Unicast,
-					Bits: bits, Wire: wire, Frames: frames, Aux: a,
-				})
-			}
-		}
-		if down {
-			// A burst-bad link or dead peer swallows every attempt this
-			// round; recovery needs the cross-round timeout.
-			continue
-		}
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
-			continue
-		}
-		delivered = true
-		break
-	}
-	if !delivered {
-		rt.stats.PayloadsLost++
-		rt.stats.PayloadsLostUp++
-		f.failedNow[u] = true
-		if f.reach[u] {
-			f.lostSub += rt.subtreeSize(u)
-		}
-		if rt.tr != nil {
-			rt.tr.Collect(trace.Event{
-				Kind: trace.KindDrop, Round: rt.round, Phase: rt.Phase(),
-				Node: u, Peer: parent, Cast: trace.Unicast,
-				Bits: bits, Wire: wire,
-			})
-		}
-		return false
-	}
-	rt.ledger.ChargeRecv(parent, wire)
-	if rt.tr != nil {
-		rt.tr.Collect(trace.Event{
-			Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
-			Node: parent, Peer: u, Cast: trace.Unicast,
-			Bits: bits, Wire: wire,
-		})
-	}
-	if f.arq.Enabled {
-		// Link-layer ACK: one header-only frame back to the sender,
-		// modeled reliable (acks ride the reverse slot of the TDMA
-		// schedule).
-		ackWire := rt.sizes.HeaderBits
-		rt.ledger.ChargeSend(parent, ackWire, rt.uplinkRange(u))
-		rt.ledger.ChargeRecv(u, ackWire)
-		rt.stats.AckFrames++
-		rt.accountControl(ackWire, 1)
-		if rt.tr != nil {
-			rt.emitControlFrame(parent, u, ackWire)
-		}
-	}
-	return true
-}
-
-// broadcastFaulty is the fault- and loss-aware flood: a node receives
-// the broadcast only if its parent both received and retransmitted it
-// and the link is up (and, with lossy broadcast enabled, the iid
-// sampler spares the hop). Nodes that miss it keep their stale
-// node-local state — visit is only called for receivers.
-func (rt *Runtime) broadcastFaulty(p Payload, visit func(node int)) {
-	f := rt.flt
-	bits := p.Bits()
-	wire := rt.sizes.WireBits(bits)
-	frames := rt.sizes.Frames(bits)
-	vals := 0
-	if vc, ok := p.(ValueCarrier); ok {
-		vals = vc.ValueCount()
-	}
-	rt.account(wire, frames, vals)
-	if rt.tr != nil {
-		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
-	}
-	if rt.reached == nil {
-		rt.reached = make([]bool, rt.top.N())
-	}
-	got := rt.reached
-	clear(got)
-	po := rt.top.PostOrder
-	for i := len(po) - 1; i >= 0; i-- {
-		u := po[i]
-		parent := rt.top.Parent[u]
-		parentGot := parent == -1 || got[parent]
-		if rt.top.IsVirtual(u) {
-			// Virtual nodes share the host radio: they see exactly what
-			// the host saw.
-			got[u] = parentGot && (f == nil || !rt.crashedNode(u))
-			if got[u] && visit != nil {
-				visit(u)
-			}
-			continue
-		}
-		if f != nil && f.inj.Down(u) {
-			// A crashed radio neither receives nor retransmits; its
-			// subtree starves. No traffic, no events.
-			continue
-		}
-		ok := parentGot
-		if ok && f != nil && rt.linkDown(u) {
-			ok = false
-		}
-		if ok && rt.lossBcast && rt.loss > 0 && rt.rng.Float64() < rt.loss {
-			ok = false
-		}
-		if !ok {
-			if parentGot {
-				// The hop was transmitted and lost; an unreachable or
-				// starved subtree is absence, not loss.
-				rt.stats.PayloadsLost++
-				rt.stats.PayloadsLostDown++
-				if rt.tr != nil {
-					rt.tr.Collect(trace.Event{
-						Kind: trace.KindDrop, Round: rt.round, Phase: rt.Phase(),
-						Node: u, Peer: parent, Cast: trace.Broadcast,
-						Bits: bits, Wire: wire,
-					})
-				}
-			}
-			continue
-		}
-		got[u] = true
-		rt.ledger.ChargeRecv(u, wire)
-		if rt.tr != nil {
-			rt.tr.Collect(trace.Event{
-				Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
-				Node: u, Peer: parent, Cast: trace.Broadcast,
-				Bits: bits, Wire: wire,
-			})
-		}
-		if rt.hasRadioChildren(u) {
-			rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
-			rt.account(wire, frames, vals)
-			if rt.tr != nil {
-				rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
-			}
-		}
-		if visit != nil {
-			visit(u)
-		}
-	}
 }

@@ -1,11 +1,14 @@
 package sim
 
-// Equivalence and allocation tests for the convergecast inbox stack.
-// naiveConvergecast below is the per-node inbox the stack replaced:
-// one freshly allocated [][]Payload per call, appended to per parent.
-// Twin runtimes, one driven by each, must call merge with identical
-// (node, children) sequences — child order included — and end every
-// round with identical statistics.
+// Equivalence and allocation tests for the convergecast inbox stack
+// and the one radio path. naiveConvergecast below is the per-node inbox
+// the stack replaced: one freshly allocated [][]Payload per call,
+// appended to per parent, with the fault-free hop written out in full
+// (refCharge plus the loss draw) as the reference for hop. naiveBroadcast
+// is the reliable flood Broadcast's walk replaced. Twin runtimes, one
+// driven by each, must call merge (or visit) with identical sequences —
+// child order included — and end every round with identical
+// statistics, event streams and energy ledgers.
 
 import (
 	"fmt"
@@ -20,6 +23,29 @@ import (
 	"wsnq/internal/trace"
 	"wsnq/internal/wsn"
 )
+
+// refCharge is the fault-free hop's charge: the sender pays the
+// framing-inclusive transmission and the receiver its reception, both
+// before the loss draw. A negative receiver is the root (free). Hops
+// from virtual senders never touch the radio and are free.
+func (rt *Runtime) refCharge(sender, receiver int, p Payload) {
+	if rt.top.IsVirtual(sender) {
+		return
+	}
+	bits := p.Bits()
+	wire := rt.sizes.WireBits(bits)
+	frames := rt.sizes.Frames(bits)
+	rt.ledger.ChargeSend(sender, wire, rt.uplinkRange(sender))
+	rt.ledger.ChargeRecv(receiver, wire)
+	values := 0
+	if vc, ok := p.(ValueCarrier); ok {
+		values = vc.ValueCount()
+	}
+	rt.account(wire, frames, values)
+	if rt.tr != nil {
+		rt.emitSend(sender, receiver, trace.Unicast, bits, wire, frames, values)
+	}
+}
 
 // naiveConvergecast is the reference implementation: a per-node inbox
 // allocated on every call.
@@ -39,7 +65,7 @@ func (rt *Runtime) naiveConvergecast(merge func(node int, children []Payload) Pa
 		}
 		parent := rt.top.Parent[u]
 		if rt.flt != nil {
-			if rt.hopWithFaults(u, parent, p) {
+			if rt.hop(u, parent, p) {
 				if parent == -1 {
 					atRoot = append(atRoot, p)
 				} else {
@@ -48,7 +74,7 @@ func (rt *Runtime) naiveConvergecast(merge func(node int, children []Payload) Pa
 			}
 			continue
 		}
-		rt.charge(u, parent, p)
+		rt.refCharge(u, parent, p)
 		radio := rt.tr != nil && !rt.top.IsVirtual(u)
 		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
 			rt.stats.PayloadsLost++
@@ -78,8 +104,49 @@ func (rt *Runtime) naiveConvergecast(merge func(node int, children []Payload) Pa
 	return atRoot
 }
 
+// naiveBroadcast is the reference fault-free flood: every sensor is
+// reached, top-down, and virtual nodes share their host's radio.
+func (rt *Runtime) naiveBroadcast(p Payload, visit func(node int)) {
+	rt.stats.Broadcasts++
+	bits := p.Bits()
+	wire := rt.sizes.WireBits(bits)
+	frames := rt.sizes.Frames(bits)
+	vals := 0
+	if vc, ok := p.(ValueCarrier); ok {
+		vals = vc.ValueCount()
+	}
+	rt.account(wire, frames, vals)
+	if rt.tr != nil {
+		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
+	}
+	for i := len(rt.top.PostOrder) - 1; i >= 0; i-- {
+		u := rt.top.PostOrder[i]
+		if !rt.top.IsVirtual(u) {
+			rt.ledger.ChargeRecv(u, wire)
+			if rt.tr != nil {
+				rt.tr.Collect(trace.Event{
+					Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
+					Node: u, Peer: rt.top.Parent[u], Cast: trace.Broadcast,
+					Bits: bits, Wire: wire,
+				})
+			}
+			if rt.hasRadioChildren(u) {
+				rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
+				rt.account(wire, frames, vals)
+				if rt.tr != nil {
+					rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
+				}
+			}
+		}
+		if visit != nil {
+			visit(u)
+		}
+	}
+}
+
 // senderPayload names the node that sent it; its size grows with the
-// number of children merged so loss and framing see varied payloads.
+// number of children merged so loss and framing see varied payloads,
+// multi-frame ones included.
 type senderPayload struct{ from, bits int }
 
 func (p *senderPayload) Bits() int { return p.bits }
@@ -99,7 +166,7 @@ func (l *mergeLog) merge(salt int) func(int, []Payload) Payload {
 		if (node+salt)%5 == 0 {
 			return nil
 		}
-		return &senderPayload{from: node, bits: 16 + 8*len(children)}
+		return &senderPayload{from: node, bits: 16 + 300*len(children)}
 	}
 }
 
@@ -113,8 +180,9 @@ func senders(ps []Payload) []int {
 
 // randomRuntime builds a seeded random deployment: a connected tree,
 // optionally expanded with virtual children, random readings, iid loss,
-// and — when faults is non-empty — a crash/burst plan under ARQ.
-func randomRuntime(t *testing.T, seed int64, virtual bool, faults string) *Runtime {
+// and — when faults is non-empty — a crash/burst plan under ARQ. A
+// non-nil tr records the event stream from the start.
+func randomRuntime(t *testing.T, seed int64, virtual bool, faults string, tr trace.Collector) *Runtime {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 20 + rng.Intn(40)
@@ -141,7 +209,7 @@ func randomRuntime(t *testing.T, seed int64, virtual bool, faults string) *Runti
 	rt, err := New(Config{
 		Topology: top, Source: src,
 		Sizes: msg.DefaultSizes(), Energy: energy.DefaultParams(),
-		LossProb: 0.15, Seed: seed,
+		LossProb: 0.15, Seed: seed, Trace: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +226,29 @@ func randomRuntime(t *testing.T, seed int64, virtual bool, faults string) *Runti
 	return rt
 }
 
+// sameRadio fails the test unless the twins agree on statistics,
+// recorded event streams and energy ledgers.
+func sameRadio(t *testing.T, where string, got, want *Runtime, gotTr, wantTr *trace.Recorder) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Stats(), want.Stats()) {
+		t.Fatalf("%s: stats differ\n got  %+v\n want %+v", where, got.Stats(), want.Stats())
+	}
+	ge, we := gotTr.Events(), wantTr.Events()
+	for i := 0; i < len(ge) && i < len(we); i++ {
+		if ge[i] != we[i] {
+			t.Fatalf("%s: event %d differs\n got  %+v\n want %+v", where, i, ge[i], we[i])
+		}
+	}
+	if len(ge) != len(we) {
+		t.Fatalf("%s: %d events, want %d", where, len(ge), len(we))
+	}
+	if g, w := got.Ledger().Snapshot(), want.Ledger().Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: ledgers differ\n got  %v\n want %v", where, g, w)
+	}
+}
+
 func TestConvergecastInboxMatchesNaive(t *testing.T) {
-	lost, repairs := 0, 0
+	lost, repairs, fragments := 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		virtual := seed%2 == 0
 		faults := ""
@@ -168,8 +257,9 @@ func TestConvergecastInboxMatchesNaive(t *testing.T) {
 			faults = fmt.Sprintf("crash@2-9:n%d; crash@4-6:n%d; burst(p=0.4,len=2):n%d",
 				1+seed%7, 8+seed%5, 13+seed%6)
 		}
-		stack := randomRuntime(t, seed, virtual, faults)
-		naive := randomRuntime(t, seed, virtual, faults)
+		stackTr, naiveTr := trace.NewRecorder(), trace.NewRecorder()
+		stack := randomRuntime(t, seed, virtual, faults, stackTr)
+		naive := randomRuntime(t, seed, virtual, faults, naiveTr)
 		for round := 0; round < 14; round++ {
 			for cast := 0; cast < 2; cast++ {
 				var gotLog, wantLog mergeLog
@@ -182,9 +272,7 @@ func TestConvergecastInboxMatchesNaive(t *testing.T) {
 					t.Fatalf("seed %d round %d cast %d: root arrivals %v, want %v", seed, round, cast, got, want)
 				}
 			}
-			if !reflect.DeepEqual(stack.Stats(), naive.Stats()) {
-				t.Fatalf("seed %d round %d: stats differ\n got  %+v\n want %+v", seed, round, stack.Stats(), naive.Stats())
-			}
+			sameRadio(t, fmt.Sprintf("seed %d round %d", seed, round), stack, naive, stackTr, naiveTr)
 			stack.AdvanceRound()
 			naive.AdvanceRound()
 		}
@@ -195,11 +283,48 @@ func TestConvergecastInboxMatchesNaive(t *testing.T) {
 		if stack.flt != nil {
 			repairs += stack.flt.repairs
 		}
+		for _, e := range stackTr.Events() {
+			if e.Kind == trace.KindFragment {
+				fragments++
+			}
+		}
 	}
-	// The comparison only means something if loss, crashes and tree
-	// repair all occurred.
-	if lost == 0 || repairs == 0 {
-		t.Errorf("fixture too tame: %d payloads lost, %d repairs", lost, repairs)
+	// The comparison only means something if loss, crashes, tree repair
+	// and fragmentation all occurred.
+	if lost == 0 || repairs == 0 || fragments == 0 {
+		t.Errorf("fixture too tame: %d payloads lost, %d repairs, %d fragments", lost, repairs, fragments)
+	}
+}
+
+// TestBroadcastMatchesNaive: without faults, Broadcast's walk reaches
+// every sensor exactly like the reliable reference flood — the same
+// visit order, events, statistics and charges — with and without
+// virtual nodes, for single- and multi-frame payloads.
+func TestBroadcastMatchesNaive(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		virtual := seed%2 == 0
+		walkTr, naiveTr := trace.NewRecorder(), trace.NewRecorder()
+		walk := randomRuntime(t, seed, virtual, "", walkTr)
+		naive := randomRuntime(t, seed, virtual, "", naiveTr)
+		for round := 0; round < 4; round++ {
+			for cast := 0; cast < 3; cast++ {
+				p := benchPayload{bits: 40 + 700*cast, values: cast}
+				var got, want []int
+				walk.Broadcast(p, func(u int) { got = append(got, u) })
+				naive.naiveBroadcast(p, func(u int) { want = append(want, u) })
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d round %d cast %d: visit order differs\n got  %v\n want %v", seed, round, cast, got, want)
+				}
+				if len(got) != walk.N() {
+					t.Fatalf("seed %d round %d cast %d: visited %d of %d nodes", seed, round, cast, len(got), walk.N())
+				}
+			}
+			walk.Broadcast(benchPayload{bits: 24}, nil)
+			naive.naiveBroadcast(benchPayload{bits: 24}, nil)
+			sameRadio(t, fmt.Sprintf("seed %d round %d", seed, round), walk, naive, walkTr, naiveTr)
+			walk.AdvanceRound()
+			naive.AdvanceRound()
+		}
 	}
 }
 

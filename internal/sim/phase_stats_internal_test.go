@@ -44,7 +44,7 @@ func TestPerPhaseMatchesHandTally(t *testing.T) {
 		if seed%2 == 1 {
 			faults = "crash@2-5:n3; burst(p=0.4,len=2):n7"
 		}
-		rt := randomRuntime(t, seed, seed%3 == 0, faults)
+		rt := randomRuntime(t, seed, seed%3 == 0, faults, nil)
 		want := map[string]PhaseStats{}
 		// tally runs send under the current label and books the change
 		// in the global counters to that label.

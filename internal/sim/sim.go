@@ -39,16 +39,9 @@ type Config struct {
 
 	// LossProb drops each convergecast hop's payload with this
 	// probability, after the sender has paid for it. Broadcast
-	// (control) traffic is assumed reliable (see DESIGN.md §3) unless
-	// LossBroadcast is set.
+	// (control) traffic never goes through the loss sampler: floods
+	// are reliable unless faults are attached (see DESIGN.md §4f).
 	LossProb float64
-
-	// LossBroadcast subjects broadcast (downstream) hops to the same
-	// iid loss sampler: a node that misses the flood does not
-	// retransmit it, so its subtree starves too. Off by default — the
-	// historical model treats control floods as reliable, and golden
-	// traces pin that behavior.
-	LossBroadcast bool
 
 	// ChargeByDistance charges transmissions by the actual link length
 	// instead of the nominal radio range ρ (the paper's cost function
@@ -118,13 +111,12 @@ type Runtime struct {
 	byDist bool
 	rng    *rand.Rand
 
-	round     int
-	phase     string
-	stats     Stats
-	tr        trace.Collector // nil = flight recorder disabled
-	po        PhaseObserver   // nil = continuous profiling disabled
-	lossBcast bool
-	flt       *faultState // nil = fault/recovery layer disabled
+	round int
+	phase string
+	stats Stats
+	tr    trace.Collector // nil = flight recorder disabled
+	po    PhaseObserver   // nil = continuous profiling disabled
+	flt   *faultState     // nil = fault/recovery layer disabled
 
 	// The per-phase tallies behind Stats().PerPhase, and the current
 	// label's tally (nil until the label's first transmission).
@@ -143,7 +135,7 @@ type Runtime struct {
 	readRound int
 
 	oracle  []int  // Oracle's reading buffer, refilled on every call
-	reached []bool // broadcastFaulty's per-node delivery flags
+	reached []bool // Broadcast's per-node delivery flags
 }
 
 // PhaseObserver is the continuous-profiling hook (internal/prof): the
@@ -187,7 +179,6 @@ func New(cfg Config) (*Runtime, error) {
 		loss:      cfg.LossProb,
 		byDist:    cfg.ChargeByDistance,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		lossBcast: cfg.LossBroadcast,
 		phases:    make(map[string]*PhaseStats),
 		readings:  make([]int, cfg.Topology.N()),
 		readRound: -1,
@@ -309,10 +300,6 @@ func (rt *Runtime) Round() int { return rt.round }
 
 // LossProb returns the current per-hop convergecast loss probability.
 func (rt *Runtime) LossProb() float64 { return rt.loss }
-
-// BroadcastLossy reports whether broadcast hops go through the loss
-// sampler too (Config.LossBroadcast).
-func (rt *Runtime) BroadcastLossy() bool { return rt.lossBcast }
 
 // SetLossProb adjusts the loss probability mid-run. Protocol
 // initialization is typically modeled as reliable (acknowledged)
@@ -485,29 +472,6 @@ func (rt *Runtime) Oracle(k int) int {
 	return mathx.KthSmallest(rt.oracle, k)
 }
 
-// charge accounts one hop: sender pays framing-inclusive transmission,
-// receiver pays reception. A negative receiver is the root (free).
-// Intra-node hops from virtual (artificial-child) senders never touch
-// the radio and are free.
-func (rt *Runtime) charge(sender, receiver int, p Payload) {
-	if rt.top.IsVirtual(sender) {
-		return
-	}
-	bits := p.Bits()
-	wire := rt.sizes.WireBits(bits)
-	frames := rt.sizes.Frames(bits)
-	rt.ledger.ChargeSend(sender, wire, rt.uplinkRange(sender))
-	rt.ledger.ChargeRecv(receiver, wire)
-	values := 0
-	if vc, ok := p.(ValueCarrier); ok {
-		values = vc.ValueCount()
-	}
-	rt.account(wire, frames, values)
-	if rt.tr != nil {
-		rt.emitSend(sender, receiver, trace.Unicast, bits, wire, frames, values)
-	}
-}
-
 // emitSend records one transmission (and, for multi-frame payloads, its
 // fragmentation) in the flight recorder. Callers check rt.tr != nil.
 func (rt *Runtime) emitSend(sender, receiver int, cast trace.Cast, bits, wire, frames, values int) {
@@ -528,7 +492,9 @@ func (rt *Runtime) emitSend(sender, receiver int, cast trace.Cast, bits, wire, f
 // Convergecast runs one bottom-up phase. merge is invoked for every
 // sensor in post-order with the payloads that actually arrived from its
 // children, in delivery order; a nil return means the node stays silent
-// (no transmission, no energy). The payloads that reach the root are
+// (no transmission, no energy). Every other payload travels one hop
+// toward its parent through hop, with or without faults attached, and
+// may be lost on the way. The payloads that reach the root are
 // returned.
 //
 // Ownership: children is valid only during the merge call, and each
@@ -561,39 +527,9 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 		if p == nil {
 			continue
 		}
-		parent := rt.top.Parent[u]
-		if rt.flt != nil {
-			// Fault-aware delivery: per-attempt charging, ARQ, and
-			// dead-link bookkeeping live in hopWithFaults.
-			if rt.hopWithFaults(u, parent, p) {
-				rt.deliver(parent, p)
-			}
-			continue
+		if parent := rt.top.Parent[u]; rt.hop(u, parent, p) {
+			rt.deliver(parent, p)
 		}
-		rt.charge(u, parent, p)
-		// Intra-node hops from virtual senders never touch the radio, so
-		// they leave no send/receive/drop events.
-		radio := rt.tr != nil && !rt.top.IsVirtual(u)
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
-			rt.stats.PayloadsLost++
-			rt.stats.PayloadsLostUp++
-			if radio {
-				rt.tr.Collect(trace.Event{
-					Kind: trace.KindDrop, Round: rt.round, Phase: rt.Phase(),
-					Node: u, Peer: parent, Cast: trace.Unicast,
-					Bits: p.Bits(), Wire: rt.sizes.WireBits(p.Bits()),
-				})
-			}
-			continue
-		}
-		if radio {
-			rt.tr.Collect(trace.Event{
-				Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
-				Node: parent, Peer: u, Cast: trace.Unicast,
-				Bits: p.Bits(), Wire: rt.sizes.WireBits(p.Bits()),
-			})
-		}
-		rt.deliver(parent, p)
 	}
 	return rt.atRoot
 }
@@ -617,20 +553,146 @@ func (rt *Runtime) deliver(parent int, p Payload) {
 	rt.inboxTo = append(rt.inboxTo, parent)
 }
 
+// hop carries one convergecast payload from u to parent and reports
+// whether it arrived. The sender pays for every attempt; a virtual
+// sender's intra-node hop is free and radio-silent but still lossy.
+// Faults add detach, down links, ARQ with ACKs, and the bookkeeping of
+// an exhausted hop for dead-parent detection and the rank-error bound.
+//
+// The receiver-charge rule: without faults both ends pay before the
+// loss draw (the paper's radio model, §5.1), so the receiver of a
+// payload lost to iid loss still pays. With faults the receiver pays
+// only for the attempt it receives: an attempt swallowed by loss or a
+// down link charges it nothing, a delivery charges it once.
+func (rt *Runtime) hop(u, parent int, p Payload) bool {
+	f := rt.flt
+	if rt.top.IsVirtual(u) {
+		if f != nil && f.inj.Down(parent) {
+			return false
+		}
+		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
+			rt.stats.PayloadsLost++
+			rt.stats.PayloadsLostUp++
+			if f != nil && f.reach[u] {
+				f.lostSub += rt.subtreeSize(u)
+			}
+			return false
+		}
+		return true
+	}
+	if f != nil && f.detached[u] {
+		// The node knows its parent is gone and holds its traffic until
+		// repair: no transmission, no charge.
+		return false
+	}
+
+	bits := p.Bits()
+	wire := rt.sizes.WireBits(bits)
+	frames := rt.sizes.Frames(bits)
+	values := 0
+	if vc, ok := p.(ValueCarrier); ok {
+		values = vc.ValueCount()
+	}
+	down := f != nil && rt.linkDown(u)
+	attempts := 1
+	if f != nil && f.arq.Enabled {
+		attempts += f.arq.MaxRetries
+	}
+	rho := rt.uplinkRange(u)
+	delivered := false
+	for a := 0; a < attempts; a++ {
+		rt.ledger.ChargeSend(u, wire, rho)
+		if a == 0 {
+			if f == nil {
+				// Without faults the receiver pays before the loss draw
+				// (see the receiver-charge rule above).
+				rt.ledger.ChargeRecv(parent, wire)
+			}
+			rt.account(wire, frames, values)
+			if rt.tr != nil {
+				rt.emitSend(u, parent, trace.Unicast, bits, wire, frames, values)
+			}
+		} else {
+			rt.stats.Retries++
+			rt.accountControl(wire, frames)
+			if rt.tr != nil {
+				rt.tr.Collect(trace.Event{
+					Kind: trace.KindRetry, Round: rt.round, Phase: rt.Phase(),
+					Node: u, Peer: parent, Cast: trace.Unicast,
+					Bits: bits, Wire: wire, Frames: frames, Aux: a,
+				})
+			}
+		}
+		if down {
+			// A burst-bad link or dead peer swallows every attempt this
+			// round; recovery needs the cross-round timeout.
+			continue
+		}
+		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
+			continue
+		}
+		delivered = true
+		break
+	}
+	if !delivered {
+		rt.stats.PayloadsLost++
+		rt.stats.PayloadsLostUp++
+		if f != nil {
+			f.failedNow[u] = true
+			if f.reach[u] {
+				f.lostSub += rt.subtreeSize(u)
+			}
+		}
+		if rt.tr != nil {
+			rt.tr.Collect(trace.Event{
+				Kind: trace.KindDrop, Round: rt.round, Phase: rt.Phase(),
+				Node: u, Peer: parent, Cast: trace.Unicast,
+				Bits: bits, Wire: wire,
+			})
+		}
+		return false
+	}
+	if f != nil {
+		rt.ledger.ChargeRecv(parent, wire)
+	}
+	if rt.tr != nil {
+		rt.tr.Collect(trace.Event{
+			Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
+			Node: parent, Peer: u, Cast: trace.Unicast,
+			Bits: bits, Wire: wire,
+		})
+	}
+	if f != nil && f.arq.Enabled {
+		// Link-layer ACK: one header-only frame back to the sender,
+		// modeled reliable (acks ride the reverse slot of the TDMA
+		// schedule).
+		ackWire := rt.sizes.HeaderBits
+		rt.ledger.ChargeSend(parent, ackWire, rho)
+		rt.ledger.ChargeRecv(u, ackWire)
+		rt.stats.AckFrames++
+		rt.accountControl(ackWire, 1)
+		if rt.tr != nil {
+			rt.emitControlFrame(parent, u, ackWire)
+		}
+	}
+	return true
+}
+
 // Broadcast floods p from the root to every sensor: the root transmits
 // once (free), every sensor receives it from its parent, and every
 // sensor with children retransmits it once. visit, if non-nil, is
 // called for each sensor in top-down order so node-local state can be
-// updated. Broadcasts are reliable unless faults are attached or
-// Config.LossBroadcast subjects the flood to the loss sampler; then a
-// node that misses the flood starves its subtree and visit only runs
-// for the sensors actually reached.
+// updated. Virtual nodes share their host's radio: they neither pay a
+// reception nor retransmit, and see exactly what the host saw.
+//
+// Without faults the flood is reliable and reaches every sensor. With
+// faults attached, a node receives it only if its parent both received
+// and retransmitted it and its link is up; a node that misses the flood
+// starves its subtree and keeps its stale node-local state, because
+// visit only runs for the sensors actually reached.
 func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 	rt.stats.Broadcasts++
-	if rt.flt != nil || rt.lossBcast {
-		rt.broadcastFaulty(p, visit)
-		return
-	}
+	f := rt.flt
 	bits := p.Bits()
 	wire := rt.sizes.WireBits(bits)
 	frames := rt.sizes.Frames(bits)
@@ -643,25 +705,56 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 	if rt.tr != nil {
 		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
 	}
-	// Top-down order is the reverse of post-order. Virtual nodes share
-	// their host's radio: they neither pay a reception nor retransmit.
-	for i := len(rt.top.PostOrder) - 1; i >= 0; i-- {
-		u := rt.top.PostOrder[i]
-		if !rt.top.IsVirtual(u) {
-			rt.ledger.ChargeRecv(u, wire)
+	if rt.reached == nil {
+		rt.reached = make([]bool, rt.top.N())
+	}
+	got := rt.reached
+	clear(got)
+	// Top-down order is the reverse of post-order.
+	po := rt.top.PostOrder
+	for i := len(po) - 1; i >= 0; i-- {
+		u := po[i]
+		parent := rt.top.Parent[u]
+		parentGot := parent == -1 || got[parent]
+		if rt.top.IsVirtual(u) {
+			got[u] = parentGot && (f == nil || !rt.crashedNode(u))
+			if got[u] && visit != nil {
+				visit(u)
+			}
+			continue
+		}
+		if !parentGot || f != nil && f.inj.Down(u) {
+			// A starved subtree or a crashed radio is absence, not
+			// loss: no traffic, no events.
+			continue
+		}
+		if f != nil && rt.linkDown(u) {
+			// The hop was transmitted and lost.
+			rt.stats.PayloadsLost++
+			rt.stats.PayloadsLostDown++
 			if rt.tr != nil {
 				rt.tr.Collect(trace.Event{
-					Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
-					Node: u, Peer: rt.top.Parent[u], Cast: trace.Broadcast,
+					Kind: trace.KindDrop, Round: rt.round, Phase: rt.Phase(),
+					Node: u, Peer: parent, Cast: trace.Broadcast,
 					Bits: bits, Wire: wire,
 				})
 			}
-			if rt.hasRadioChildren(u) {
-				rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
-				rt.account(wire, frames, vals)
-				if rt.tr != nil {
-					rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
-				}
+			continue
+		}
+		got[u] = true
+		rt.ledger.ChargeRecv(u, wire)
+		if rt.tr != nil {
+			rt.tr.Collect(trace.Event{
+				Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
+				Node: u, Peer: parent, Cast: trace.Broadcast,
+				Bits: bits, Wire: wire,
+			})
+		}
+		if rt.hasRadioChildren(u) {
+			rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
+			rt.account(wire, frames, vals)
+			if rt.tr != nil {
+				rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
 			}
 		}
 		if visit != nil {

@@ -7,9 +7,11 @@ import (
 
 	"wsnq/internal/data"
 	"wsnq/internal/energy"
+	"wsnq/internal/fault"
 	"wsnq/internal/msg"
 	"wsnq/internal/sim"
 	"wsnq/internal/simtest"
+	"wsnq/internal/trace"
 	"wsnq/internal/wsn"
 )
 
@@ -260,5 +262,107 @@ func TestVirtualNodesAreFree(t *testing.T) {
 	// virtual).
 	if got := rt.Stats().PayloadsSent; got != 3+3 {
 		t.Errorf("broadcast payloads = %d, want 3", got-3)
+	}
+}
+
+// hopRound is one round of a single lossy hop on the chain fixture:
+// the leaf (2) sends to node 1, everyone else stays silent.
+type hopRound struct {
+	attempts int     // transmissions of the leaf, retries included
+	arrived  bool    // node 1 merged the payload
+	recvs    int     // reception debits of node 1
+	joules   float64 // energy node 1 paid for them
+}
+
+// runHop drives rounds single-hop rounds on rt, reading each round's
+// attempts and receiver debits off a flight recorder.
+func runHop(t *testing.T, rt *sim.Runtime, rounds int) []hopRound {
+	t.Helper()
+	rec := trace.NewRecorder()
+	rt.SetTrace(rec)
+	out := make([]hopRound, rounds)
+	for r := range out {
+		from := rec.Len()
+		h := &out[r]
+		rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+			switch n {
+			case 2:
+				return &testPayload{bits: 16}
+			case 1:
+				h.arrived = len(children) > 0
+			}
+			return nil
+		})
+		for _, e := range rec.Events()[from:] {
+			switch {
+			case e.Node == 2 && (e.Kind == trace.KindSend || e.Kind == trace.KindRetry):
+				h.attempts++
+			case e.Node == 1 && e.Kind == trace.KindEnergy && e.Aux == trace.EnergyRecv:
+				h.recvs++
+				h.joules += e.Joules
+			}
+		}
+		rt.AdvanceRound()
+	}
+	return out
+}
+
+// TestReceiverChargeRule pins which end of a lossy hop pays for it.
+// Without faults both ends pay before the loss draw (the paper's radio
+// model), so the receiver of a dropped payload is still charged its
+// reception. With faults attached, the receiver pays only for the
+// attempt it receives: no attempt swallowed by iid loss or a down link
+// charges it, and a delivered payload charges it exactly once.
+func TestReceiverChargeRule(t *testing.T) {
+	wire := msg.DefaultSizes().WireBits(16)
+	recvCost := energy.DefaultParams().RecvCost(wire)
+
+	dropped := 0
+	for r, h := range runHop(t, simtest.ChainRuntime(t, chainSeries, 0.5, 3), 40) {
+		if h.attempts != 1 || h.recvs != 1 || math.Abs(h.joules-recvCost) > 1e-18 {
+			t.Fatalf("fault-free round %d: %+v, want one attempt and one reception of %v J", r, h, recvCost)
+		}
+		if !h.arrived {
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("fault-free fixture dropped no payload")
+	}
+
+	for _, c := range []struct {
+		name, plan string
+		loss       float64
+	}{
+		{"iid loss under ARQ", "", 0.7},
+		{"down link", "burst(p=1,len=1000):n2", 0},
+	} {
+		rt := simtest.ChainRuntime(t, chainSeries, c.loss, 3)
+		plan, err := fault.Parse(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.SetFaults(plan, 3, sim.DefaultARQ()); err != nil {
+			t.Fatal(err)
+		}
+		swallowed, retried := 0, 0
+		for r, h := range runHop(t, rt, 40) {
+			want := 0
+			if h.arrived {
+				want = 1
+			}
+			if h.recvs != want || math.Abs(h.joules-float64(want)*recvCost) > 1e-18 {
+				t.Fatalf("%s round %d: %+v, want %d reception(s)", c.name, r, h, want)
+			}
+			if h.attempts > 0 && !h.arrived {
+				swallowed++
+			}
+			if h.attempts > 1 && h.arrived {
+				retried++
+			}
+		}
+		if swallowed == 0 || (c.loss > 0 && retried == 0) {
+			t.Fatalf("%s: fixture too tame: %d hops swallowed, %d delivered after a retry", c.name, swallowed, retried)
+		}
 	}
 }

@@ -72,10 +72,10 @@ type Config struct {
 	// run had a fault plan attached.
 	AllowDegraded bool
 
-	// LossyBroadcast marks broadcast floods as unreliable (iid
-	// downlink loss or an attached fault plan): traced broadcast drops
-	// become legal and the per-flood shape accounting is skipped,
-	// since truncated floods no longer reach every radio node.
+	// LossyBroadcast marks broadcast floods as unreliable (the run
+	// had a fault plan attached): traced broadcast drops become legal
+	// and the per-flood shape accounting is skipped, since truncated
+	// floods no longer reach every radio node.
 	LossyBroadcast bool
 }
 
@@ -116,7 +116,7 @@ func FromRuntime(rt *sim.Runtime) Config {
 		BroadcastSends:    bSends,
 		BroadcastReceives: bReceives,
 		AllowDegraded:     rt.FaultsAttached(),
-		LossyBroadcast:    rt.BroadcastLossy() || rt.FaultsAttached(),
+		LossyBroadcast:    rt.FaultsAttached(),
 	}
 }
 

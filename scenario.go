@@ -131,14 +131,9 @@ func (o *ScenarioOutcome) AdaptDecisions() []AdaptDecision { return o.out.Adapts
 
 // Metrics returns the averaged study metrics per series key. Empty for
 // replayed outcomes: replay reconstructs streams, not simulator
-// aggregates, which is also why Hash excludes metrics.
-func (o *ScenarioOutcome) Metrics() map[string]Metrics {
-	out := make(map[string]Metrics, len(o.out.Metrics))
-	for k, m := range o.out.Metrics {
-		out[k] = fromInternal(m)
-	}
-	return out
-}
+// aggregates, which is also why Hash excludes metrics. The map is the
+// outcome's own, as in Series: treat it as read-only.
+func (o *ScenarioOutcome) Metrics() map[string]Metrics { return o.out.Metrics }
 
 // RunScenario executes the scenario live on the experiment engine:
 // every algorithm of the line-up over every run (and sweep cell), with

@@ -256,74 +256,11 @@ func (c Config) K() int {
 	}.K()
 }
 
-// Metrics reports one algorithm's averaged results.
-type Metrics struct {
-	// MaxNodeEnergyPerRound is the hottest node's energy consumption
-	// per round in joules — the paper's first headline metric.
-	MaxNodeEnergyPerRound float64
-	// LifetimeRounds is the network lifetime in rounds (first node
-	// death) — the second headline metric.
-	LifetimeRounds float64
-	// TotalEnergy is the network-wide consumption per run in joules.
-	TotalEnergy float64
-	// ValuesPerRound counts raw measurements transported per round.
-	ValuesPerRound float64
-	// FramesPerRound counts link-layer frames per round.
-	FramesPerRound float64
-	// BitsPerRound counts bits on the air per round.
-	BitsPerRound float64
-	// ExactRounds and Rounds report answer exactness (all rounds are
-	// exact without loss injection).
-	ExactRounds, Rounds int
-	// MeanRankError is the mean distance of the reported value's rank
-	// from k (0 without loss injection).
-	MeanRankError float64
-	// PhaseBitsPerRound attributes the per-round traffic to protocol
-	// stages ("init", "validation", "refinement", "filter", "collect").
-	PhaseBitsPerRound map[string]float64
-	// EnergyGini is the Gini coefficient of per-node energy drain
-	// (0 = perfectly even).
-	EnergyGini float64
-	// HotspotToMedianRatio compares the hottest node's drain with the
-	// median node's.
-	HotspotToMedianRatio float64
-	// Reinits counts loss-triggered re-initializations.
-	Reinits int
-	// DegradedRounds counts rounds answered with incomplete sensor
-	// coverage (zero unless WithFaults attaches a fault plan).
-	DegradedRounds int
-	// Repairs counts orphaned subtrees re-parented by routing-tree
-	// repair (zero without faults).
-	Repairs int
-	// RetriesPerRound is the mean number of ARQ retransmissions per
-	// round (zero without faults).
-	RetriesPerRound float64
-	// Adapts counts closed-loop controller actions applied over all runs
-	// (zero unless WithAdaptation attaches policies).
-	Adapts int
-}
-
-func fromInternal(m experiment.Metrics) Metrics {
-	return Metrics{
-		MaxNodeEnergyPerRound: m.MaxNodeEnergyPerRound,
-		LifetimeRounds:        m.LifetimeRounds,
-		TotalEnergy:           m.TotalEnergy,
-		ValuesPerRound:        m.ValuesPerRound,
-		FramesPerRound:        m.FramesPerRound,
-		BitsPerRound:          m.BitsPerRound,
-		ExactRounds:           m.ExactRounds,
-		Rounds:                m.Rounds,
-		MeanRankError:         m.MeanRankError,
-		Reinits:               m.Reinits,
-		DegradedRounds:        m.DegradedRounds,
-		Repairs:               m.Repairs,
-		RetriesPerRound:       m.RetriesPerRound,
-		Adapts:                m.Adapts,
-		EnergyGini:            m.EnergyGini,
-		HotspotToMedianRatio:  m.HotspotToMedianRatio,
-		PhaseBitsPerRound:     m.PhaseBitsPerRound,
-	}
-}
+// Metrics reports one algorithm's averaged results: the paper's two
+// headline metrics (the hottest node's energy per round and the
+// network lifetime in rounds), traffic, answer exactness, energy
+// fairness, and the fault, repair and adaptation counters.
+type Metrics = experiment.Metrics
 
 // Option tunes how the engine executes a study. The zero set of
 // options runs one worker per CPU with no progress reporting.
@@ -525,7 +462,7 @@ func RunContext(ctx context.Context, cfg Config, alg Algorithm, opts ...Option) 
 	if err != nil {
 		return Metrics{}, err
 	}
-	return fromInternal(m), nil
+	return m, nil
 }
 
 // Run executes the configured study for one algorithm and returns the
@@ -599,7 +536,7 @@ func CompareContext(ctx context.Context, cfg Config, algs []Algorithm, opts ...O
 	}
 	out := make(CompareResults, len(algs))
 	for i, a := range algs {
-		out[i] = Result{Algorithm: a, Metrics: fromInternal(ms[i])}
+		out[i] = Result{Algorithm: a, Metrics: ms[i]}
 	}
 	return out, nil
 }
