@@ -414,11 +414,11 @@ type Sampler func() Totals
 
 // IngestTotals is the sampling fast path of Ingest: instead of counting
 // every send and energy event, it samples the run's cumulative counters
-// once per round and stores the difference, so the per-event cost on the
-// traced hot path collapses to one switch dispatch. Only the event
-// kinds without a cumulative counter — the round's decision (rank
-// error), refinement requests, and degraded-answer tags (orphan
-// count) — are still read from the stream.
+// once per round and stores the difference. Only the event kinds
+// without a cumulative counter — the round's decision (rank error),
+// refinement requests, and degraded-answer tags (orphan count) — are
+// still read from the stream. The collector is a trace.RoundCollector,
+// so a runtime it is attached to alone builds no per-hop events.
 // Use it whenever the live runtime is at hand (the experiment engine
 // and Simulation do); Ingest remains for replaying recorded streams,
 // where no counters exist to sample.
@@ -445,12 +445,16 @@ type totalsIngester struct {
 	stale   int
 }
 
+// SkipsHops makes the ingester a trace.RoundCollector: attached alone,
+// the runtime builds no per-hop events for it.
+func (in *totalsIngester) SkipsHops() {}
+
 func (in *totalsIngester) Collect(e trace.Event) {
-	// Single predictable compare for the torrent of per-hop events
-	// (send, receive, drop, fragment, energy — the contiguous kinds
-	// between the round markers and the decision — plus ARQ
-	// retransmissions): they carry nothing the counters don't already
-	// hold.
+	// Behind a trace.Multi the per-hop events (send, receive, drop,
+	// fragment, energy — the contiguous kinds between the round markers
+	// and the decision — plus ARQ retransmissions) still arrive; one
+	// predictable compare drops them, since they carry nothing the
+	// counters don't already hold.
 	if (e.Kind >= trace.KindSend && e.Kind <= trace.KindEnergy) || e.Kind == trace.KindRetry {
 		return
 	}

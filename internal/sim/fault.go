@@ -329,6 +329,8 @@ func (rt *Runtime) joined(u, newParent, oldParent int) {
 			Kind: trace.KindReparent, Round: rt.round, Phase: rt.Phase(),
 			Node: u, Peer: newParent, Aux: oldParent,
 		})
+	}
+	if rt.perHop != nil {
 		rt.emitControlFrame(u, newParent, ackWire)
 		rt.emitControlFrame(newParent, u, ackWire)
 	}
@@ -442,12 +444,12 @@ func (rt *Runtime) accountControl(wire, frames int) {
 // pair, keeping the event stream's frame and wire accounting aligned
 // with the stats counters accountControl maintains.
 func (rt *Runtime) emitControlFrame(from, to, wire int) {
-	rt.tr.Collect(trace.Event{
+	rt.perHop.Collect(trace.Event{
 		Kind: trace.KindSend, Round: rt.round, Phase: rt.Phase(),
 		Node: from, Peer: to, Cast: trace.Ack,
 		Wire: wire, Frames: 1,
 	})
-	rt.tr.Collect(trace.Event{
+	rt.perHop.Collect(trace.Event{
 		Kind: trace.KindReceive, Round: rt.round, Phase: rt.Phase(),
 		Node: to, Peer: from, Cast: trace.Ack,
 		Wire: wire, Frames: 1,
