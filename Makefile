@@ -23,7 +23,8 @@ help:
 	@echo "              alert rule-engine determinism and zero-allocation observe"
 	@echo "  chaos       seeded crash+burst fault smoke of HBC and IQ plus the"
 	@echo "              three-way driver differential, under -race"
-	@echo "  serve       query-service gate: registry race hammer + seeded 1,000-query load smoke"
+	@echo "  serve       query-service gate: registry race hammer, coalescing parity,"
+	@echo "              seeded 1,000-query load smoke"
 	@echo "  scenario    golden-scenario gate: DSL round-trips, pinned replay digests,"
 	@echo "              live-vs-replay differential, replay speedup, fleet boot"
 	@echo "  slo         SLO gate: spec grammar round-trips, budget-arithmetic"
@@ -73,7 +74,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# oracle runs the flight-recorder suite: collectors, the invariant
+# oracle runs the flight-recorder suite: collectors (including the
+# round-level contract, TestRoundCollectorSkipsHops), the invariant
 # checker, and the differential tests against the centralized oracle.
 oracle:
 	$(GO) test ./internal/trace/...
@@ -128,13 +130,16 @@ chaos:
 	$(GO) test -race -run '^(TestRunWithFaults|TestSimulationSetFaults|TestGoldenRecoveryStudy|TestDriversAgree)$$' -v .
 
 # serve gates the continuous query service: the registry's concurrent
-# register/advance/subscribe hammer under the race detector, the
-# HTTP-surface branch tests, and the seeded load smoke — 1,000 queries
-# multiplexed over one shared 60-node deployment, asserting nonzero
-# sustained throughput, zero dropped subscriber answers under quota,
-# and engaged series downsampling.
+# register/advance/subscribe hammer under the race detector (same-key
+# twins join and leave shared protocol instances), the HTTP-surface
+# branch tests, the coalescing parity test (a query sharing a protocol
+# instance reads what it reads alone; a profiled registry shares
+# none), and the seeded load smoke —
+# 1,000 queries multiplexed over one shared 60-node deployment,
+# asserting nonzero sustained throughput, zero dropped subscriber
+# answers under quota, and engaged series downsampling.
 serve:
-	$(GO) test -race -run '^(TestServeHammer|TestHandlerBranches|TestSubscribeBackpressure)$$' -v ./internal/serve/
+	$(GO) test -race -run '^(TestServeHammer|TestHandlerBranches|TestSubscribeBackpressure|TestCoalescedQueriesMatchAlone|TestProfiledRegistryRunsQueriesAlone)$$' -v ./internal/serve/
 	$(GO) test -count=1 -run '^(TestServeDeterminism|TestServeLoadSmoke)$$' -v .
 
 # scenario gates the golden scenarios: the DSL parser/printer

@@ -27,8 +27,7 @@ var exportAllowlist = map[string]string{
 	"internal/energy/energy.go:RecvCost":             "the radio model's closed-form cost; sim and telemetry tests check the ledger against it",
 	"internal/level/level.go:MarshalText":            "implements encoding.TextMarshaler for JSON",
 	"internal/trace/trace.go:MarshalText":            "implements encoding.TextMarshaler for JSON (event kinds and energy ops)",
-	"internal/trace/ring.go:NewRecorder":             "test-support collector: tests in several packages record event streams with it",
-	"internal/trace/ring.go:NewRing":                 "test-only bounded ring; deletion is a ROADMAP item",
+	"internal/trace/recorder.go:NewRecorder":         "test-support collector: tests in several packages record event streams with it",
 	"internal/prof/prof.go:TopAllocPhase":            "the root package's attribution golden tests read it across the package boundary",
 	"internal/report/health.go:LoadHeatmap":          "health renderer pinned by goldens, not yet drawn by a tool; deletion is a ROADMAP item",
 	"internal/report/health.go:LifetimeChart":        "health renderer pinned by goldens, not yet drawn by a tool; deletion is a ROADMAP item",

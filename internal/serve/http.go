@@ -16,7 +16,7 @@ const viewAlertEvents = 20
 
 // Handler returns the registry's HTTP/JSON API:
 //
-//	GET    /serve                registry status (round, queries, dropped)
+//	GET    /serve                registry status (round, queries, instances, dropped)
 //	GET    /slo                  per-query SLO budget status across the registry
 //	GET    /fleets               registered fleets
 //	GET    /queries              registered query summaries
@@ -156,20 +156,24 @@ func statusOf(err error) int {
 	}
 }
 
-// StatusView is the GET /serve response body.
+// StatusView is the GET /serve response body. Instances is the number
+// of protocol instances the last Advance stepped; it falls below
+// Queries when queries share instances.
 type StatusView struct {
-	Round   int   `json:"round"`
-	Queries int   `json:"queries"`
-	Fleets  int   `json:"fleets"`
-	Dropped int64 `json:"dropped_updates"`
+	Round     int   `json:"round"`
+	Queries   int   `json:"queries"`
+	Instances int   `json:"instances"`
+	Fleets    int   `json:"fleets"`
+	Dropped   int64 `json:"dropped_updates"`
 }
 
 func statusView(r *Registry) StatusView {
 	return StatusView{
-		Round:   r.Round(),
-		Queries: r.Len(),
-		Fleets:  len(r.Fleets()),
-		Dropped: r.Dropped(),
+		Round:     r.Round(),
+		Queries:   r.Len(),
+		Instances: r.Instances(),
+		Fleets:    len(r.Fleets()),
+		Dropped:   r.Dropped(),
 	}
 }
 

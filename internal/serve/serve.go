@@ -6,11 +6,24 @@
 //
 // The design leans on the same structural guarantee the experiment
 // engine uses for comparisons: a Deployment (topology + measurement
-// source) is read-only after construction, so any number of per-query
+// source) is read-only after construction, so any number of
 // sim.Runtimes can execute against it concurrently, each with its own
 // energy ledger, statistics, and loss stream. A query registered here
 // therefore computes bit-identical per-round answers to a standalone
 // single-query run with the same configuration and seed.
+//
+// Queries that would compute the same rounds share them. Queries
+// registered before the same Advance with the same fleet, algorithm
+// and rank k form one group, which owns the single runtime and
+// experiment.Driver of their protocol instance; Advance steps each
+// group once. A group admits members only until its first round, so a
+// later registration with the same key starts a new group, and a group
+// is dropped when its last member deregisters. Queries with an
+// adaptation policy, and every query on a profiled registry, run alone,
+// because the controller or profiling handle acts on its own instance.
+// Everything a client reads stays per query: the Update stream, the
+// series store (each member diffs the shared runtime's counters under
+// its own key), alerts, SLOs, the controller, and subscribers.
 //
 // The registry enforces admission control (a global query cap and
 // per-client quotas) and backpressure (bounded subscriber channels
@@ -37,6 +50,7 @@ import (
 	"wsnq/internal/series"
 	"wsnq/internal/sim"
 	"wsnq/internal/slo"
+	"wsnq/internal/trace"
 )
 
 // Admission and sizing defaults.
@@ -72,7 +86,8 @@ type Config struct {
 	// dropped and counted. 0 selects DefaultSubscriberBuffer.
 	SubscriberBuffer int
 	// Workers bounds the per-Advance stepping pool; 0 uses one worker
-	// per query up to the number of CPUs the runtime schedules.
+	// per protocol instance up to the number of CPUs the runtime
+	// schedules.
 	Workers int
 	// Prof, when non-nil, attributes every query round's CPU time and
 	// heap allocations to algorithm×phase buckets and labels the
@@ -80,6 +95,8 @@ type Config struct {
 	// profiles. Like the experiment engine, a profiled registry steps
 	// queries on a single worker: the process-global allocation
 	// counters are only attributable when one round executes at a time.
+	// Every query on a profiled registry runs its own protocol
+	// instance, so each round is charged to one query.
 	Prof *prof.Recorder
 	// Resolve maps an algorithm name to its constructor. Nil selects
 	// the standard line-up (experiment.StandardAlgorithms).
@@ -92,8 +109,9 @@ type Config struct {
 	// Adapt, when non-empty, is the registry-default closed-loop
 	// adaptation policy spec (adapt.Parse grammar) attached to every
 	// query that does not declare its own: each such query gets a
-	// private controller that turns its alert stream into protocol
-	// actions between rounds and stamps the decisions onto its Updates.
+	// private controller and protocol instance; the controller turns its
+	// alert stream into protocol actions between rounds and stamps the
+	// decisions onto its Updates.
 	Adapt string
 }
 
@@ -196,13 +214,14 @@ type Update struct {
 }
 
 // Fleet is one shared deployment: an immutable topology + measurement
-// source every hosted query's runtime executes against, plus the
-// configuration runtimes are derived with and an optional fault plan.
+// source every hosted protocol instance's runtime executes against,
+// plus the configuration runtimes are derived with and an optional
+// fault plan.
 type Fleet struct {
 	name   string
 	cfg    experiment.Config
 	dep    *experiment.Deployment
-	faults *fault.Plan    // attached to every query's runtime; nil for none
+	faults *fault.Plan    // attached to every instance's runtime; nil for none
 	arq    *sim.ARQConfig // nil selects sim.DefaultARQ
 }
 
@@ -216,18 +235,23 @@ func (f *Fleet) Config() experiment.Config { return f.cfg }
 func (f *Fleet) Nodes() int { return f.dep.Topology().N() }
 
 // Registry multiplexes registered queries over shared fleets. All
-// methods are safe for concurrent use; Advance steps every query one
-// round on a bounded worker pool.
+// methods are safe for concurrent use; Advance steps every protocol
+// instance one round on a bounded worker pool. Each query belongs to
+// one group (see groupKey), which owns the runtime and driver it
+// shares with its co-members; the query owns its series, alerts, SLOs,
+// controller and subscribers.
 type Registry struct {
 	cfg     Config
 	dropped atomic.Int64 // updates shed by lagging subscribers
 
-	mu      sync.Mutex
-	fleets  map[string]*Fleet
-	queries map[string]*Query
-	clients map[string]int
-	seq     int
-	round   int // rounds advanced since start
+	mu        sync.Mutex
+	fleets    map[string]*Fleet
+	queries   map[string]*Query
+	clients   map[string]int
+	open      map[groupKey]*group // shared groups still admitting members
+	seq       int
+	round     int // rounds advanced since start
+	instances int // protocol instances the last Advance stepped
 }
 
 // NewRegistry builds an empty registry.
@@ -249,6 +273,7 @@ func NewRegistry(cfg Config) *Registry {
 		fleets:  make(map[string]*Fleet),
 		queries: make(map[string]*Query),
 		clients: make(map[string]int),
+		open:    make(map[groupKey]*group),
 	}
 }
 
@@ -273,9 +298,10 @@ func (r *Registry) AddFleet(name string, cfg experiment.Config) (*Fleet, error) 
 	return r.AddFaultyFleet(name, cfg, nil, nil)
 }
 
-// AddFaultyFleet is AddFleet with a fault plan: every query on the
-// fleet attaches plan under arq (nil selects sim.DefaultARQ) with run
-// 0's fault seed, so it recovers exactly like the engine's run 0.
+// AddFaultyFleet is AddFleet with a fault plan: every protocol
+// instance on the fleet attaches plan under arq (nil selects
+// sim.DefaultARQ) with run 0's fault seed, so it recovers exactly like
+// the engine's run 0.
 func (r *Registry) AddFaultyFleet(name string, cfg experiment.Config, plan *fault.Plan, arq *sim.ARQConfig) (*Fleet, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty fleet name")
@@ -318,31 +344,34 @@ func (r *Registry) Fleets() []*Fleet {
 }
 
 // Register admits one query: validates the spec against admission
-// control (ErrQuota), resolves fleet (ErrNotFound) and algorithm,
-// assembles a fresh runtime over the fleet's shared deployment, and
-// attaches the query's isolated series/alert state. The query computes
-// its first answer on the next Advance. Registration itself is cheap —
-// no protocol initialization runs here — so admission stays responsive
-// under load.
+// control (ErrQuota), resolves the fleet (ErrNotFound), builds the
+// query's isolated series/alert/SLO state, and attaches it to a
+// protocol instance: the open group of its key (see groupKey), or a
+// fresh runtime and driver for the resolved algorithm over the fleet's
+// shared deployment. The
+// query computes its first answer on the next Advance. Registration
+// itself is cheap — no protocol initialization runs here — so
+// admission stays responsive under load.
 func (r *Registry) Register(spec Spec) (*Query, error) {
 	cfg, fleet, err := r.admit(&spec)
 	if err != nil {
 		return nil, err
 	}
 	q, err := buildQuery(spec, cfg, fleet, r.cfg)
+	if err == nil {
+		err = r.attach(q, cfg)
+	}
 	if err != nil {
 		r.unadmit(spec)
 		return nil, err
 	}
-	r.mu.Lock()
-	r.queries[spec.ID] = q
-	r.mu.Unlock()
 	return q, nil
 }
 
 // admit reserves a registry slot under the lock: it defaults and
 // validates the spec, checks quotas, and claims the ID and client
-// count so the expensive runtime assembly can run unlocked.
+// count so that parsing the query's rules, objectives and policies can
+// run unlocked.
 func (r *Registry) admit(spec *Spec) (experiment.Config, *Fleet, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -396,16 +425,10 @@ func (r *Registry) unadmit(spec Spec) {
 	}
 }
 
-// buildQuery assembles the per-query runtime and observability state.
+// buildQuery assembles the query's own observability state: its series
+// store, alert engine, SLO tracker, and adaptation controller. The
+// protocol instance comes later, from attach.
 func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Query, error) {
-	factory, err := rcfg.Resolve(spec.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := fleet.dep.NewRuntime(cfg)
-	if err != nil {
-		return nil, err
-	}
 	eng := spec.Alerts
 	if eng == nil && spec.Rules != "" {
 		rules, err := alert.ParseRules(spec.Rules)
@@ -457,75 +480,104 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 		id:     spec.ID,
 		spec:   spec,
 		fleet:  fleet,
+		k:      cfg.K(),
 		store:  store,
 		eng:    eng,
 		slo:    tracker,
 		ctl:    ctl,
 		subBuf: rcfg.SubscriberBuffer,
 	}
-	var sinks []series.Sink
 	if eng != nil {
 		eng.StartRun(spec.Key)
-		sinks = append(sinks, eng.Observe)
-	}
-	if ctl != nil {
-		// The controller rides the same ingester as the query's own
-		// alert engine but evaluates its policies on a private one, so a
-		// query's Rules and its adaptation never interfere.
-		sinks = append(sinks, ctl.Observe)
-	}
-	// The sampling ingester diffs the runtime's cumulative counters at
-	// the round boundaries AdvanceRound emits — the same fast path the
-	// experiment engine and Simulation.SeriesCollector use. A profiled
-	// registry additionally folds the Go runtime's health counters into
-	// each sample and attaches per-phase attribution to the runtime.
-	sampler := experiment.SeriesSampler(rt)
-	if rcfg.Prof != nil {
-		sampler = experiment.ProfSeriesSampler(rt)
 	}
 	if tracker != nil {
-		// Fold the serve-layer columns into each round's sample: the
-		// cumulative answer latency (diffed per round by the ingester)
-		// and the post-evaluation SLO gauges. The closing sample of
-		// round r is read during round r+1's AdvanceRound, after round
-		// r's evaluation, so the gauges line up with their round. The
-		// wrap costs one closure per sample and exists only on queries
-		// with objectives, keeping the no-SLO step path untouched.
 		tracker.StartRun(spec.Key)
-		base := sampler
-		key := spec.Key
-		sampler = func() series.Totals {
-			t := base()
-			t.StepMs = q.stepMs
-			t.SLOBurn, t.SLOSpend = tracker.Gauges(key)
-			return t
-		}
-	}
-	rig := experiment.Rig{
-		Trace:  store.IngestTotals(spec.Key, sampler, sinks...),
-		Faults: fleet.faults, ARQ: fleet.arq, FaultSeed: experiment.FaultSeed(cfg, 0),
-		Ctl: ctl,
-	}
-	if rcfg.Prof != nil {
-		// The handle stays closed between rounds — step brackets each
-		// round with Switch/Close — so allocations made outside this
-		// query's rounds (other queries, the HTTP layer) are never
-		// charged to it.
-		q.ph = rcfg.Prof.Attach(context.Background(), spec.Algorithm,
-			"algorithm", spec.Algorithm, "fleet", spec.Fleet, "query", spec.ID)
-		rig.Prof = q.ph
-	}
-	if q.drv, err = experiment.NewDriver(rt, factory(), cfg.K(), rig); err != nil {
-		return nil, err
-	}
-	if q.ph != nil {
-		q.ph.Close()
 	}
 	return q, nil
 }
 
+// groupKey identifies the protocol instance a query may share. Queries
+// registered before the same Advance with equal keys share one group:
+// the fleet fixes the runtime (deployment, loss stream, fault plan and
+// seed), the algorithm and k fix the protocol, and a group admits
+// members only until its first round, so every member starts together.
+// A query with an adaptation policy, and every query on a profiled
+// registry, keys on its own ID and runs alone: its controller actuates,
+// and its profiling handle attributes, its own protocol instance.
+type groupKey struct {
+	fleet, algorithm string
+	k                int
+	solo             string // the query ID for a query that runs alone
+}
+
+func (r *Registry) groupKey(q *Query) groupKey {
+	if q.ctl != nil || r.cfg.Prof != nil {
+		return groupKey{solo: q.id}
+	}
+	return groupKey{fleet: q.fleet.name, algorithm: q.spec.Algorithm, k: q.k}
+}
+
+// attach joins q to the open group of its key, or to a new group, and
+// publishes q in the registry, under one hold of the registry lock so
+// that no Advance can start the group in between.
+func (r *Registry) attach(q *Query, cfg experiment.Config) error {
+	key := r.groupKey(q)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g := r.open[key]
+	if g == nil {
+		var err error
+		if g, err = r.newGroup(q, cfg); err != nil {
+			return err
+		}
+		if key.solo == "" {
+			r.open[key] = g
+		}
+	}
+	g.join(q)
+	r.queries[q.id] = q
+	return nil
+}
+
+// newGroup resolves q's algorithm and assembles a runtime over q's
+// fleet and the driver of one protocol instance, with q's controller
+// and (on a profiled registry) q's profiling handle; both exist only on
+// groups q runs alone in.
+func (r *Registry) newGroup(q *Query, cfg experiment.Config) (*group, error) {
+	factory, err := r.cfg.Resolve(q.spec.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	rt, err := q.fleet.dep.NewRuntime(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g := &group{}
+	rig := experiment.Rig{
+		Trace:  g,
+		Faults: q.fleet.faults, ARQ: q.fleet.arq, FaultSeed: experiment.FaultSeed(cfg, 0),
+		Ctl: q.ctl,
+	}
+	if r.cfg.Prof != nil {
+		// The handle stays closed between rounds — step brackets each
+		// round with Switch/Close — so allocations made outside this
+		// query's rounds (other queries, the HTTP layer) are never
+		// charged to it.
+		g.ph = r.cfg.Prof.Attach(context.Background(), q.spec.Algorithm,
+			"algorithm", q.spec.Algorithm, "fleet", q.spec.Fleet, "query", q.id)
+		rig.Prof = g.ph
+	}
+	if g.drv, err = experiment.NewDriver(rt, factory(), q.k, rig); err != nil {
+		return nil, err
+	}
+	if g.ph != nil {
+		g.ph.Close()
+	}
+	return g, nil
+}
+
 // Deregister removes a query, closes its subscriptions, and flushes
-// the final round into its series.
+// its final round into its series.
 func (r *Registry) Deregister(id string) error {
 	r.mu.Lock()
 	q, ok := r.queries[id]
@@ -538,6 +590,7 @@ func (r *Registry) Deregister(id string) error {
 		delete(r.clients, q.spec.Client)
 	}
 	r.mu.Unlock()
+	q.g.leave(q)
 	q.close()
 	return nil
 }
@@ -581,28 +634,46 @@ func (r *Registry) Round() int {
 	return r.round
 }
 
+// Instances returns the number of protocol instances the last Advance
+// stepped: at most the number of queries it stepped, fewer when
+// queries share instances.
+func (r *Registry) Instances() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.instances
+}
+
 // Dropped returns the total updates shed by lagging subscribers.
 func (r *Registry) Dropped() int64 { return r.dropped.Load() }
 
-// Advance is the registry's round clock tick: every registered query
-// executes one protocol round against its fleet (initialization on its
-// first tick) and publishes an Update to its subscribers. Queries step
-// concurrently on a bounded worker pool — safe because fleets are
-// immutable and every query owns its runtime — and a query's rounds
-// are totally ordered by its own mutex, so concurrent Register and
-// Subscribe calls interleave without tearing a round. Returns the
-// number of queries stepped.
+// Advance is the registry's round clock tick: every protocol instance
+// executes one round against its fleet (initialization on its first
+// tick) and publishes one Update to each of its queries' subscribers.
+// Instances step concurrently on a bounded worker pool — safe because
+// fleets are immutable and every instance owns its runtime — and an
+// instance's rounds are totally ordered by its group's mutex, so
+// concurrent Register and Subscribe calls interleave without tearing a
+// round. Every group stops admitting members here. Returns the number
+// of queries stepped.
 func (r *Registry) Advance() int {
 	r.mu.Lock()
 	r.round++
-	qs := make([]*Query, 0, len(r.queries))
+	clear(r.open)
+	queries := 0
+	gs := make([]*group, 0, len(r.queries))
 	for _, q := range r.queries {
-		if q != nil {
-			qs = append(qs, q)
+		if q == nil {
+			continue
+		}
+		queries++
+		if q.g.tick != r.round {
+			q.g.tick = r.round
+			gs = append(gs, q.g)
 		}
 	}
+	r.instances = len(gs)
 	r.mu.Unlock()
-	if len(qs) == 0 {
+	if len(gs) == 0 {
 		return 0
 	}
 	workers := r.cfg.Workers
@@ -614,50 +685,214 @@ func (r *Registry) Advance() int {
 		// each phase span; concurrent rounds would cross-charge.
 		workers = 1
 	}
-	if workers > len(qs) {
-		workers = len(qs)
+	if workers > len(gs) {
+		workers = len(gs)
 	}
 	var wg sync.WaitGroup
-	next := make(chan *Query)
+	next := make(chan *group)
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			for q := range next {
-				q.step(&r.dropped)
+			for g := range next {
+				g.step(&r.dropped)
 			}
 		}()
 	}
-	for _, q := range qs {
-		next <- q
+	for _, g := range gs {
+		next <- g
 	}
 	close(next)
 	wg.Wait()
-	return len(qs)
+	return queries
 }
 
-// Query is one registered continuous quantile query: a private runtime
-// and protocol instance (driven by an experiment.Driver) over the
-// fleet's shared deployment, plus the query's isolated series store,
-// alert engine, and subscriber list.
+// group is one protocol instance — a runtime and the experiment.Driver
+// that steps it over a fleet's shared deployment — and the queries that
+// share it. It is the runtime's only trace collector: a fan-out over
+// its members' series ingesters, each diffing the shared runtime's
+// counters under its own query's key. A member joins before the
+// group's first round and leaves when it deregisters; the group itself
+// is garbage once no registered query references it.
+type group struct {
+	drv  *experiment.Driver
+	ph   *prof.Handle // the sole member's handle on a profiled registry
+	tick int          // the Advance that last collected it; guarded by Registry.mu
+
+	mu      sync.Mutex // orders rounds, joins and leaves
+	members []*Query
+	failed  bool
+}
+
+// Collect forwards the runtime's round-level events to every member's
+// ingester.
+func (g *group) Collect(e trace.Event) {
+	for _, q := range g.members {
+		q.ing.Collect(e)
+	}
+}
+
+// SkipsHops makes the group a trace.RoundCollector: its members'
+// ingesters read no per-hop events, so the runtime builds none.
+func (g *group) SkipsHops() {}
+
+// join builds q's series ingester over the shared runtime and adds it
+// to the fan-out. The runtime opened its current round when the group
+// attached; the new ingester gets that round-start alone, since a
+// second SetTrace would re-open the co-members' round too.
+func (g *group) join(q *Query) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	rt := g.drv.Runtime()
+	var sinks []series.Sink
+	if q.eng != nil {
+		sinks = append(sinks, q.eng.Observe)
+	}
+	if q.ctl != nil {
+		// The controller rides the same ingester as the query's own
+		// alert engine but evaluates its policies on a private one, so a
+		// query's Rules and its adaptation never interfere.
+		sinks = append(sinks, q.ctl.Observe)
+	}
+	// The sampling ingester diffs the runtime's cumulative counters at
+	// the round boundaries AdvanceRound emits — the same fast path the
+	// experiment engine and Simulation.SeriesCollector use. A profiled
+	// registry additionally folds the Go runtime's health counters into
+	// each sample.
+	sampler := experiment.SeriesSampler(rt)
+	if g.ph != nil {
+		sampler = experiment.ProfSeriesSampler(rt)
+	}
+	if q.slo != nil {
+		// Fold the serve-layer columns into each round's sample: the
+		// cumulative answer latency (diffed per round by the ingester)
+		// and the post-evaluation SLO gauges. The closing sample of
+		// round r is read during round r+1's AdvanceRound, after round
+		// r's evaluation, so the gauges line up with their round. The
+		// wrap costs one closure per sample and exists only on queries
+		// with objectives, keeping the no-SLO step path untouched.
+		base, tracker, key := sampler, q.slo, q.spec.Key
+		sampler = func() series.Totals {
+			t := base()
+			t.StepMs = q.stepMs
+			t.SLOBurn, t.SLOSpend = tracker.Gauges(key)
+			return t
+		}
+	}
+	q.g = g
+	q.ing = q.store.IngestTotals(q.spec.Key, sampler, sinks...)
+	q.ing.Collect(trace.Event{Kind: trace.KindRoundStart, Round: rt.Round(), Node: -1})
+	g.members = append(g.members, q)
+}
+
+// leave removes q from the fan-out and flushes q's final round into
+// q's own series; the co-members' open round is untouched. The
+// profiling handle is closed between rounds, so nothing else needs
+// flushing.
+func (g *group) leave(q *Query) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i, m := range g.members {
+		if m == q {
+			g.members = append(g.members[:i], g.members[i+1:]...)
+			q.ing.Collect(trace.Event{Kind: trace.KindRoundEnd, Round: g.drv.Runtime().Round(), Node: -1})
+			return
+		}
+	}
+}
+
+// step executes one protocol round through the group's driver — the
+// same round loop and recovery contract as the experiment engine and
+// Simulation: the first round initializes, a repair or a desync under
+// loss or faults replays the initialization (Update.Reinit), and any
+// other error parks the group and every member. The round's decision
+// is traced — feeding each member's series ingester and alert sinks —
+// and each member publishes its Update.
+func (g *group) step(dropped *atomic.Int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.members) == 0 || g.failed {
+		return
+	}
+	rt := g.drv.Runtime()
+	if g.ph != nil {
+		// Open this round's attribution span on the stepping goroutine
+		// and flush it when the round ends, so the interleaved rounds
+		// of other queries are never charged to this query's buckets.
+		g.ph.Switch(rt.Phase())
+		defer g.ph.Close()
+	}
+	var began time.Time
+	for _, q := range g.members {
+		if q.slo != nil {
+			// The latency objective wants wall-clock time, but it must
+			// never leak into the deterministic state: it feeds only
+			// the SLO sample and the series StepMs column, both absent
+			// from recordings of unserved runs.
+			began = time.Now()
+			break
+		}
+	}
+	v, reinit, err := g.drv.Step()
+	round := g.drv.Round()
+	if err != nil {
+		g.failed = true
+		for _, q := range g.members {
+			q.mu.Lock()
+			q.failed = err
+			q.publish(Update{Query: q.id, Round: round, Failed: err.Error()}, dropped)
+			q.mu.Unlock()
+		}
+		return
+	}
+	k := g.drv.K()
+	u := Update{
+		Round:     round,
+		Quantile:  v,
+		Oracle:    rt.Oracle(k),
+		RankError: rt.RankErrorOf(k, v),
+		Joules:    rt.Ledger().TotalSpent(),
+		Frames:    rt.Stats().FramesSent,
+		Degraded:  rt.CoverageDeficit() > 0,
+		Staleness: rt.Staleness(),
+		Missing:   rt.Missing(),
+		Reinit:    reinit,
+	}
+	var latency float64
+	if !began.IsZero() {
+		latency = float64(time.Since(began)) / float64(time.Millisecond)
+	}
+	for _, q := range g.members {
+		q.finish(u, latency, rt.N(), dropped)
+	}
+}
+
+// Query is one registered continuous quantile query: a member of the
+// group that runs its protocol instance, plus the query's isolated
+// series store, alert engine, SLO tracker, controller, and subscriber
+// list. The group owns the runtime and driver; everything a client
+// reads is per query.
 type Query struct {
 	id     string
 	spec   Spec
 	fleet  *Fleet
+	k      int
 	subBuf int
+	store  *series.Store
+	eng    *alert.Engine
+	slo    *slo.Tracker
+	ctl    *adapt.Controller
+
+	// Round state, set at join and then written only under g.mu.
+	g       *group
+	ing     trace.Collector // the query's series ingester in g's fan-out
+	alertAt int             // absolute alert-log cursor (alert.Engine.LogSince)
+	sloAt   int             // absolute SLO-event cursor (slo.Tracker.LogSince)
+	adaptAt int             // absolute decision-log cursor (adapt.Controller.DecisionsSince)
+	stepMs  float64         // cumulative answer latency, sampled into the series
 
 	mu      sync.Mutex
-	drv     *experiment.Driver
-	ph      *prof.Handle
-	store   *series.Store
-	eng     *alert.Engine
-	slo     *slo.Tracker
-	ctl     *adapt.Controller
 	closed  bool
-	alertAt int     // absolute alert-log cursor (alert.Engine.LogSince)
-	sloAt   int     // absolute SLO-event cursor (slo.Tracker.LogSince)
-	adaptAt int     // absolute decision-log cursor (adapt.Controller.DecisionsSince)
-	stepMs  float64 // cumulative answer latency, sampled into the series
 	last    Update
 	hasLast bool
 	failed  error
@@ -671,7 +906,7 @@ func (q *Query) ID() string { return q.id }
 func (q *Query) Spec() Spec { return q.spec }
 
 // K returns the queried rank derived from φ and the fleet size.
-func (q *Query) K() int { return q.drv.K() }
+func (q *Query) K() int { return q.k }
 
 // Latest returns the most recent Update; ok is false before the first
 // Advance after registration.
@@ -699,56 +934,12 @@ func (q *Query) Alerts() *alert.Engine { return q.eng }
 // query without objectives).
 func (q *Query) SLO() *slo.Tracker { return q.slo }
 
-// step executes one protocol round through the query's driver — the
-// same round loop and recovery contract as the experiment engine and
-// Simulation: the first round initializes, a repair or a desync under
-// loss or faults replays the initialization (Update.Reinit), and any
-// other error parks the query. The round's decision is traced —
-// feeding the series ingester and alert sinks — and the resulting
-// Update published.
-func (q *Query) step(dropped *atomic.Int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || q.failed != nil {
-		return
-	}
-	rt := q.drv.Runtime()
-	if q.ph != nil {
-		// Open this round's attribution span on the stepping goroutine
-		// and flush it when the round ends, so the interleaved rounds
-		// of other queries are never charged to this query's buckets.
-		q.ph.Switch(rt.Phase())
-		defer q.ph.Close()
-	}
-	var began time.Time
-	if q.slo != nil {
-		// The latency objective wants wall-clock time, but it must
-		// never leak into the deterministic state: it feeds only the
-		// SLO sample and the series StepMs column, both absent from
-		// recordings of unserved runs.
-		began = time.Now()
-	}
-	v, reinit, err := q.drv.Step()
-	round := q.drv.Round()
-	if err != nil {
-		q.failed = err
-		q.publish(Update{Query: q.id, Round: round, Failed: err.Error()}, dropped)
-		return
-	}
-	k := q.drv.K()
-	u := Update{
-		Query:     q.id,
-		Round:     round,
-		Quantile:  v,
-		Oracle:    rt.Oracle(k),
-		RankError: rt.RankErrorOf(k, v),
-		Joules:    rt.Ledger().TotalSpent(),
-		Frames:    rt.Stats().FramesSent,
-		Degraded:  rt.CoverageDeficit() > 0,
-		Staleness: rt.Staleness(),
-		Missing:   rt.Missing(),
-		Reinit:    reinit,
-	}
+// finish completes the shared round's Update u with q's own alert,
+// adaptation and SLO state and publishes it. latency is the round's
+// answer latency in ms (measured only when a member has objectives)
+// and n the fleet's sensor count. Callers hold q.g.mu.
+func (q *Query) finish(u Update, latency float64, n int, dropped *atomic.Int64) {
+	u.Query = q.id
 	if q.eng != nil {
 		u.Alerts, q.alertAt = q.eng.LogSince(q.alertAt)
 	}
@@ -756,20 +947,22 @@ func (q *Query) step(dropped *atomic.Int64) {
 		u.Adapts, q.adaptAt = q.ctl.DecisionsSince(q.adaptAt)
 	}
 	if q.slo != nil {
-		u.LatencyMs = float64(time.Since(began)) / float64(time.Millisecond)
-		q.stepMs += u.LatencyMs
+		u.LatencyMs = latency
+		q.stepMs += latency
 		q.slo.Observe(q.spec.Key, slo.Sample{
-			Round:     round,
+			Round:     u.Round,
 			RankError: u.RankError,
-			N:         rt.N(),
+			N:         n,
 			Degraded:  u.Degraded,
 			Staleness: u.Staleness,
-			LatencyMs: u.LatencyMs,
+			LatencyMs: latency,
 		})
 		u.SLO = q.slo.StatusesFor(q.spec.Key)
 		u.SLOEvents, q.sloAt = q.slo.LogSince(q.sloAt)
 	}
+	q.mu.Lock()
 	q.publish(u, dropped)
+	q.mu.Unlock()
 }
 
 // publish retains u as the latest update and fans it out to the
@@ -796,16 +989,11 @@ func (q *Query) publish(u Update, dropped *atomic.Int64) {
 	}
 }
 
-// close flushes the final round into the series and closes every
-// subscription.
+// close closes every subscription; the query has left its group.
 func (q *Query) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
 	q.closed = true
-	q.drv.Runtime().EndTrace()
 	for _, s := range q.subs {
 		close(s.ch)
 	}

@@ -107,8 +107,8 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := r.Register(Spec{ID: "c", Client: "c3", Fleet: "fleet0", Algorithm: "IQ"}); err != nil {
 		t.Fatalf("register after free slot: %v", err)
 	}
-	// A bad algorithm fails in buildQuery, after admit — the slot must
-	// roll back too.
+	// A bad algorithm fails after admit, when its protocol instance is
+	// built — the slot must roll back too.
 	if err := r.Deregister("b"); err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +292,42 @@ func TestHandlerBranches(t *testing.T) {
 	if status.Queries != 0 || status.Fleets != 1 {
 		t.Fatalf("status = %+v", status)
 	}
+
+	// Sharing is visible on /serve: two same-key queries step one
+	// protocol instance, a same-key pair with an adaptation policy two.
+	for _, c := range []struct {
+		adapt     string
+		instances int
+	}{{"", 1}, {"on storm(warn) do widen 1.5", 2}} {
+		r := newTestRegistry(t, Config{})
+		ts := httptest.NewServer(Handler(r, nil))
+		defer ts.Close()
+		for _, id := range []string{"a", "b"} {
+			body, _ := json.Marshal(Spec{ID: id, Fleet: "fleet0", Algorithm: "IQ", Phi: 0.5, Adapt: c.adapt})
+			resp, err := http.Post(ts.URL+"/queries", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("register %s: %d, want 201", id, resp.StatusCode)
+			}
+		}
+		r.Advance()
+		resp, err := http.Get(ts.URL + "/serve")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var status StatusView
+		err = json.NewDecoder(resp.Body).Decode(&status)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status.Queries != 2 || status.Instances != c.instances {
+			t.Fatalf("adapt %q: status = %+v, want 2 queries on %d instances", c.adapt, status, c.instances)
+		}
+	}
 }
 
 // TestServeHammer runs registration, deregistration, subscription, and
@@ -311,8 +347,10 @@ func TestServeHammer(t *testing.T) {
 		}
 	}()
 
-	// Churners: register a query, subscribe, drain a few updates,
-	// deregister; IDs collide across workers on purpose.
+	// Churners: register a query and a same-key twin, subscribe, drain
+	// a few updates, deregister the twin mid-stream, then the query; IDs
+	// collide across workers on purpose. Twins and the other workers'
+	// same-key queries join and leave shared protocol instances.
 	const workers, perWorker = 8, 12
 	var churn sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -326,10 +364,14 @@ func TestServeHammer(t *testing.T) {
 				if err != nil {
 					continue // collision with another worker
 				}
+				twin, _ := r.Register(Spec{ID: id + "t", Client: "hammer", Fleet: "fleet0", Algorithm: alg})
 				sub := q.Subscribe()
 				for n := 0; n < 3; n++ {
 					if _, ok := <-sub.Updates(); !ok {
 						break
+					}
+					if n == 1 && twin != nil {
+						r.Deregister(twin.ID()) // may race another churner: both outcomes fine
 					}
 				}
 				q.Unsubscribe(sub)

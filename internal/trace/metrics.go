@@ -29,8 +29,8 @@ type RoundStats struct {
 
 // Metrics is a collector that folds the event stream into per-node and
 // per-round counters plus an energy timeline — the always-on
-// observability view of a run (as opposed to the full event log a Ring
-// or Writer keeps).
+// observability view of a run (as opposed to the full event log a
+// Recorder or Writer keeps).
 type Metrics struct {
 	nodes  []NodeStats
 	rounds []RoundStats

@@ -65,31 +65,6 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
-func TestRingWraparound(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 7; i++ {
-		r.Collect(Event{Kind: KindSend, Round: i})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", r.Len())
-	}
-	got := r.Events()
-	for i, want := range []int{4, 5, 6} {
-		if got[i].Round != want {
-			t.Fatalf("Events()[%d].Round = %d, want %d (oldest-first order)", i, got[i].Round, want)
-		}
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("Reset left Len=%d", r.Len())
-	}
-	// Partially filled ring keeps insertion order.
-	r.Collect(Event{Round: 9})
-	if got := r.Events(); len(got) != 1 || got[0].Round != 9 {
-		t.Fatalf("partially filled ring returned %v", got)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	events := []Event{
 		{Kind: KindRoundStart, Round: 0, Node: -1},

@@ -34,8 +34,10 @@ type ServerConfig struct {
 	// update (counted in Dropped) rather than stalling the round
 	// clock. 0 selects the default (16).
 	SubscriberBuffer int
-	// Workers bounds the stepping pool each Advance fans queries out
-	// over; 0 uses one worker per CPU.
+	// Workers bounds the stepping pool each Advance fans protocol
+	// instances out over; 0 uses one worker per CPU. Queries registered
+	// before the same Advance with the same fleet, algorithm and rank
+	// share one instance unless they declare adaptation policies.
 	Workers int
 	// SLO optionally declares default objectives (ParseSLOSpecs
 	// grammar) evaluated for every query that does not override them;
