@@ -45,7 +45,8 @@ help:
 	@echo "  trace-guard disabled-tracer overhead vs the 2% budget (idle machine)"
 	@echo "  series-guard series-ingest overhead vs the 2% budget (idle machine)"
 	@echo "  prof-guard  phase-attribution overhead vs the 2% budget (idle machine)"
-	@echo "  bench       run all Go benchmarks with -benchmem"
+	@echo "  bench       run the root package's and internal/sim's Go"
+	@echo "              benchmarks with -benchmem"
 	@echo "  bench-json  measure tracked hot paths into BENCH_<date>.json; the"
 	@echo "              regression guard (TestBenchRegressionGuard) diffs the"
 	@echo "              newest two sessions and fails on >15% hot-path slowdown"
@@ -236,7 +237,7 @@ staticcheck:
 check: vet staticcheck race oracle telemetry alert prof chaos serve scenario slo adapt fuzz-smoke
 
 bench:
-	$(GO) test -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/sim/
 
 # bench-json appends one session to the perf trajectory: commit the
 # produced BENCH_<date>.json and TestBenchRegressionGuard will diff it

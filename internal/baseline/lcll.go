@@ -161,14 +161,17 @@ func (l *LCLL) validate(rt *sim.Runtime) {
 			d.Merge(&child.CellVector)
 			child.release()
 		}
-		oldC, ok1 := part.CellOf(l.prev[n])
-		newC, ok2 := part.CellOf(rt.Reading(n))
-		if ok1 && ok2 && oldC != newC {
-			if d == nil {
-				d = getCellDeltas(cells, sizes)
+		// An unchanged reading cannot have changed cell.
+		if prev, cur := l.prev[n], rt.Reading(n); prev != cur {
+			oldC, ok1 := part.CellOf(prev)
+			newC, ok2 := part.CellOf(cur)
+			if ok1 && ok2 && oldC != newC {
+				if d == nil {
+					d = getCellDeltas(cells, sizes)
+				}
+				d.Add(oldC, -1)
+				d.Add(newC, +1)
 			}
-			d.Add(oldC, -1)
-			d.Add(newC, +1)
 		}
 		if d == nil {
 			return nil

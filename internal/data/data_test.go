@@ -356,3 +356,40 @@ func writeTracesCSV(w io.Writer, t *Trace) error {
 	}
 	return bw.Flush()
 }
+
+// TestFillMatchesValue: a source's Fill writes exactly what Value
+// returns for every node, over several synthetic configurations and a
+// trace whose rounds wrap.
+func TestFillMatchesValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pos := wsn.RandomPlacement(97, 200, rng)
+	var sources []Source
+	for _, cfg := range []SyntheticConfig{
+		{Seed: 1, Period: 8, NoisePct: 0},
+		{Seed: 2, Period: 25, NoisePct: 5},
+		{Seed: 3, Period: 7, NoisePct: 100, AmplitudeFrac: 0.5, Universe: 1 << 10},
+		{Seed: 4, Period: 1000, NoisePct: 12.5, SpreadFrac: 0.1, Lattice: 4},
+	} {
+		s, err := NewSynthetic(cfg, pos, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, s)
+	}
+	tr, err := NewTrace([][]int{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources = append(sources, tr)
+	for i, src := range sources {
+		dst := make([]int, src.Nodes())
+		for _, round := range []int{0, 1, 2, 5, 13, 64, 999, 12345} {
+			src.Fill(round, dst)
+			for node, got := range dst {
+				if want := src.Value(node, round); got != want {
+					t.Fatalf("source %d round %d node %d: Fill %d, Value %d", i, round, node, got, want)
+				}
+			}
+		}
+	}
+}

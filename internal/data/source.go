@@ -21,6 +21,10 @@ type Source interface {
 	Nodes() int
 	// Value returns node's measurement at the given round (round >= 0).
 	Value(node, round int) int
+	// Fill writes every node's measurement at the given round into
+	// dst (len(dst) == Nodes()): dst[i] == Value(i, round), with the
+	// work shared by all nodes done once.
+	Fill(round int, dst []int)
 	// Universe returns the assumed closed integer range [lo, hi] of
 	// possible measurements (the universe r the search-based algorithms
 	// operate on). Every Value result lies within it.
@@ -96,6 +100,13 @@ func (t *Trace) Rounds() int { return len(t.series[0]) }
 func (t *Trace) Value(node, round int) int {
 	s := t.series[node]
 	return s[round%len(s)]
+}
+
+// Fill implements Source.
+func (t *Trace) Fill(round int, dst []int) {
+	for i, s := range t.series {
+		dst[i] = s[round%len(s)]
+	}
 }
 
 // Universe implements Source.

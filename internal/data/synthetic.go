@@ -172,11 +172,31 @@ func (s *Synthetic) Nodes() int { return len(s.base) }
 func (s *Synthetic) Universe() (lo, hi int) { return 0, s.cfg.Universe - 1 }
 
 // Value implements Source.
-func (s *Synthetic) Value(node, round int) int {
+func (s *Synthetic) Value(node, round int) int { return s.at(node, round, s.drift(round)) }
+
+// Fill implements Source: the drift term is one per round, so it is
+// computed once for all nodes.
+func (s *Synthetic) Fill(round int, dst []int) {
+	d := s.drift(round)
+	for i := range s.base {
+		dst[i] = s.at(i, round, d)
+	}
+}
+
+// drift returns the global sinusoid's offset at the given round. The
+// conversion keeps the product rounded on its own, so no platform
+// fuses it into at's sum and Value and Fill agree bit for bit.
+func (s *Synthetic) drift(round int) float64 {
+	amp := s.cfg.AmplitudeFrac * float64(s.cfg.Universe-1)
+	phase := 2 * math.Pi * float64(round) / float64(s.cfg.Period)
+	return float64(amp * math.Sin(phase))
+}
+
+// at is node's measurement at the given round, with that round's drift.
+func (s *Synthetic) at(node, round int, drift float64) int {
 	r := float64(s.cfg.Universe - 1)
 	amp := s.cfg.AmplitudeFrac * r
-	phase := 2 * math.Pi * float64(round) / float64(s.cfg.Period)
-	v := s.base[node]*r + amp*math.Sin(phase)
+	v := s.base[node]*r + drift
 	// ψ percent of the peak-to-peak amplitude, uniform and symmetric.
 	noiseMag := s.cfg.NoisePct / 100 * 2 * amp
 	v += noiseMag * symmetricFloat(uint64(s.cfg.Seed)^0x5A5A, node, round) / 2

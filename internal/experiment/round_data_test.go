@@ -7,7 +7,8 @@ import (
 	"wsnq/internal/sim"
 )
 
-// countingSource counts Value calls per round.
+// countingSource counts source evaluations per round: one per Value
+// call, and one per node a Fill writes.
 type countingSource struct {
 	data.Source
 	calls map[int]int
@@ -16,6 +17,11 @@ type countingSource struct {
 func (c *countingSource) Value(node, round int) int {
 	c.calls[round]++
 	return c.Source.Value(node, round)
+}
+
+func (c *countingSource) Fill(round int, dst []int) {
+	c.calls[round] += len(dst)
+	c.Source.Fill(round, dst)
 }
 
 // TestSourceEvaluatedOncePerRound drives every standard algorithm

@@ -108,22 +108,6 @@ func TestMinMaxCounts(t *testing.T) {
 	}
 }
 
-func TestRunningStats(t *testing.T) {
-	var r Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Fatalf("N = %d", r.N())
-	}
-	if r.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", r.Mean())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", r.Min(), r.Max())
-	}
-}
-
 func TestClampCeilDiv(t *testing.T) {
 	if CeilDiv(10, 3) != 4 || CeilDiv(9, 3) != 3 || CeilDiv(0, 5) != 0 {
 		t.Error("CeilDiv misbehaves")

@@ -107,10 +107,15 @@ type Counters struct {
 	sizes msg.Sizes
 }
 
-// getCounters returns a zeroed pooled Counters payload.
+// getCounters returns a zeroed pooled Counters payload. It resets the
+// fields one by one: assigning a whole Counters would copy the struct,
+// msg.Sizes included, on every get.
 func getCounters(mode HintMode, sizes msg.Sizes) *Counters {
 	c := countersPool.Get().(*Counters)
-	*c = Counters{Attached: c.Attached[:0], mode: mode, sizes: sizes}
+	c.OutOfL, c.IntoL, c.OutOfG, c.IntoG = 0, 0, 0, 0
+	c.HintLo, c.HintHi, c.HasLo, c.HasHi = 0, 0, false, false
+	c.Attached = c.Attached[:0]
+	c.mode, c.sizes = mode, sizes
 	return c
 }
 

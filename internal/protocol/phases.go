@@ -57,37 +57,55 @@ type ValidationSpec struct {
 func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 	sizes := rt.Sizes()
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		cur := rt.Reading(n)
-		c := getCounters(spec.Hints, sizes)
-		oldR := Classify(spec.Prev(n), spec.Lb, spec.Ub)
-		newR := Classify(cur, spec.Lb, spec.Ub)
-		if oldR != newR {
-			switch oldR {
-			case RegionLess:
-				c.OutOfL = 1
-			case RegionGreater:
-				c.OutOfG = 1
-			}
-			switch newR {
-			case RegionLess:
-				c.IntoL = 1
-				c.HintLo, c.HasLo = cur, true
-			case RegionGreater:
-				c.IntoG = 1
-				c.HintHi, c.HasHi = cur, true
-			}
-		}
-		if spec.Attach != nil && spec.Attach(n, cur) {
-			c.Attached = append(c.Attached, cur)
-		}
+		// The first child's counters are adopted and forwarded, so a
+		// node relaying one subtree takes no payload of its own. The
+		// merge is order-free apart from Attached, which the root sorts.
+		var c *Counters
 		for _, ch := range children {
 			child := ch.(*Counters)
+			if c == nil {
+				c = child
+				continue
+			}
 			c.merge(child)
 			child.release()
 		}
-		if c.Empty() {
-			c.release()
-			return nil
+		cur := rt.Reading(n)
+		oldR := Classify(spec.Prev(n), spec.Lb, spec.Ub)
+		newR := Classify(cur, spec.Lb, spec.Ub)
+		attach := spec.Attach != nil && spec.Attach(n, cur)
+		if oldR == newR && !attach {
+			// A child's payload is never empty, so c is nil or has news.
+			if c == nil {
+				return nil
+			}
+			return c
+		}
+		if c == nil {
+			c = getCounters(spec.Hints, sizes)
+		}
+		if oldR != newR {
+			switch oldR {
+			case RegionLess:
+				c.OutOfL++
+			case RegionGreater:
+				c.OutOfG++
+			}
+			switch newR {
+			case RegionLess:
+				c.IntoL++
+				if !c.HasLo || cur < c.HintLo {
+					c.HintLo, c.HasLo = cur, true
+				}
+			case RegionGreater:
+				c.IntoG++
+				if !c.HasHi || cur > c.HintHi {
+					c.HintHi, c.HasHi = cur, true
+				}
+			}
+		}
+		if attach {
+			c.Attached = append(c.Attached, cur)
 		}
 		return c
 	})
@@ -112,18 +130,31 @@ func (s LEG) Apply(c *Counters) LEG {
 // measurement v when keep(n, v) holds and appends its children's
 // values, then trim (if non-nil) cuts the list before it is forwarded;
 // nodes left with no values stay silent. The values that reach the
-// root are returned concatenated and untrimmed (nil when none arrive).
+// root are returned concatenated and untrimmed (nil when none arrive),
+// in no particular order: every caller sorts or trims them.
 func GatherValues(rt *sim.Runtime, keep func(node, v int) bool, trim func([]int) []int) []int {
 	sizes := rt.Sizes()
 	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
-		v := getValues(sizes)
-		if r := rt.Reading(n); keep(n, r) {
-			v.Vals = append(v.Vals, r)
-		}
+		// The first child's values are adopted and forwarded, so a node
+		// relaying one subtree takes no payload of its own.
+		var v *Values
 		for _, ch := range children {
 			child := ch.(*Values)
+			if v == nil {
+				v = child
+				continue
+			}
 			v.Vals = append(v.Vals, child.Vals...)
 			child.release()
+		}
+		if r := rt.Reading(n); keep(n, r) {
+			if v == nil {
+				v = getValues(sizes)
+			}
+			v.Vals = append(v.Vals, r)
+		}
+		if v == nil {
+			return nil
 		}
 		if trim != nil {
 			v.Vals = trim(v.Vals)

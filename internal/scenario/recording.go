@@ -60,39 +60,55 @@ type fileRecord struct {
 	Round  *roundRecord `json:"round,omitempty"`
 }
 
-// readHeader decodes and verifies just the header line of a recording —
-// the cheap integrity check tools use before committing to a replay.
-func readHeader(r io.Reader) (*Header, *Scenario, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	line, err := br.ReadBytes('\n')
-	if err != nil && len(line) == 0 {
-		return nil, nil, fmt.Errorf("scenario: recording is empty: %w", err)
+// openRecording reads and verifies a recording's header line and
+// returns the embedded scenario with a scanner over the records after
+// it. The scanner reads r directly, through one buffer that starts
+// small and grows only for a longer line (the header, which carries
+// the scenario text), up to maxRecordBytes.
+func openRecording(r io.Reader) (*bufio.Scanner, *Scenario, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxRecordBytes)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, nil, fmt.Errorf("scenario: reading recording header: %w", err)
+		}
+		return nil, nil, fmt.Errorf("scenario: recording is empty: %w", io.EOF)
 	}
+	s, err := parseHeader(sc.Bytes())
+	if err != nil {
+		return nil, nil, err
+	}
+	return sc, s, nil
+}
+
+// parseHeader decodes and verifies a recording's header line.
+func parseHeader(line []byte) (*Scenario, error) {
 	var rec fileRecord
 	if err := json.Unmarshal(line, &rec); err != nil {
-		return nil, nil, fmt.Errorf("scenario: bad recording header: %w", err)
+		return nil, fmt.Errorf("scenario: bad recording header: %w", err)
 	}
 	if rec.Header == nil {
-		return nil, nil, fmt.Errorf("scenario: recording does not start with a header record")
+		return nil, fmt.Errorf("scenario: recording does not start with a header record")
 	}
 	h := rec.Header
 	if h.Format != recordingFormat {
-		return nil, nil, fmt.Errorf("scenario: recording format %q (want %q)", h.Format, recordingFormat)
+		return nil, fmt.Errorf("scenario: recording format %q (want %q)", h.Format, recordingFormat)
 	}
 	if h.Version != recordingVersion {
-		return nil, nil, fmt.Errorf("scenario: recording version %d (want %d)", h.Version, recordingVersion)
+		return nil, fmt.Errorf("scenario: recording version %d (want %d)", h.Version, recordingVersion)
 	}
 	s, err := Parse(h.Scenario)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: embedded scenario: %w", err)
+		return nil, fmt.Errorf("scenario: embedded scenario: %w", err)
 	}
 	if s.String() != h.Scenario {
-		return nil, nil, fmt.Errorf("scenario: embedded scenario text is not canonical")
+		return nil, fmt.Errorf("scenario: embedded scenario text is not canonical")
 	}
-	if s.Hash() != h.SHA256 {
-		return nil, nil, fmt.Errorf("scenario: header hash %.12s… does not match embedded scenario (%.12s…)", h.SHA256, s.Hash())
+	// The text is canonical, so its hash is the scenario's Hash.
+	if sum := hashText(h.Scenario); sum != h.SHA256 {
+		return nil, fmt.Errorf("scenario: header hash %.12s… does not match embedded scenario (%.12s…)", h.SHA256, sum)
 	}
-	return h, s, nil
+	return s, nil
 }
 
 // Replay streams a recording back through the series store and alert
@@ -102,8 +118,7 @@ func readHeader(r io.Reader) (*Header, *Scenario, error) {
 // re-simulates), which is also why replay runs orders of magnitude
 // faster than live.
 func Replay(r io.Reader) (*Outcome, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	_, s, err := readHeader(br)
+	sc, s, err := openRecording(r)
 	if err != nil {
 		return nil, err
 	}
@@ -133,17 +148,24 @@ func Replay(r io.Reader) (*Outcome, error) {
 	}
 	ctls := newReplayControllers(s, budget)
 
-	out := &Outcome{Scenario: s, Replayed: true}
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
+	// Presize for one verdict per round of every run of every
+	// algorithm and sweep variant (a rounds sweep makes it a guess).
+	variants := 1
+	if s.Sweep != nil {
+		variants = len(s.Sweep.Values)
+	}
+	out := &Outcome{Scenario: s, Replayed: true, Verdicts: make([]Verdict, 0, variants*s.Runs*len(s.Algorithms)*s.Rounds)}
+	store.Reserve(s.Runs * s.Rounds)
 	lineNo := 1
+	var rec fileRecord
+	scratch := new(roundRecord) // every round line decodes into it
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var rec fileRecord
+		rec.Round = scratch
 		if err := decodeRecord(line, &rec); err != nil {
 			return nil, fmt.Errorf("scenario: recording line %d: %w", lineNo, err)
 		}
@@ -280,8 +302,7 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 	if from < 0 || to < from {
 		return nil, fmt.Errorf("scenario: replay window %d:%d is not a round range", from, to)
 	}
-	br := bufio.NewReaderSize(r, 64<<10)
-	_, s, err := readHeader(br)
+	sc, s, err := openRecording(r)
 	if err != nil {
 		return nil, err
 	}
@@ -310,16 +331,16 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 	ctls := newReplayControllers(s, budget)
 
 	out := &Outcome{Scenario: s, Replayed: true}
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64<<10), maxRecordBytes)
 	lineNo := 1
+	var rec fileRecord
+	scratch := new(roundRecord) // every round line decodes into it
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var rec fileRecord
+		rec.Round = scratch
 		if err := decodeRecord(line, &rec); err != nil {
 			return nil, fmt.Errorf("scenario: recording line %d: %w", lineNo, err)
 		}

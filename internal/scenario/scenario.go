@@ -630,8 +630,11 @@ func (s *Scenario) String() string {
 // Hash returns the SHA-256 hex digest of the canonical rendering — the
 // scenario's content identity, embedded in recording headers and
 // verified on replay.
-func (s *Scenario) Hash() string {
-	sum := sha256.Sum256([]byte(s.String()))
+func (s *Scenario) Hash() string { return hashText(s.String()) }
+
+// hashText is the hex SHA-256 of a canonical scenario text.
+func hashText(text string) string {
+	sum := sha256.Sum256([]byte(text))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -172,9 +172,10 @@ type Sink func(key string, p Point)
 
 // Store holds one downsampled series per key.
 type Store struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*state
+	mu      sync.Mutex
+	cap     int
+	reserve int // initial point capacity of a new key (see Reserve)
+	m       map[string]*state
 }
 
 // state is one key's series under the store mutex.
@@ -201,10 +202,19 @@ func New(capacity int) *Store {
 // Capacity returns the per-key point budget.
 func (s *Store) Capacity() int { return s.cap }
 
+// Reserve sizes every key created from now on for the given number of
+// rounds (at most the capacity), so a caller that knows a key's length
+// up front, such as a replay, appends without regrowing it.
+func (s *Store) Reserve(rounds int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reserve = min(max(rounds, 0), s.cap)
+}
+
 func (s *Store) state(key string) *state {
 	st, ok := s.m[key]
 	if !ok {
-		st = &state{stride: 1}
+		st = &state{stride: 1, pts: make([]Point, 0, s.reserve)}
 		s.m[key] = st
 	}
 	return st

@@ -131,6 +131,17 @@ func BenchmarkConvergecastTracerDisabled(b *testing.B) {
 	}
 }
 
+// BenchmarkBroadcast prices one fault-free flood of a filter-sized
+// request over the benchmark deployment, tracer detached.
+func BenchmarkBroadcast(b *testing.B) {
+	rt := benchRuntime(b)
+	p := benchPayload{bits: 16}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Broadcast(p, nil)
+	}
+}
+
 // discard is a full collector that keeps nothing: the benchmark below
 // prices building every per-hop event, not storing it.
 type discard struct{}

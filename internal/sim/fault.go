@@ -355,7 +355,7 @@ func (rt *Runtime) ProactiveReroot() int {
 	spent := rt.ledger.Snapshot()
 	hot := -1
 	for u := 0; u < rt.top.N(); u++ {
-		if rt.top.IsVirtual(u) || rt.crashedNode(u) || !rt.hasRadioChildren(u) {
+		if rt.top.IsVirtual(u) || rt.crashedNode(u) || !rt.top.Relay[u] {
 			continue
 		}
 		if u >= len(spent) {

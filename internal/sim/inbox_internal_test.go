@@ -105,7 +105,8 @@ func (rt *Runtime) naiveConvergecast(merge func(node int, children []Payload) Pa
 }
 
 // naiveBroadcast is the reference fault-free flood: every sensor is
-// reached, top-down, and virtual nodes share their host's radio.
+// reached, top-down, virtual nodes share their host's radio, and a
+// node relays when a scan of its children finds a non-virtual one.
 func (rt *Runtime) naiveBroadcast(p Payload, visit func(node int)) {
 	rt.stats.Broadcasts++
 	bits := p.Bits()
@@ -130,7 +131,11 @@ func (rt *Runtime) naiveBroadcast(p Payload, visit func(node int)) {
 					Bits: bits, Wire: wire,
 				})
 			}
-			if rt.hasRadioChildren(u) {
+			relay := false
+			for _, c := range rt.top.Children[u] {
+				relay = relay || !rt.top.IsVirtual(c)
+			}
+			if relay {
 				rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
 				rt.account(wire, frames, vals)
 				if rt.tr != nil {

@@ -135,6 +135,10 @@ type Runtime struct {
 	readings  []int
 	readRound int
 
+	// The last RankErrorOf answer, so a driver's TraceDecision and its
+	// caller share one O(N) scan per round.
+	rankMemo rankMemo
+
 	oracle  []int  // Oracle's reading buffer, refilled on every call
 	reached []bool // Broadcast's per-node delivery flags
 }
@@ -183,6 +187,7 @@ func New(cfg Config) (*Runtime, error) {
 		phases:    make(map[string]*PhaseStats),
 		readings:  make([]int, cfg.Topology.N()),
 		readRound: -1,
+		rankMemo:  rankMemo{round: -1},
 	}
 	if cfg.Trace != nil {
 		rt.SetTrace(cfg.Trace)
@@ -271,16 +276,20 @@ func (rt *Runtime) Phase() string {
 }
 
 // account books one transmission into the global and per-phase stats.
-func (rt *Runtime) account(wire, frames, values int) {
-	rt.stats.FramesSent += frames
-	rt.stats.PayloadsSent++
-	rt.stats.BitsSent += wire
-	rt.stats.ValuesSent += values
+func (rt *Runtime) account(wire, frames, values int) { rt.accountN(1, wire, frames, values) }
+
+// accountN books n identical transmissions into the global and
+// per-phase stats.
+func (rt *Runtime) accountN(n, wire, frames, values int) {
+	rt.stats.FramesSent += n * frames
+	rt.stats.PayloadsSent += n
+	rt.stats.BitsSent += n * wire
+	rt.stats.ValuesSent += n * values
 	ps := rt.phaseStats()
-	ps.Payloads++
-	ps.Frames += frames
-	ps.Bits += wire
-	ps.Values += values
+	ps.Payloads += n
+	ps.Frames += n * frames
+	ps.Bits += n * wire
+	ps.Values += n * values
 }
 
 // phaseStats returns the current label's tally. It is looked up on the
@@ -392,9 +401,24 @@ func (rt *Runtime) TraceAdapt(action, arg int) {
 	})
 }
 
+// rankMemo is one RankErrorOf answer: err for (k, q) at round.
+type rankMemo struct{ round, k, q, err int }
+
 // RankErrorOf returns the distance between k and the closest rank the
 // reported value occupies in the true (oracle) data; 0 means exact.
+// A repeated call for the round's last (k, reported) pair reuses its
+// answer instead of rescanning the readings.
 func (rt *Runtime) RankErrorOf(k, reported int) int {
+	if m := rt.rankMemo; m.round == rt.round && m.k == k && m.q == reported {
+		return m.err
+	}
+	err := rt.rankError(k, reported)
+	rt.rankMemo = rankMemo{round: rt.round, k: k, q: reported, err: err}
+	return err
+}
+
+// rankError is RankErrorOf's O(N) scan.
+func (rt *Runtime) rankError(k, reported int) int {
 	below, equal := 0, 0
 	for _, v := range rt.roundReadings() {
 		if v < reported {
@@ -451,9 +475,7 @@ func (rt *Runtime) roundReadings() []int {
 //
 //go:noinline
 func (rt *Runtime) fillReadings() {
-	for i := range rt.readings {
-		rt.readings[i] = rt.src.Value(i, rt.round)
-	}
+	rt.src.Fill(rt.round, rt.readings)
 	rt.readRound = rt.round
 }
 
@@ -684,10 +706,13 @@ func (rt *Runtime) hop(u, parent int, p Payload) bool {
 
 // Broadcast floods p from the root to every sensor: the root transmits
 // once (free), every sensor receives it from its parent, and every
-// sensor with children retransmits it once. visit, if non-nil, is
-// called for each sensor in top-down order so node-local state can be
-// updated. Virtual nodes share their host's radio: they neither pay a
-// reception nor retransmit, and see exactly what the host saw.
+// relay (Topology.Relay: a sensor with a non-virtual child) retransmits
+// it once. visit, if non-nil, is called for each sensor in top-down
+// order so node-local state can be updated. Virtual nodes share their
+// host's radio: they neither pay a reception nor retransmit, and see
+// exactly what the host saw. Every transmission of a flood is alike, so
+// the traffic statistics book them with one call after the walk; the
+// ledger charges and events stay per node, in walk order.
 //
 // Without faults the flood is reliable and reaches every sensor. With
 // faults attached, a node receives it only if its parent both received
@@ -705,7 +730,7 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 		vals = vc.ValueCount()
 	}
 	// Root transmission (free) reaching its children.
-	rt.account(wire, frames, vals)
+	sends := 1
 	if rt.perHop != nil {
 		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
 	}
@@ -754,9 +779,9 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 				Bits: bits, Wire: wire,
 			})
 		}
-		if rt.hasRadioChildren(u) {
+		if rt.top.Relay[u] {
 			rt.ledger.ChargeSend(u, wire, rt.downlinkRange(u))
-			rt.account(wire, frames, vals)
+			sends++
 			if rt.perHop != nil {
 				rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
 			}
@@ -765,6 +790,7 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 			visit(u)
 		}
 	}
+	rt.accountN(sends, wire, frames, vals)
 }
 
 // uplinkRange returns the transmission range a convergecast hop from u
@@ -799,15 +825,4 @@ func (rt *Runtime) downlinkRange(u int) float64 {
 		}
 	}
 	return maxD
-}
-
-// hasRadioChildren reports whether node u must retransmit a broadcast,
-// i.e. has at least one non-virtual child.
-func (rt *Runtime) hasRadioChildren(u int) bool {
-	for _, c := range rt.top.Children[u] {
-		if !rt.top.IsVirtual(c) {
-			return true
-		}
-	}
-	return false
 }

@@ -23,6 +23,7 @@ func (t *Topology) Clone() *Topology {
 		RootChildren: append([]int(nil), t.RootChildren...),
 		Depth:        append([]int(nil), t.Depth...),
 		PostOrder:    append([]int(nil), t.PostOrder...),
+		Relay:        append([]bool(nil), t.Relay...),
 	}
 	for i, ch := range t.Children {
 		c.Children[i] = append([]int(nil), ch...)
@@ -78,9 +79,9 @@ func (t *Topology) RepairCandidate(u int, reachable []bool, rootOK bool) (int, b
 }
 
 // Reparent moves u (with its whole subtree) under newParent (-1 = the
-// root) and rebuilds Children, RootChildren, Depth, and PostOrder. It
-// rejects moves that would create a cycle (newParent inside u's
-// subtree) or hang a sensor off a virtual node.
+// root) and re-derives Children, RootChildren, Depth, PostOrder and
+// Relay. It rejects moves that would create a cycle (newParent inside
+// u's subtree) or hang a sensor off a virtual node.
 func (t *Topology) Reparent(u, newParent int) error {
 	n := t.N()
 	if u < 0 || u >= n {
@@ -96,35 +97,5 @@ func (t *Topology) Reparent(u, newParent int) error {
 		return fmt.Errorf("wsn: reparent: %d → %d would create a cycle", u, newParent)
 	}
 	t.Parent[u] = newParent
-	return t.rebuild()
-}
-
-// rebuild recomputes the derived traversal fields from Parent.
-func (t *Topology) rebuild() error {
-	n := t.N()
-	t.Children = make([][]int, n)
-	t.RootChildren = t.RootChildren[:0]
-	for i, p := range t.Parent {
-		if p == -1 {
-			t.RootChildren = append(t.RootChildren, i)
-		} else {
-			t.Children[p] = append(t.Children[p], i)
-		}
-	}
-	t.PostOrder = t.PostOrder[:0]
-	var visit func(u, d int)
-	visit = func(u, d int) {
-		t.Depth[u] = d
-		for _, c := range t.Children[u] {
-			visit(c, d+1)
-		}
-		t.PostOrder = append(t.PostOrder, u)
-	}
-	for _, c := range t.RootChildren {
-		visit(c, 1)
-	}
-	if len(t.PostOrder) != n {
-		return fmt.Errorf("wsn: reparent left %d of %d sensors unreachable", n-len(t.PostOrder), n)
-	}
-	return nil
+	return t.derive()
 }

@@ -25,8 +25,8 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone differs from original")
 	}
 	c.Parent[2] = -1
-	if err := c.rebuild(); err != nil {
-		t.Fatalf("rebuild: %v", err)
+	if err := c.derive(); err != nil {
+		t.Fatalf("derive: %v", err)
 	}
 	if top.Parent[2] != 1 || len(top.RootChildren) != 1 || len(top.Children[1]) != 1 {
 		t.Fatal("mutating the clone changed the original")

@@ -52,6 +52,10 @@ type Topology struct {
 	// its parent (§2 of the paper), so its transmissions are free and
 	// it shares its host's radio. Nil when no virtual nodes exist.
 	VirtualEdge []bool
+
+	// Relay marks the sensors with at least one non-virtual child:
+	// the ones that retransmit a flood. Derived with the fields above.
+	Relay []bool
 }
 
 // IsVirtual reports whether node i is an artificial (intra-node) child.
@@ -210,25 +214,49 @@ func hopCountTree(pos []Point, root Point, radioRange float64, g discGraph) (*To
 	return assemble(pos, root, radioRange, parent)
 }
 
-// assemble fills the derived Topology fields from a parent vector.
+// assemble builds a Topology over a parent vector.
 func assemble(pos []Point, root Point, radioRange float64, parent []int) (*Topology, error) {
-	n := len(pos)
 	t := &Topology{
-		Pos:      append([]Point(nil), pos...),
-		Root:     root,
-		Range:    radioRange,
-		Parent:   parent,
-		Children: make([][]int, n),
-		Depth:    make([]int, n),
+		Pos:    append([]Point(nil), pos...),
+		Root:   root,
+		Range:  radioRange,
+		Parent: parent,
 	}
-	for i, p := range parent {
+	if err := t.derive(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// derive recomputes every field that follows from Parent and
+// VirtualEdge: Children and RootChildren (each in index order), Depth,
+// PostOrder and Relay. It is the one traversal behind the tree
+// builders, ExpandVirtual and Reparent, and reuses the slices it can.
+func (t *Topology) derive() error {
+	n := len(t.Parent)
+	t.Children = make([][]int, n)
+	t.RootChildren = t.RootChildren[:0]
+	if len(t.Relay) != n {
+		t.Relay = make([]bool, n)
+	}
+	clear(t.Relay)
+	for i, p := range t.Parent {
 		if p == -1 {
 			t.RootChildren = append(t.RootChildren, i)
-		} else {
-			t.Children[p] = append(t.Children[p], i)
+			continue
+		}
+		t.Children[p] = append(t.Children[p], i)
+		if !t.IsVirtual(i) {
+			t.Relay[p] = true
 		}
 	}
-	t.PostOrder = make([]int, 0, n)
+	if len(t.Depth) != n {
+		t.Depth = make([]int, n)
+	}
+	if t.PostOrder == nil {
+		t.PostOrder = make([]int, 0, n)
+	}
+	t.PostOrder = t.PostOrder[:0]
 	var visit func(u, d int)
 	visit = func(u, d int) {
 		t.Depth[u] = d
@@ -241,9 +269,9 @@ func assemble(pos []Point, root Point, radioRange float64, parent []int) (*Topol
 		visit(c, 1)
 	}
 	if len(t.PostOrder) != n {
-		return nil, errors.New("wsn: internal error: tree does not span all sensors")
+		return fmt.Errorf("wsn: tree reaches %d of %d sensors from the root", len(t.PostOrder), n)
 	}
-	return t, nil
+	return nil
 }
 
 // BuildConnectedTree repeatedly samples uniform placements until the

@@ -23,45 +23,26 @@ func ExpandVirtual(t *Topology, valuesPerNode int) (*Topology, error) {
 	total := n * valuesPerNode
 
 	out := &Topology{
-		Pos:          make([]Point, total),
-		Root:         t.Root,
-		Range:        t.Range,
-		Parent:       make([]int, total),
-		Children:     make([][]int, total),
-		RootChildren: append([]int(nil), t.RootChildren...),
-		Depth:        make([]int, total),
-		VirtualEdge:  make([]bool, total),
+		Pos:         make([]Point, total),
+		Root:        t.Root,
+		Range:       t.Range,
+		Parent:      make([]int, total),
+		VirtualEdge: make([]bool, total),
 	}
 	copy(out.Pos, t.Pos)
 	copy(out.Parent, t.Parent)
-	copy(out.Depth, t.Depth)
-	for i := 0; i < n; i++ {
-		out.Children[i] = append([]int(nil), t.Children[i]...)
-	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < extra; j++ {
 			id := n + i*extra + j
 			out.Pos[id] = t.Pos[i]
 			out.Parent[id] = i
-			out.Depth[id] = t.Depth[i] + 1
 			out.VirtualEdge[id] = true
-			out.Children[i] = append(out.Children[i], id)
 		}
 	}
-	// Rebuild the post-order over the expanded tree.
-	out.PostOrder = make([]int, 0, total)
-	var visit func(u int)
-	visit = func(u int) {
-		for _, c := range out.Children[u] {
-			visit(c)
-		}
-		out.PostOrder = append(out.PostOrder, u)
-	}
-	for _, c := range out.RootChildren {
-		visit(c)
-	}
-	if len(out.PostOrder) != total {
-		return nil, fmt.Errorf("wsn: internal error: expanded tree covers %d of %d nodes", len(out.PostOrder), total)
+	// Artificial ids follow every real one, so each real node's
+	// children derive as its real children, then its artificial ones.
+	if err := out.derive(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -216,6 +216,24 @@ func TestScenarioReplaySpeedup(t *testing.T) {
 	}
 }
 
+// BenchmarkReplayRecording measures the replay side of
+// TestScenarioReplaySpeedup's ratio: one replay of the committed
+// lossy-storm recording.
+func BenchmarkReplayRecording(b *testing.B) {
+	rec, err := os.ReadFile(recordingPath("lossy-storm"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(rec)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wsnq.ReplayRecording(bytes.NewReader(rec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestScenarioServe boots a query-server fleet from the serve-load
 // scenario and checks the hosted query's answers match a standalone
 // scenario simulation round for round — the served path and the
