@@ -26,7 +26,8 @@ help:
 	@echo "  serve       query-service gate: registry race hammer, coalescing parity,"
 	@echo "              seeded 1,000-query load smoke"
 	@echo "  scenario    golden-scenario gate: DSL round-trips, pinned replay digests,"
-	@echo "              live-vs-replay differential, replay speedup, fleet boot"
+	@echo "              live-vs-replay differential, round-level-only live"
+	@echo "              collectors, replay speedup, fleet boot"
 	@echo "  slo         SLO gate: spec grammar round-trips, budget-arithmetic"
 	@echo "              goldens, zero-allocation observe, serve /slo surface,"
 	@echo "              and the live-vs-replay budget-trajectory differential"
@@ -43,7 +44,8 @@ help:
 	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target (codecs,"
 	@echo "              parsers, the cell vector, the disc graph)"
 	@echo "  trace-guard disabled-tracer overhead vs the 2% budget (idle machine)"
-	@echo "  series-guard series-ingest overhead vs the 2% budget (idle machine)"
+	@echo "  series-guard series-ingest overhead on the bare round vs the 2% budget"
+	@echo "              (idle machine)"
 	@echo "  prof-guard  phase-attribution overhead vs the 2% budget (idle machine)"
 	@echo "  bench       run the root package's and internal/sim's Go"
 	@echo "              benchmarks with -benchmem"
@@ -145,7 +147,9 @@ serve:
 
 # scenario gates the golden scenarios: the DSL parser/printer
 # round-trip suite, the committed recordings replaying to their pinned
-# outcome digests, the live-vs-replay differential, the replay speedup
+# outcome digests, the live-vs-replay differential, the live run's
+# collectors (TestLiveRunAttachesRoundCollectorsOnly: only the
+# round-level series ingester, no per-hop events), the replay speedup
 # floor, and the scenario-booted server fleet matching a standalone
 # run. Regenerate recordings with WSNQ_REGEN=1 after an intentional
 # behavior change.
@@ -211,8 +215,9 @@ trace-guard:
 	TRACE_GUARD=1 $(GO) test -run '^TestTracerOverheadGuard$$' -v ./internal/sim/
 
 # series-guard measures per-round series ingestion (sampling fast path
-# plus the storm rule) against the traced hot path and fails beyond the
-# 2% budget. Timing sensitive — run on an idle machine.
+# plus the storm rule) against the same warm round with no collector
+# attached and fails beyond the 2% budget. Timing sensitive — run on
+# an idle machine.
 series-guard:
 	SERIES_GUARD=1 $(GO) test -count=1 -run '^TestSeriesIngestOverheadGuard$$' -v .
 

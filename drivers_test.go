@@ -183,7 +183,7 @@ func engineRounds(t *testing.T, c driverCase) ([]driverRound, []string) {
 	opts := experiment.Options{
 		Parallelism: 1,
 		Trace:       func(experiment.TraceJob) trace.Collector { return tap },
-		PointSink: func(_ string, p series.Point) {
+		PointSink: func(_ string, p series.Point, _ experiment.Verdict) {
 			total += p.Frames
 			frames = append(frames, total)
 		},

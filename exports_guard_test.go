@@ -29,8 +29,6 @@ var exportAllowlist = map[string]string{
 	"internal/trace/trace.go:MarshalText":            "implements encoding.TextMarshaler for JSON (event kinds and energy ops)",
 	"internal/trace/recorder.go:NewRecorder":         "test-support collector: tests in several packages record event streams with it",
 	"internal/prof/prof.go:TopAllocPhase":            "the root package's attribution golden tests read it across the package boundary",
-	"internal/report/health.go:LoadHeatmap":          "health renderer pinned by goldens, not yet drawn by a tool; deletion is a ROADMAP item",
-	"internal/report/health.go:LifetimeChart":        "health renderer pinned by goldens, not yet drawn by a tool; deletion is a ROADMAP item",
 }
 
 // allowlisted reports whether an allowlist entry covers the

@@ -30,7 +30,9 @@ type Rig struct {
 // Each round, after the reliable initialization of round 0, is
 // AdvanceRound, then the controller's queued actions (decided on the
 // previous round's data), then either a re-initialization or a Step,
-// then the traced decision. The reinit policy:
+// then the traced decision, whose rank error Step returns in the
+// round's Verdict: the one rank-error scan of the round, which every
+// driver reads instead of rescanning. The reinit policy:
 //
 //   - a pending repair (Runtime.ConsumeReinit) replays the
 //     initialization instead of stepping;
@@ -96,14 +98,30 @@ func (d *Driver) K() int { return d.k }
 // round).
 func (d *Driver) Round() int { return d.round }
 
+// Verdict is one round's root decision: the answer for the queried
+// rank K, its rank error against the oracle data (0 = exact), and
+// whether the round replayed the initialization (always false for
+// round 0).
+type Verdict struct {
+	Round   int
+	Answer  int
+	K       int
+	RankErr int
+	Reinit  bool
+}
+
 // Step executes the next round — the first call initializes — and
-// returns the root's answer and whether the round replayed the
-// initialization (always false for round 0).
-func (d *Driver) Step() (q int, reinit bool, err error) {
+// returns its verdict.
+func (d *Driver) Step() (Verdict, error) {
+	var (
+		q      int
+		reinit bool
+		err    error
+	)
 	if !d.inited {
 		d.inited = true
 		if q, err = d.reliableInit(); err != nil {
-			return 0, false, fmt.Errorf("%s init: %w", d.alg.Name(), err)
+			return Verdict{}, fmt.Errorf("%s init: %w", d.alg.Name(), err)
 		}
 	} else {
 		d.rt.AdvanceRound()
@@ -117,20 +135,19 @@ func (d *Driver) Step() (q int, reinit bool, err error) {
 		if d.rt.ConsumeReinit() {
 			reinit = true
 			if q, err = d.reliableInit(); err != nil {
-				return 0, true, fmt.Errorf("%s repair reinit round %d: %w", d.alg.Name(), d.round, err)
+				return Verdict{}, fmt.Errorf("%s repair reinit round %d: %w", d.alg.Name(), d.round, err)
 			}
 		} else if q, err = d.alg.Step(d.rt); err != nil {
 			if d.rt.LossProb() == 0 && !d.rt.FaultsAttached() {
-				return 0, false, fmt.Errorf("%s round %d: %w", d.alg.Name(), d.round, err)
+				return Verdict{}, fmt.Errorf("%s round %d: %w", d.alg.Name(), d.round, err)
 			}
 			reinit = true
 			if q, err = d.reliableInit(); err != nil {
-				return 0, true, fmt.Errorf("%s reinit round %d: %w", d.alg.Name(), d.round, err)
+				return Verdict{}, fmt.Errorf("%s reinit round %d: %w", d.alg.Name(), d.round, err)
 			}
 		}
 	}
-	d.rt.TraceDecision(d.k, q)
-	return q, reinit, nil
+	return Verdict{Round: d.round, Answer: q, K: d.k, RankErr: d.rt.TraceDecision(d.k, q), Reinit: reinit}, nil
 }
 
 // reliableInit runs the protocol's initialization with iid loss and

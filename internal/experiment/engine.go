@@ -81,12 +81,13 @@ type Options struct {
 
 	// PointSink, when non-nil, observes every raw span-1 series point
 	// the engine ingests — after the alert rules — with the final
-	// (prefixed) series key and the store-assigned round index. It is
-	// the capture hook of the scenario record/replay layer
+	// (prefixed) series key, the store-assigned round index, and the
+	// driver's verdict for the round the point closes. It is the
+	// capture hook of the scenario record/replay layer
 	// (internal/scenario). Like Series it forces strictly sequential
 	// execution; when neither Series nor Alerts is set, a minimal
 	// private store still derives the points.
-	PointSink series.Sink
+	PointSink PointSink
 
 	// Prof, when non-nil, attributes every job's CPU time and heap
 	// allocations to algorithm×phase buckets in the recorder, and runs
@@ -124,6 +125,10 @@ type Options struct {
 	// every Parallelism setting.
 	Adapt *AdaptOptions
 }
+
+// PointSink observes one series point of key together with the
+// driver's verdict for the round the point closes.
+type PointSink func(key string, p series.Point, v Verdict)
 
 // AdaptOptions configures the engine's closed-loop adaptation.
 type AdaptOptions struct {
@@ -412,7 +417,7 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 					Run: j.run,
 				})
 			}
-			mkTrace := func(rt *sim.Runtime) trace.Collector {
+			mkTrace := func(rt *sim.Runtime, last *Verdict) trace.Collector {
 				store := seriesStore
 				if store == nil {
 					if ctl == nil {
@@ -433,7 +438,7 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 					sinks = append(sinks, opts.Alerts.Observe)
 				}
 				if opts.PointSink != nil {
-					sinks = append(sinks, opts.PointSink)
+					sinks = append(sinks, func(key string, p series.Point) { opts.PointSink(key, p, *last) })
 				}
 				if ctl != nil {
 					sinks = append(sinks, ctl.Observe)

@@ -275,22 +275,27 @@ func aggregate(runs []Metrics) Metrics {
 // runOn executes one simulation run of alg on a (possibly shared)
 // deployment through a Driver. It builds its own runtime, so concurrent
 // calls with the same deployment are safe. mkTrace, when non-nil, is
-// handed the fresh runtime and may return a flight-recorder collector
-// to attach (nil to run untraced) — late binding that lets collectors
-// sample the runtime's live counters (series.Store.IngestTotals). rig
-// carries the rest of the run's attachments: profiling, the fault plan
-// with this run's injector seed, and the closed-loop controller, which
-// already observes the point stream through the trace collector.
-func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*sim.Runtime) trace.Collector, rig Rig) (Metrics, error) {
+// handed the fresh runtime and the driver's last verdict, and may
+// return a flight-recorder collector to attach (nil to run untraced) —
+// late binding that lets collectors sample the runtime's live counters
+// (series.Store.IngestTotals) and pair each point with the verdict of
+// the round it closes. rig carries the rest of the run's attachments:
+// profiling, the fault plan with this run's injector seed, and the
+// closed-loop controller, which already observes the point stream
+// through the trace collector.
+func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*sim.Runtime, *Verdict) trace.Collector, rig Rig) (Metrics, error) {
 	rt, err := dep.NewRuntime(cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
+	// v is the driver's last verdict. A round's point is cut in the next
+	// Step's AdvanceRound (or in EndTrace), before the next decision, so
+	// a point sink reading v sees the verdict of the round it closes.
+	var v Verdict
 	if mkTrace != nil {
-		rig.Trace = mkTrace(rt)
+		rig.Trace = mkTrace(rt, &v)
 	}
-	k := cfg.K()
-	d, err := NewDriver(rt, alg, k, rig)
+	d, err := NewDriver(rt, alg, cfg.K(), rig)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -299,19 +304,17 @@ func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*si
 	var errSum float64
 	died := 0 // round at which the first node died (0 = survived)
 	for t := 0; t < cfg.Rounds; t++ {
-		q, reinit, err := d.Step()
-		if err != nil {
+		if v, err = d.Step(); err != nil {
 			return Metrics{}, err
 		}
-		if reinit {
+		if v.Reinit {
 			m.Reinits++
 		}
 		m.Rounds++
-		re := rt.RankErrorOf(k, q)
-		if re == 0 {
+		if v.RankErr == 0 {
 			m.ExactRounds++
 		}
-		errSum += float64(re)
+		errSum += float64(v.RankErr)
 		if rt.CoverageDeficit() > 0 {
 			m.DegradedRounds++
 		}

@@ -50,10 +50,11 @@ func TestSourceEvaluatedOncePerRound(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := 0; r < cfg.Rounds; r++ {
-				q, _, err := drv.Step()
+				v, err := drv.Step()
 				if err != nil {
 					t.Fatal(err)
 				}
+				q := v.Answer
 				if o := rt.Oracle(cfg.K()); q != o {
 					t.Fatalf("round %d: answer %d, oracle %d", r, q, o)
 				}

@@ -118,104 +118,7 @@ func parseHeader(line []byte) (*Scenario, error) {
 // re-simulates), which is also why replay runs orders of magnitude
 // faster than live.
 func Replay(r io.Reader) (*Outcome, error) {
-	sc, s, err := openRecording(r)
-	if err != nil {
-		return nil, err
-	}
-
-	store := series.New(s.Capacity)
-	var eng *alert.Engine
-	var sinks []series.Sink
-	budget, err := replayBudget(s)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.Alerts) > 0 {
-		eng, err = alert.NewEngine(s.Alerts...)
-		if err != nil {
-			return nil, err
-		}
-		// Mirror the live engine's budget wiring so burn-rate rules
-		// project against the same per-node supply.
-		eng.DefaultBudget(budget)
-		sinks = append(sinks, eng.Observe)
-	}
-	var tracker *slo.Tracker
-	if len(s.SLOs) > 0 {
-		if tracker, err = slo.NewTracker(s.SLOs...); err != nil {
-			return nil, err
-		}
-	}
-	ctls := newReplayControllers(s, budget)
-
-	// Presize for one verdict per round of every run of every
-	// algorithm and sweep variant (a rounds sweep makes it a guess).
-	variants := 1
-	if s.Sweep != nil {
-		variants = len(s.Sweep.Values)
-	}
-	out := &Outcome{Scenario: s, Replayed: true, Verdicts: make([]Verdict, 0, variants*s.Runs*len(s.Algorithms)*s.Rounds)}
-	store.Reserve(s.Runs * s.Rounds)
-	lineNo := 1
-	var rec fileRecord
-	scratch := new(roundRecord) // every round line decodes into it
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		rec.Round = scratch
-		if err := decodeRecord(line, &rec); err != nil {
-			return nil, fmt.Errorf("scenario: recording line %d: %w", lineNo, err)
-		}
-		switch {
-		case rec.Run != nil:
-			if eng != nil {
-				eng.StartRun(rec.Run.Key)
-			}
-			if tracker != nil {
-				tracker.StartRun(rec.Run.Key)
-			}
-			if err := ctls.startRun(rec.Run.Key); err != nil {
-				return nil, err
-			}
-		case rec.Round != nil:
-			rr := rec.Round
-			stamped := store.Add(rr.Key, rr.Point, sinks...)
-			if stamped.Round != rr.Point.Round {
-				return nil, fmt.Errorf("scenario: recording line %d: key %q replays round %d where the recording says %d (truncated or reordered stream)",
-					lineNo, rr.Key, stamped.Round, rr.Point.Round)
-			}
-			ctls.observe(rr.Key, stamped)
-			if tracker != nil {
-				// lineNo is this round record's line — the same offset
-				// the live recorder stamped, so exemplars agree.
-				tracker.Observe(rr.Key, slo.SampleFromPoint(stamped, s.measurementsFor(rr.Key), int64(lineNo)))
-			}
-			out.Verdicts = append(out.Verdicts, Verdict{
-				Key: rr.Key, Round: stamped.Round,
-				Answer: rr.Answer, K: rr.K, RankErr: rr.RankErr,
-			})
-		case rec.Header != nil:
-			return nil, fmt.Errorf("scenario: recording line %d: unexpected second header", lineNo)
-		default:
-			return nil, fmt.Errorf("scenario: recording line %d: unknown record", lineNo)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("scenario: reading recording: %w", err)
-	}
-	out.Series = store.Snapshot()
-	if eng != nil {
-		out.Alerts = eng.Log()
-	}
-	if tracker != nil {
-		out.SLO = tracker.Statuses()
-		out.SLOEvents = tracker.Log()
-	}
-	out.Adapts = ctls.decisions()
-	return out, nil
+	return replay(r, nil)
 }
 
 // replayBudget extracts the per-node energy supply that alert burn-rate
@@ -302,6 +205,15 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 	if from < 0 || to < from {
 		return nil, fmt.Errorf("scenario: replay window %d:%d is not a round range", from, to)
 	}
+	return replay(r, &roundWindow{from: from, to: to})
+}
+
+// roundWindow is ReplayWindow's inclusive range of recorded rounds.
+type roundWindow struct{ from, to int }
+
+// replay is the one replay loop behind Replay (win nil) and
+// ReplayWindow.
+func replay(r io.Reader, win *roundWindow) (*Outcome, error) {
 	sc, s, err := openRecording(r)
 	if err != nil {
 		return nil, err
@@ -309,7 +221,6 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 
 	store := series.New(s.Capacity)
 	var eng *alert.Engine
-	var sinks []series.Sink
 	budget, err := replayBudget(s)
 	if err != nil {
 		return nil, err
@@ -319,8 +230,9 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Mirror the live engine's budget wiring so burn-rate rules
+		// project against the same per-node supply.
 		eng.DefaultBudget(budget)
-		sinks = append(sinks, eng.Observe)
 	}
 	var tracker *slo.Tracker
 	if len(s.SLOs) > 0 {
@@ -331,6 +243,16 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 	ctls := newReplayControllers(s, budget)
 
 	out := &Outcome{Scenario: s, Replayed: true}
+	if win == nil {
+		// Presize for one verdict per round of every run of every
+		// algorithm and sweep variant (a rounds sweep makes it a guess).
+		variants := 1
+		if s.Sweep != nil {
+			variants = len(s.Sweep.Values)
+		}
+		out.Verdicts = make([]Verdict, 0, variants*s.Runs*len(s.Algorithms)*s.Rounds)
+		store.Reserve(s.Runs * s.Rounds)
+	}
 	lineNo := 1
 	var rec fileRecord
 	scratch := new(roundRecord) // every round line decodes into it
@@ -357,24 +279,34 @@ func ReplayWindow(r io.Reader, from, to int) (*Outcome, error) {
 			}
 		case rec.Round != nil:
 			rr := rec.Round
-			if rr.Point.Round < from || rr.Point.Round > to {
-				continue
+			p := rr.Point
+			if win == nil {
+				if p = store.Add(rr.Key, p); p.Round != rr.Point.Round {
+					return nil, fmt.Errorf("scenario: recording line %d: key %q replays round %d where the recording says %d (truncated or reordered stream)",
+						lineNo, rr.Key, p.Round, rr.Point.Round)
+				}
+			} else {
+				if p.Round < win.from || p.Round > win.to {
+					continue
+				}
+				// The store rebases the window to round 0; rules, the
+				// SLO tracker, and the adapt controllers observe the
+				// point with its recorded round so their events reference
+				// the same rounds the exemplar does (controllers arm cold
+				// at the window edge, like a fresh engine).
+				store.Add(rr.Key, p)
 			}
-			// The store rebases the window to round 0; rules, the SLO
-			// tracker, and the adapt controllers observe the point with
-			// its recorded round so their events reference the same
-			// rounds the exemplar does (controllers arm cold at the
-			// window edge, like a fresh engine).
-			store.Add(rr.Key, rr.Point)
-			for _, sink := range sinks {
-				sink(rr.Key, rr.Point)
+			if eng != nil {
+				eng.Observe(rr.Key, p)
 			}
-			ctls.observe(rr.Key, rr.Point)
+			ctls.observe(rr.Key, p)
 			if tracker != nil {
-				tracker.Observe(rr.Key, slo.SampleFromPoint(rr.Point, s.measurementsFor(rr.Key), int64(lineNo)))
+				// lineNo is this round record's line — the same offset
+				// the live recorder stamped, so exemplars agree.
+				tracker.Observe(rr.Key, slo.SampleFromPoint(p, s.measurementsFor(rr.Key), int64(lineNo)))
 			}
 			out.Verdicts = append(out.Verdicts, Verdict{
-				Key: rr.Key, Round: rr.Point.Round,
+				Key: rr.Key, Round: p.Round,
 				Answer: rr.Answer, K: rr.K, RankErr: rr.RankErr,
 			})
 		case rec.Header != nil:

@@ -110,11 +110,17 @@ func Record(ctx context.Context, s *Scenario, w io.Writer) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := s.Config()
+	algs, err := s.Factories()
 	if err != nil {
 		return nil, err
 	}
-	algs, err := s.Factories()
+	return record(ctx, s, algs, w)
+}
+
+// record runs the validated scenario live with algs, the protocol
+// factories of s.Algorithms, in order.
+func record(ctx context.Context, s *Scenario, algs []experiment.NamedFactory, w io.Writer) (*Outcome, error) {
+	cfg, err := s.Config()
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +141,7 @@ func Record(ctx context.Context, s *Scenario, w io.Writer) (*Outcome, error) {
 	// lines starts at 1 — the header — whether or not a recording is
 	// written: exemplar offsets must come out identical for Run, Record,
 	// and Replay so live and replayed SLO trajectories hash alike.
-	rec := &recorder{pending: make(map[string]decision), sc: s, slo: tracker, lines: 1}
+	rec := &recorder{sc: s, slo: tracker, lines: 1}
 	if w != nil {
 		rec.enc = json.NewEncoder(w)
 		rec.emit(fileRecord{Header: &Header{
@@ -209,24 +215,17 @@ func Record(ctx context.Context, s *Scenario, w io.Writer) (*Outcome, error) {
 	return out, nil
 }
 
-// decision is the last root decision seen on a key's event stream,
-// waiting for the round's closing series point.
-type decision struct {
-	answer, k, rankErr int
-}
-
-// recorder couples the engine's two scenario hooks: Options.Trace hands
-// it each job's event stream (from which it taps root decisions and
-// emits run markers), and Options.PointSink hands it the round-stamped
-// series points. The engine runs strictly sequentially with either hook
-// set and emits exactly one decision before each point of a key, so
-// pairing the pending decision with the next point is lossless.
+// recorder couples the engine's two scenario hooks: Options.Trace
+// announces each grid job (it emits the run marker and attaches no
+// collector), and Options.PointSink hands it each round-stamped series
+// point with the driver's verdict for the round the point closes. The
+// engine runs strictly sequentially with either hook set, so the
+// records come out in grid order.
 type recorder struct {
 	enc      *json.Encoder // nil when running without a recording
 	sc       *Scenario
 	slo      *slo.Tracker // nil without slo declarations
 	lines    int          // recording lines so far (header = 1), kept even unrecorded
-	pending  map[string]decision
 	verdicts []Verdict
 	err      error
 }
@@ -238,8 +237,9 @@ func (r *recorder) emit(rec fileRecord) {
 	r.err = r.enc.Encode(rec)
 }
 
-// traceFor is the Options.Trace hook: one run marker and one decision
-// tap per grid job.
+// traceFor is the Options.Trace hook: one run marker per grid job. It
+// returns no collector, so the job's runtime carries only the engine's
+// round-level series ingester.
 func (r *recorder) traceFor(job experiment.TraceJob) trace.Collector {
 	key := experiment.SeriesKeyFor(job, "")
 	r.lines++
@@ -247,14 +247,12 @@ func (r *recorder) traceFor(job experiment.TraceJob) trace.Collector {
 	if r.slo != nil {
 		r.slo.StartRun(key)
 	}
-	return &decisionTap{rec: r, key: key}
+	return nil
 }
 
 // point is the Options.PointSink hook.
-func (r *recorder) point(key string, p series.Point) {
-	d := r.pending[key]
-	delete(r.pending, key)
-	v := Verdict{Key: key, Round: p.Round, Answer: d.answer, K: d.k, RankErr: d.rankErr}
+func (r *recorder) point(key string, p series.Point, d experiment.Verdict) {
+	v := Verdict{Key: key, Round: p.Round, Answer: d.Answer, K: d.K, RankErr: d.RankErr}
 	r.verdicts = append(r.verdicts, v)
 	r.lines++
 	r.emit(fileRecord{Round: &roundRecord{
@@ -264,17 +262,5 @@ func (r *recorder) point(key string, p series.Point) {
 		// The round record just written (or that a recording would hold)
 		// lives at line r.lines — the exemplar offset replay seeks to.
 		r.slo.Observe(key, slo.SampleFromPoint(p, r.sc.measurementsFor(key), int64(r.lines)))
-	}
-}
-
-// decisionTap parks each root decision until the round's point arrives.
-type decisionTap struct {
-	rec *recorder
-	key string
-}
-
-func (t *decisionTap) Collect(e trace.Event) {
-	if e.Kind == trace.KindDecision {
-		t.rec.pending[t.key] = decision{answer: e.Value, k: e.Aux, rankErr: e.Err}
 	}
 }

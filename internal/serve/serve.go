@@ -833,9 +833,9 @@ func (g *group) step(dropped *atomic.Int64) {
 			break
 		}
 	}
-	v, reinit, err := g.drv.Step()
-	round := g.drv.Round()
+	v, err := g.drv.Step()
 	if err != nil {
+		round := g.drv.Round()
 		g.failed = true
 		for _, q := range g.members {
 			q.mu.Lock()
@@ -845,18 +845,17 @@ func (g *group) step(dropped *atomic.Int64) {
 		}
 		return
 	}
-	k := g.drv.K()
 	u := Update{
-		Round:     round,
-		Quantile:  v,
-		Oracle:    rt.Oracle(k),
-		RankError: rt.RankErrorOf(k, v),
+		Round:     v.Round,
+		Quantile:  v.Answer,
+		Oracle:    rt.Oracle(v.K),
+		RankError: v.RankErr,
 		Joules:    rt.Ledger().TotalSpent(),
 		Frames:    rt.Stats().FramesSent,
 		Degraded:  rt.CoverageDeficit() > 0,
 		Staleness: rt.Staleness(),
 		Missing:   rt.Missing(),
-		Reinit:    reinit,
+		Reinit:    v.Reinit,
 	}
 	var latency float64
 	if !began.IsZero() {

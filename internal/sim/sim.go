@@ -135,10 +135,6 @@ type Runtime struct {
 	readings  []int
 	readRound int
 
-	// The last RankErrorOf answer, so a driver's TraceDecision and its
-	// caller share one O(N) scan per round.
-	rankMemo rankMemo
-
 	oracle  []int  // Oracle's reading buffer, refilled on every call
 	reached []bool // Broadcast's per-node delivery flags
 }
@@ -187,7 +183,6 @@ func New(cfg Config) (*Runtime, error) {
 		phases:    make(map[string]*PhaseStats),
 		readings:  make([]int, cfg.Topology.N()),
 		readRound: -1,
-		rankMemo:  rankMemo{round: -1},
 	}
 	if cfg.Trace != nil {
 		rt.SetTrace(cfg.Trace)
@@ -359,20 +354,20 @@ func (rt *Runtime) EndTrace() {
 	rt.tr.Collect(trace.Event{Kind: trace.KindRoundEnd, Round: rt.round, Node: -1})
 }
 
-// TraceDecision records the root's reported quantile for the current
-// round in the flight recorder: the answer q for the queried rank k,
-// stamped with the decision's absolute rank error against the oracle
-// data (an O(N) scan, paid only when a collector is attached).
-// Drivers (the experiment harness, Simulation.Step, test harnesses)
-// call it once per round; the invariant oracle replays these events
-// against a centralized sort oracle. A no-op without a collector.
-func (rt *Runtime) TraceDecision(k, q int) {
+// TraceDecision returns the absolute rank error of the root's answer q
+// for the queried rank k against the oracle data (RankErrorOf's O(N)
+// scan) and, when a collector is attached, records the decision stamped
+// with that error in the flight recorder. Drivers (experiment.Driver,
+// test harnesses) call it once per round; the invariant oracle replays
+// the decision events against a centralized sort oracle.
+func (rt *Runtime) TraceDecision(k, q int) int {
+	rankErr := rt.RankErrorOf(k, q)
 	if rt.tr == nil {
-		return
+		return rankErr
 	}
 	rt.tr.Collect(trace.Event{
 		Kind: trace.KindDecision, Round: rt.round, Phase: rt.Phase(),
-		Node: -1, Value: q, Aux: k, Err: rt.RankErrorOf(k, q),
+		Node: -1, Value: q, Aux: k, Err: rankErr,
 	})
 	if f := rt.flt; f != nil && f.missing+f.lostSub > 0 {
 		rt.tr.Collect(trace.Event{
@@ -381,6 +376,7 @@ func (rt *Runtime) TraceDecision(k, q int) {
 			Aux: rt.Staleness(), Err: f.missing + f.lostSub,
 		})
 	}
+	return rankErr
 }
 
 // TraceAdapt records one applied closed-loop controller action: the
@@ -401,24 +397,10 @@ func (rt *Runtime) TraceAdapt(action, arg int) {
 	})
 }
 
-// rankMemo is one RankErrorOf answer: err for (k, q) at round.
-type rankMemo struct{ round, k, q, err int }
-
 // RankErrorOf returns the distance between k and the closest rank the
 // reported value occupies in the true (oracle) data; 0 means exact.
-// A repeated call for the round's last (k, reported) pair reuses its
-// answer instead of rescanning the readings.
+// It scans the round's readings once.
 func (rt *Runtime) RankErrorOf(k, reported int) int {
-	if m := rt.rankMemo; m.round == rt.round && m.k == k && m.q == reported {
-		return m.err
-	}
-	err := rt.rankError(k, reported)
-	rt.rankMemo = rankMemo{round: rt.round, k: k, q: reported, err: err}
-	return err
-}
-
-// rankError is RankErrorOf's O(N) scan.
-func (rt *Runtime) rankError(k, reported int) int {
 	below, equal := 0, 0
 	for _, v := range rt.roundReadings() {
 		if v < reported {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"wsnq/internal/mathx"
-	"wsnq/internal/report"
 	"wsnq/internal/trace"
 )
 
@@ -83,7 +82,7 @@ type Distribution struct {
 	Max  float64 `json:"max"`
 }
 
-// NodeLoad is one node's aggregated load, as reported to heatmaps.
+// NodeLoad is one node's aggregated load.
 type NodeLoad struct {
 	Node          int     `json:"node"`
 	Sends         int     `json:"sends"`
@@ -137,35 +136,6 @@ type HealthReport struct {
 	RoundJoules HistogramSnapshot `json:"round_joules"`
 
 	PerNode []NodeLoad `json:"per_node"`
-}
-
-// View converts the report into the plain-data slice the report
-// package renders (report.LoadHeatmap, report.LifetimeChart). The
-// conversion lives here so report needs no telemetry import and the
-// dashboard can reuse its renderers.
-func (r HealthReport) View() report.HealthView {
-	v := report.HealthView{
-		Nodes:        r.Nodes,
-		Rounds:       r.Rounds,
-		JainMessages: r.JainMessages,
-		JainEnergy:   r.JainEnergy,
-		EnergyMean:   r.Energy.Mean,
-		EnergyP50:    r.Energy.P50,
-		Lifetime: report.LifetimeView{
-			Budget:           r.Lifetime.Budget,
-			HottestNode:      r.Lifetime.HottestNode,
-			MaxDrainPerRound: r.Lifetime.MaxDrainPerRound,
-			ProjectedRounds:  r.Lifetime.ProjectedRounds,
-		},
-	}
-	for _, nl := range r.PerNode {
-		v.PerNode = append(v.PerNode, report.NodeLoad{
-			Node: nl.Node, Sends: nl.Sends, Receives: nl.Receives,
-			Frames: nl.Frames, BitsOut: nl.BitsOut,
-			Joules: nl.Joules, DrainPerRound: nl.DrainPerRound,
-		})
-	}
-	return v
 }
 
 // hotspotCount caps the hotspot list in a report.

@@ -46,7 +46,7 @@ func lossyFaultyRun(t *testing.T, attach func(rt *sim.Runtime) trace.Collector) 
 		t.Fatal(err)
 	}
 	for r := 0; r < 30; r++ {
-		if _, _, err := drv.Step(); err != nil {
+		if _, err := drv.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -140,6 +140,12 @@ func TestProfResetAndReuse(t *testing.T) {
 	}
 }
 
+// nopCollector receives the flight-recorder stream and discards it:
+// the baseline cost of a traced round.
+type nopCollector struct{}
+
+func (nopCollector) Collect(wsnq.TraceEvent) {}
+
 // TestProfOverheadGuard enforces the ≤2% profiler budget on the traced
 // round hot path: both sides run with tracing attached, so the guard
 // measures exactly what phase attribution adds on top of the recorder.

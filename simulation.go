@@ -178,16 +178,16 @@ func (s *Simulation) AlgorithmName() string { return s.drv.Algorithm().Name() }
 // under loss or faults, the round replays initialization over reliable
 // links and RoundResult.Reinit reports it.
 func (s *Simulation) Step() (RoundResult, error) {
-	q, reinit, err := s.drv.Step()
+	v, err := s.drv.Step()
 	if err != nil {
 		return RoundResult{}, err
 	}
 	st := s.rt.Stats()
 	_, hotspot := s.rt.Ledger().MaxSpent()
 	return RoundResult{
-		Round:         s.drv.Round(),
-		Quantile:      q,
-		Oracle:        s.rt.Oracle(s.drv.K()),
+		Round:         v.Round,
+		Quantile:      v.Answer,
+		Oracle:        s.rt.Oracle(v.K),
 		TotalEnergy:   s.rt.Ledger().TotalSpent(),
 		HotspotEnergy: hotspot,
 		BitsSent:      st.BitsSent,
@@ -198,7 +198,7 @@ func (s *Simulation) Step() (RoundResult, error) {
 		Degraded:      s.rt.CoverageDeficit() > 0,
 		Staleness:     s.rt.Staleness(),
 		Orphans:       s.rt.Orphans(),
-		Reinit:        reinit,
+		Reinit:        v.Reinit,
 		Adapts:        st.Adapts,
 	}, nil
 }
