@@ -26,8 +26,8 @@ help:
 	@echo "  serve       query-service gate: registry race hammer, coalescing parity,"
 	@echo "              seeded 1,000-query load smoke"
 	@echo "  scenario    golden-scenario gate: DSL round-trips, pinned replay digests,"
-	@echo "              live-vs-replay differential, round-level-only live"
-	@echo "              collectors, replay speedup, fleet boot"
+	@echo "              byte-exact re-recording, live-vs-replay differential,"
+	@echo "              round-level-only live collectors, replay speedup, fleet boot"
 	@echo "  slo         SLO gate: spec grammar round-trips, budget-arithmetic"
 	@echo "              goldens, zero-allocation observe, serve /slo surface,"
 	@echo "              and the live-vs-replay budget-trajectory differential"
@@ -146,8 +146,10 @@ serve:
 	$(GO) test -count=1 -run '^(TestServeDeterminism|TestServeLoadSmoke)$$' -v .
 
 # scenario gates the golden scenarios: the DSL parser/printer
-# round-trip suite, the committed recordings replaying to their pinned
-# outcome digests, the live-vs-replay differential, the live run's
+# round-trip suite, the record writers and outcome digest matching
+# encoding/json, the committed recordings replaying to their pinned
+# outcome digests and re-recording byte for byte, the live-vs-replay
+# differential, the live run's
 # collectors (TestLiveRunAttachesRoundCollectorsOnly: only the
 # round-level series ingester, no per-hop events), the replay speedup
 # floor, and the scenario-booted server fleet matching a standalone
@@ -155,7 +157,7 @@ serve:
 # behavior change.
 scenario:
 	$(GO) test -run '^Test' -v ./internal/scenario/
-	$(GO) test -count=1 -run '^(TestGoldenScenarioReplays|TestScenarioLiveReplayDifferential|TestScenarioReplaySpeedup|TestScenarioServe|TestScenarioSimulationFaults)$$' -v .
+	$(GO) test -count=1 -run '^(TestGoldenScenarioReplays|TestGoldenRecordingsRerecord|TestScenarioLiveReplayDifferential|TestScenarioReplaySpeedup|TestScenarioServe|TestScenarioSimulationFaults)$$' -v .
 
 # slo gates the SLO engine: the spec grammar and budget/burn-rate unit
 # suite (including the pinned budget-arithmetic goldens and the
@@ -205,6 +207,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayHeader$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 	$(GO) test -run '^$$' -fuzz '^FuzzDiscGraph$$' -fuzztime $(FUZZTIME) ./internal/wsn/
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -415,16 +416,41 @@ func lifetime(first, last float64, n int, budget float64) float64 {
 	return remaining
 }
 
-// message renders the human-readable alert line.
+// message renders the human-readable alert line,
+//
+//	name[key] level: metric:agg(window) = value cmp threshold (round r)
+//	name[key] recovered: metric:agg(window) = value (round r)
+//
+// with the numbers formatted as fmt's %d and %g format them.
 func message(r Rule, ev Event) string {
-	verb := "recovered"
+	b := make([]byte, 0, 128)
+	b = append(b, r.Name...)
+	b = append(b, '[')
+	b = append(b, ev.Key...)
+	b = append(b, "] "...)
 	if ev.Level > OK {
-		verb = fmt.Sprintf("%s: %s:%s(%d) = %g %s %g",
-			ev.Level, r.Metric, r.Agg, r.Window, ev.Value, r.Cmp, ev.Threshold)
-		return fmt.Sprintf("%s[%s] %s (round %d)", r.Name, ev.Key, verb, ev.Round)
+		b = append(b, ev.Level.String()...)
+	} else {
+		b = append(b, "recovered"...)
 	}
-	return fmt.Sprintf("%s[%s] %s: %s:%s(%d) = %g (round %d)",
-		r.Name, ev.Key, verb, r.Metric, r.Agg, r.Window, ev.Value, ev.Round)
+	b = append(b, ": "...)
+	b = append(b, r.Metric...)
+	b = append(b, ':')
+	b = append(b, r.Agg...)
+	b = append(b, '(')
+	b = strconv.AppendInt(b, int64(r.Window), 10)
+	b = append(b, ") = "...)
+	b = strconv.AppendFloat(b, ev.Value, 'g', -1, 64)
+	if ev.Level > OK {
+		b = append(b, ' ')
+		b = append(b, r.Cmp...)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, ev.Threshold, 'g', -1, 64)
+	}
+	b = append(b, " (round "...)
+	b = strconv.AppendInt(b, int64(ev.Round), 10)
+	b = append(b, ')')
+	return string(b)
 }
 
 // Log is a chronological alert history.

@@ -2,7 +2,9 @@ package alert
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -415,6 +417,49 @@ func TestMessages(t *testing.T) {
 	}
 	if want := "load[HBC] recovered: frames:last(1) = 0 (round 4)"; log[1].Message != want {
 		t.Errorf("recovery message = %q, want %q", log[1].Message, want)
+	}
+}
+
+// TestMessageMatchesSprintf: message builds the bytes of its fmt form
+// over random rules and values, negative, tiny, huge, integral and
+// non-finite floats included.
+func TestMessageMatchesSprintf(t *testing.T) {
+	sprintf := func(r Rule, ev Event) string {
+		if ev.Level > OK {
+			verb := fmt.Sprintf("%s: %s:%s(%d) = %g %s %g",
+				ev.Level, r.Metric, r.Agg, r.Window, ev.Value, r.Cmp, ev.Threshold)
+			return fmt.Sprintf("%s[%s] %s (round %d)", r.Name, ev.Key, verb, ev.Round)
+		}
+		return fmt.Sprintf("%s[%s] %s: %s:%s(%d) = %g (round %d)",
+			r.Name, ev.Key, "recovered", r.Metric, r.Agg, r.Window, ev.Value, ev.Round)
+	}
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, 42, -7e3, 1e21, 1e-7, 5e-324,
+		-math.MaxFloat64, 0.1, 123456.789, 1e20, 1e-5, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return float64(rng.Intn(2001) - 1000)
+		case 2:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(61)-30))
+		}
+		return math.Float64frombits(rng.Uint64())
+	}
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	for i := 0; i < 5000; i++ {
+		r := Rule{
+			Name: pick("load", "err", "storm-2", ""), Metric: pick("frames", "rank_error", "lifetime"),
+			Agg: pick("last", "mean", "p95", "rate"), Window: rng.Intn(100) - 1, Cmp: pick(">", ">=", "<", "<="),
+		}
+		ev := Event{
+			Key: pick("IQ", "0.1/HBC", "a[b]"), Round: rng.Intn(1e6) - 3,
+			Level: Level(rng.Intn(4)), Value: float(), Threshold: float(),
+		}
+		if got, want := message(r, ev), sprintf(r, ev); got != want {
+			t.Fatalf("message %q, Sprintf %q", got, want)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -105,6 +108,79 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q decoded to %+v, encoding/json to %+v", line, got, want)
+		}
+	})
+}
+
+// FuzzEncodeRecord checks the record writers against encoding/json:
+// for a Point, Snapshot, Verdict, alert Event, adapt Decision, SLO
+// Status and Event, and round record filled from the input, the writer
+// emits json.Marshal's bytes, or the same error, and Hash over them
+// equals the json.Marshal-built digest.
+func FuzzEncodeRecord(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{1}, 256))
+	f.Add(bytes.Repeat([]byte{3, 0xff}, 256))
+	f.Add(bytes.Repeat([]byte{0xc8, 5, 1, 7}, 128))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkEncodeRecords(t, data)
+	})
+}
+
+// FuzzReplayHeader checks that Replay never panics on a recording's
+// header line and the lines after it, and that a header it accepts
+// carries the hash of the scenario it replays. The seeds are the
+// committed recordings' first lines, alone and followed by a run
+// marker and a round.
+func FuzzReplayHeader(f *testing.F) {
+	f.Add([]byte(`{"header":{"format":"wsnq-recording","version":1,"scenario":"","sha256":""}}`))
+	f.Add([]byte(`{"header":null}`))
+	f.Add([]byte(`{"run":{"key":"IQ"}}`))
+	// A valid header at the largest sizes the grammar allows: replay
+	// must not reserve runs × rounds × algorithms × sweep values of
+	// anything before it reads a round.
+	loss := make([]string, 32)
+	for i := range loss {
+		loss[i] = strconv.FormatFloat(float64(i)/100, 'f', -1, 64)
+	}
+	big, err := Parse("nodes 20000\nrounds 1000000\nruns 10000\ncapacity 1048576\n" +
+		"algorithms TAG,POS,LCLL-H,LCLL-S,HBC,HBC-NB,IQ,ADAPT\nalerts storm=frames:mean(5)>400\n" +
+		"adapt on storm(warn) do reroot\nsweep loss " + strings.Join(loss, ",") + "\n")
+	if err != nil {
+		f.Fatal(err)
+	}
+	header, err := json.Marshal(fileRecord{Header: &Header{
+		Format: recordingFormat, Version: recordingVersion, Scenario: big.String(), SHA256: big.Hash(),
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Replay(bytes.NewReader(header)); err != nil {
+		f.Fatalf("replaying the largest header: %v", err)
+	}
+	f.Add(header)
+	files, _ := filepath.Glob("../../testdata/recordings/*.jsonl")
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := bytes.SplitAfterN(b, []byte("\n"), 4)
+		f.Add(lines[0])
+		f.Add(bytes.Join(lines[:3], nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := Replay(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		var rec fileRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Header == nil {
+			t.Fatalf("replayed %q without a header line (%v)", line, err)
+		}
+		if out.Scenario.Hash() != rec.Header.SHA256 {
+			t.Fatalf("replayed scenario hash %s, header %s", out.Scenario.Hash(), rec.Header.SHA256)
 		}
 	})
 }

@@ -19,6 +19,12 @@ const (
 	recordingVersion = 1
 )
 
+// maxPresize bounds how many verdicts, and points per key, a replay
+// reserves from the header's sizes before reading a round: the header
+// is a few lines of text, and its runs × rounds × algorithms × sweep
+// values can name terabytes.
+const maxPresize = 1 << 14
+
 // maxRecordBytes bounds one recording line (the header carries the full
 // canonical scenario text, so it dwarfs the round records).
 const maxRecordBytes = 4 << 20
@@ -43,7 +49,8 @@ type runMarker struct {
 
 // roundRecord is one round of one key: the root's verdict and the
 // round-stamped span-1 series point exactly as the live PointSink saw
-// it. encoding/json round-trips float64 losslessly (shortest repr), so
+// it. The recorder writes it as encoding/json would (encoder.round),
+// whose shortest float form round-trips float64 losslessly, so
 // replaying these points is bit-identical.
 type roundRecord struct {
 	Key     string       `json:"key"`
@@ -250,8 +257,8 @@ func replay(r io.Reader, win *roundWindow) (*Outcome, error) {
 		if s.Sweep != nil {
 			variants = len(s.Sweep.Values)
 		}
-		out.Verdicts = make([]Verdict, 0, variants*s.Runs*len(s.Algorithms)*s.Rounds)
-		store.Reserve(s.Runs * s.Rounds)
+		out.Verdicts = make([]Verdict, 0, min(variants*s.Runs*len(s.Algorithms)*s.Rounds, maxPresize))
+		store.Reserve(min(s.Runs*s.Rounds, maxPresize))
 	}
 	lineNo := 1
 	var rec fileRecord
@@ -318,7 +325,7 @@ func replay(r io.Reader, win *roundWindow) (*Outcome, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("scenario: reading recording: %w", err)
 	}
-	out.Series = store.Snapshot()
+	out.Series = store.Release()
 	if eng != nil {
 		out.Alerts = eng.Log()
 	}

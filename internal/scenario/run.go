@@ -57,42 +57,51 @@ type Outcome struct {
 // stream — as a SHA-256 hex string. A live run and a replay of its
 // recording produce the same hash; the golden tests pin these digests.
 func (o *Outcome) Hash() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "scenario %s\n", o.Scenario.Hash())
+	d := digest{h: sha256.New()}
+	d.b = make([]byte, 0, 2*digestChunk)
+	d.end(d.begin("scenario " + o.Scenario.Hash()))
 	keys := make([]string, 0, len(o.Series))
 	for k := range o.Series {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		b, _ := json.Marshal(o.Series[k])
-		fmt.Fprintf(h, "series %s %s\n", k, b)
+		p := d.begin("series " + k + " ")
+		snap := o.Series[k]
+		d.snapshot(&snap)
+		d.end(p)
 	}
-	for _, e := range o.Alerts {
-		b, _ := json.Marshal(e)
-		fmt.Fprintf(h, "alert %s\n", b)
+	for i := range o.Alerts {
+		p := d.begin("alert ")
+		d.alert(&o.Alerts[i])
+		d.end(p)
 	}
-	for _, v := range o.Verdicts {
-		b, _ := json.Marshal(v)
-		fmt.Fprintf(h, "verdict %s\n", b)
+	for i := range o.Verdicts {
+		p := d.begin("verdict ")
+		d.verdict(&o.Verdicts[i])
+		d.end(p)
 	}
 	// SLO lines appear only when the scenario declares objectives, so
 	// the digests of SLO-free scenarios are unchanged.
-	for _, st := range o.SLO {
-		b, _ := json.Marshal(st)
-		fmt.Fprintf(h, "slo %s\n", b)
+	for i := range o.SLO {
+		p := d.begin("slo ")
+		d.sloStatus(&o.SLO[i])
+		d.end(p)
 	}
-	for _, e := range o.SLOEvents {
-		b, _ := json.Marshal(e)
-		fmt.Fprintf(h, "sloevent %s\n", b)
+	for i := range o.SLOEvents {
+		p := d.begin("sloevent ")
+		d.sloEvent(&o.SLOEvents[i])
+		d.end(p)
 	}
 	// Adapt lines likewise appear only when the scenario declares
 	// closed-loop policies and they fired.
-	for _, d := range o.Adapts {
-		b, _ := json.Marshal(d)
-		fmt.Fprintf(h, "adapt %s\n", b)
+	for i := range o.Adapts {
+		p := d.begin("adapt ")
+		d.decision(&o.Adapts[i])
+		d.end(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	d.h.Write(d.b)
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // Run executes the scenario live on the experiment engine and returns
@@ -143,7 +152,7 @@ func record(ctx context.Context, s *Scenario, algs []experiment.NamedFactory, w 
 	// and Replay so live and replayed SLO trajectories hash alike.
 	rec := &recorder{sc: s, slo: tracker, lines: 1}
 	if w != nil {
-		rec.enc = json.NewEncoder(w)
+		rec.w, rec.enc = w, json.NewEncoder(w)
 		rec.emit(fileRecord{Header: &Header{
 			Format:   recordingFormat,
 			Version:  recordingVersion,
@@ -200,7 +209,7 @@ func record(ctx context.Context, s *Scenario, algs []experiment.NamedFactory, w 
 
 	out := &Outcome{
 		Scenario: s,
-		Series:   store.Snapshot(),
+		Series:   store.Release(),
 		Verdicts: rec.verdicts,
 		Adapts:   adapts,
 		Metrics:  metrics,
@@ -222,7 +231,9 @@ func record(ctx context.Context, s *Scenario, algs []experiment.NamedFactory, w 
 // engine runs strictly sequentially with either hook set, so the
 // records come out in grid order.
 type recorder struct {
-	enc      *json.Encoder // nil when running without a recording
+	w        io.Writer     // nil when running without a recording
+	enc      *json.Encoder // the header and run-marker lines, on w
+	line     encoder       // a round-record line
 	sc       *Scenario
 	slo      *slo.Tracker // nil without slo declarations
 	lines    int          // recording lines so far (header = 1), kept even unrecorded
@@ -255,9 +266,13 @@ func (r *recorder) point(key string, p series.Point, d experiment.Verdict) {
 	v := Verdict{Key: key, Round: p.Round, Answer: d.Answer, K: d.K, RankErr: d.RankErr}
 	r.verdicts = append(r.verdicts, v)
 	r.lines++
-	r.emit(fileRecord{Round: &roundRecord{
-		Key: key, Answer: v.Answer, K: v.K, RankErr: v.RankErr, Point: p,
-	}})
+	if r.w != nil && r.err == nil {
+		r.line.b = r.line.b[:0]
+		r.line.round(&roundRecord{Key: key, Answer: v.Answer, K: v.K, RankErr: v.RankErr, Point: p})
+		if r.err = r.line.err; r.err == nil {
+			_, r.err = r.w.Write(r.line.b)
+		}
+	}
 	if r.slo != nil {
 		// The round record just written (or that a recording would hold)
 		// lives at line r.lines — the exemplar offset replay seeks to.

@@ -339,6 +339,24 @@ func (s *Store) Snapshot() map[string]Snapshot {
 	return out
 }
 
+// Release exports every key's series like Snapshot, but hands over
+// the stored points instead of copying them and leaves the store
+// empty: for a caller that is done ingesting, such as a replay.
+func (s *Store) Release() map[string]Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]Snapshot, len(s.m))
+	for k, st := range s.m {
+		pts := st.pts
+		if st.pending.Span > 0 {
+			pts = append(pts, st.pending)
+		}
+		out[k] = Snapshot{Stride: st.stride, Rounds: st.rounds, Points: pts}
+	}
+	s.m = make(map[string]*state)
+	return out
+}
+
 // WindowStats summarizes f over a sliding window of stored points.
 type WindowStats struct {
 	Points int     `json:"points"`

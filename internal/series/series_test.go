@@ -2,6 +2,7 @@ package series_test
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -212,6 +213,32 @@ func TestDownsamplingConservesTotals(t *testing.T) {
 	}
 	if worst != 12 { // max of r%13
 		t.Errorf("worst rank error = %d, want 12", worst)
+	}
+}
+
+// TestReleaseMatchesSnapshot: Release exports what Snapshot does —
+// downsampled points and the partial pending span included — and
+// leaves the store empty, so later ingestion cannot reach the released
+// points.
+func TestReleaseMatchesSnapshot(t *testing.T) {
+	st := series.New(8)
+	for r := 0; r < 45; r++ {
+		st.Add("a", series.Point{Frames: r})
+		if r%3 == 0 {
+			st.Add("b", series.Point{Joules: float64(r)})
+		}
+	}
+	want := st.Snapshot()
+	got := st.Release()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Release %+v, Snapshot %+v", got, want)
+	}
+	if len(st.Keys()) != 0 {
+		t.Fatalf("store keeps keys %v after Release", st.Keys())
+	}
+	st.Add("a", series.Point{Frames: -1})
+	if !reflect.DeepEqual(got["a"], want["a"]) {
+		t.Fatal("ingestion after Release changed a released series")
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 var goldenOutcomes = map[string]string{
 	"baseline":       "6cc4d6d04d872c6865863c2f295abc3cbf8381ff49690bf1756def717113b37a",
 	"lossy-storm":    "d85323147bb9cd06ae2208ac37f5e3fb8f36c970d11efa35d5ae986faf2d0fa3",
-	"crash-recovery": "7966be454f21bd9d42f6d0761560b41247d1778a05aafdee4379b4ba7e0c27b4",
+	"crash-recovery": "ec3dd960ec01b88562849cea44eb0e4505e0e18436a8c8469fa139943ca2f331",
 	"serve-load":     "e7c06c4031ad37090e875d5a9c74d31c59fe6fb189896829a5ae4584eae6317d",
 	"selfheal":       "49e9f801dda7d3cd4a51f8ee06f41c780da9c547f18cceb9367c44e1d86ce698",
 }
@@ -111,6 +111,51 @@ func TestGoldenScenarioReplays(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenRecordingsRerecord: re-recording every golden scenario
+// reproduces its committed recording byte for byte, and the live
+// outcome hashes to the pinned digest. TestGoldenScenarioReplays alone
+// would keep passing on a recording the current code no longer writes.
+func TestGoldenRecordingsRerecord(t *testing.T) {
+	if os.Getenv("WSNQ_REGEN") != "" {
+		t.Skip("WSNQ_REGEN=1 rewrites the recordings")
+	}
+	for name, want := range goldenOutcomes {
+		t.Run(name, func(t *testing.T) {
+			sc := loadScenario(t, name)
+			var buf bytes.Buffer
+			out, err := wsnq.RecordScenario(context.Background(), sc, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed, err := os.ReadFile(recordingPath(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.Bytes(); !bytes.Equal(got, committed) {
+				gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(committed, []byte("\n"))
+				i := 0
+				for i < len(gotLines) && i < len(wantLines) && bytes.Equal(gotLines[i], wantLines[i]) {
+					i++
+				}
+				t.Errorf("re-recording differs from %s (%d bytes, committed %d) from line %d:\n  got  %s\n  want %s\n"+
+					"If the change is intentional, re-pin with WSNQ_REGEN=1.",
+					recordingPath(name), len(got), len(committed), i+1, lineAt(gotLines, i), lineAt(wantLines, i))
+			}
+			if got := out.Hash(); got != want {
+				t.Errorf("live outcome digest %s, pinned %s", got, want)
+			}
+		})
+	}
+}
+
+// lineAt returns lines[i], or nil past the end.
+func lineAt(lines [][]byte, i int) []byte {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return nil
 }
 
 func regenGoldenRecordings(t *testing.T) {
