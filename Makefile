@@ -47,8 +47,9 @@ help:
 	@echo "  series-guard series-ingest overhead on the bare round vs the 2% budget"
 	@echo "              (idle machine)"
 	@echo "  prof-guard  phase-attribution overhead vs the 2% budget (idle machine)"
-	@echo "  bench       run the root package's and internal/sim's Go"
-	@echo "              benchmarks with -benchmem"
+	@echo "  bench       run the Go benchmarks of the root package, internal/sim,"
+	@echo "              internal/scenario (the round-record reader) and"
+	@echo "              internal/alert (the rule engine) with -benchmem"
 	@echo "  bench-json  measure tracked hot paths into BENCH_<date>.json; the"
 	@echo "              regression guard (TestBenchRegressionGuard) diffs the"
 	@echo "              newest two sessions and fails on >15% hot-path slowdown"
@@ -210,6 +211,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayHeader$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/adapt/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/alert/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecs$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzDiscGraph$$' -fuzztime $(FUZZTIME) ./internal/wsn/
 
 # trace-guard measures the disabled flight recorder against the
@@ -246,7 +249,7 @@ staticcheck:
 check: vet staticcheck race oracle telemetry alert prof chaos serve scenario slo adapt fuzz-smoke
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/sim/
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/sim/ ./internal/scenario/ ./internal/alert/
 
 # bench-json appends one session to the perf trajectory: commit the
 # produced BENCH_<date>.json and TestBenchRegressionGuard will diff it

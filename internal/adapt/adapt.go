@@ -349,6 +349,8 @@ type policyState struct {
 type Controller struct {
 	policies []Policy
 	eng      *alert.Engine
+	trigger  []int         // each policy's trigger, as an index into eng's rules
+	levels   []alert.Level // the observed key's levels, by rule index
 	st       []policyState
 	act      Actuator
 	pending  []Policy
@@ -361,17 +363,19 @@ type Controller struct {
 // engine's own contract).
 func NewController(budget float64, policies ...Policy) (*Controller, error) {
 	var rules []alert.Rule
-	seen := map[string]bool{}
-	for _, p := range policies {
+	index := map[string]int{} // trigger → its rule's index
+	trigger := make([]int, len(policies))
+	for i, p := range policies {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		if seen[p.Trigger] {
+		if j, ok := index[p.Trigger]; ok {
+			trigger[i] = j
 			continue
 		}
-		seen[p.Trigger] = true
 		for _, r := range alert.Presets() {
 			if r.Name == p.Trigger {
+				index[p.Trigger], trigger[i] = len(rules), len(rules)
 				rules = append(rules, r)
 				break
 			}
@@ -387,6 +391,7 @@ func NewController(budget float64, policies ...Policy) (*Controller, error) {
 	c := &Controller{
 		policies: append([]Policy(nil), policies...),
 		eng:      eng,
+		trigger:  trigger,
 		st:       make([]policyState, len(policies)),
 	}
 	for i := range c.st {
@@ -411,11 +416,11 @@ func (c *Controller) Bind(a Actuator) { c.act = a }
 // queues a Decision for the next Apply. It is a series.Sink; attach it
 // to the same ingester that feeds the other sinks.
 func (c *Controller) Observe(key string, p series.Point) {
-	c.eng.Observe(key, p)
+	c.levels = c.eng.ObserveLevels(key, p, c.levels[:0])
 	for i := range c.policies {
 		pol := &c.policies[i]
 		st := &c.st[i]
-		lvl := c.eng.Level(pol.Trigger, key)
+		lvl := c.levels[c.trigger[i]]
 		if lvl < pol.Level {
 			st.armed = 0
 			continue

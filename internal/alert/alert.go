@@ -123,6 +123,9 @@ func (r Rule) Validate() error {
 	if r.Window < 1 {
 		return fmt.Errorf("alert: rule %s: window %d < 1", r.Name, r.Window)
 	}
+	if math.IsNaN(r.Warn) || (r.HasCrit && math.IsNaN(r.Crit)) {
+		return fmt.Errorf("alert: rule %s: a NaN threshold never compares", r.Name)
+	}
 	if r.HasCrit {
 		lower := r.Cmp == "<" || r.Cmp == "<="
 		if (lower && r.Crit > r.Warn) || (!lower && r.Crit < r.Warn) {
@@ -134,7 +137,7 @@ func (r Rule) Validate() error {
 }
 
 // exceeds applies the rule's comparator to value vs. threshold.
-func (r Rule) exceeds(v, threshold float64) bool {
+func (r *Rule) exceeds(v, threshold float64) bool {
 	switch r.Cmp {
 	case ">":
 		return v > threshold
@@ -150,7 +153,7 @@ func (r Rule) exceeds(v, threshold float64) bool {
 
 // classify maps an aggregate value to a level. NaN (not enough data
 // for the aggregate yet) never alerts.
-func (r Rule) classify(v float64) Level {
+func (r *Rule) classify(v float64) Level {
 	if math.IsNaN(v) {
 		return OK
 	}
@@ -164,7 +167,7 @@ func (r Rule) classify(v float64) Level {
 }
 
 // threshold returns the threshold that produced the given level.
-func (r Rule) threshold(l Level) float64 {
+func (r *Rule) threshold(l Level) float64 {
 	if l == Crit {
 		return r.Crit
 	}
@@ -200,15 +203,10 @@ type State struct {
 type Engine struct {
 	mu     sync.Mutex
 	rules  []Rule
-	budget float64 // per-node energy budget for the lifetime metric
-	states map[stateKey]*ruleState
-	order  []stateKey
+	sample []func(series.Point) float64 // each rule's metric; nil for lifetime
+	budget float64                      // per-node energy budget for the lifetime metric
+	keys   map[string][]*ruleState      // per key, one state per rule, by rule index
 	log    level.Log[Event]
-}
-
-type stateKey struct {
-	rule int // index into rules: preserves rule order, tolerates duplicate names
-	key  string
 }
 
 // ruleState is the sliding window and standing level of one rule × key.
@@ -228,10 +226,15 @@ func NewEngine(rules ...Rule) (*Engine, error) {
 			return nil, err
 		}
 	}
-	return &Engine{
+	e := &Engine{
 		rules:  append([]Rule(nil), rules...),
-		states: make(map[stateKey]*ruleState),
-	}, nil
+		sample: make([]func(series.Point) float64, len(rules)),
+		keys:   make(map[string][]*ruleState),
+	}
+	for i, r := range rules {
+		e.sample[i] = metrics[r.Metric]
+	}
+	return e, nil
 }
 
 // Rules returns a copy of the engine's rule set.
@@ -267,10 +270,8 @@ func (e *Engine) DefaultBudget(joules float64) {
 func (e *Engine) StartRun(key string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range e.rules {
-		if st, ok := e.states[stateKey{i, key}]; ok {
-			st.win.Reset()
-		}
+	for _, st := range e.keys[key] {
+		st.win.Reset()
 	}
 }
 
@@ -279,22 +280,43 @@ func (e *Engine) StartRun(key string) {
 func (e *Engine) Observe(key string, p series.Point) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, r := range e.rules {
-		sk := stateKey{i, key}
-		st, ok := e.states[sk]
-		if !ok {
-			st = &ruleState{win: level.NewRing[float64](r.Window)}
+	e.observe(key, p)
+}
+
+// ObserveLevels is Observe that also appends key's standing level
+// under each rule, by rule index, to dst and returns it: a caller that
+// reads levels after every point (the adapt controller) pays one state
+// lookup per point, not one per rule.
+func (e *Engine) ObserveLevels(key string, p series.Point, dst []Level) []Level {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, st := range e.observe(key, p) {
+		dst = append(dst, st.standing.Level)
+	}
+	return dst
+}
+
+// observe feeds p through every rule and returns key's states. A key's
+// states are made together, in rule order, when it is first seen.
+func (e *Engine) observe(key string, p series.Point) []*ruleState {
+	sts, ok := e.keys[key]
+	if !ok {
+		sts = make([]*ruleState, len(e.rules))
+		for i := range e.rules {
+			r := &e.rules[i]
+			st := &ruleState{win: level.NewRing[float64](r.Window)}
 			if r.Agg == "p95" && r.Metric != metricLifetime {
 				st.scratch = make([]float64, r.Window)
 			}
-			e.states[sk] = st
-			e.order = append(e.order, sk)
+			sts[i] = st
 		}
-		sample := 0.0
-		if r.Metric == metricLifetime {
-			sample = p.HotJoules
-		} else {
-			sample = metrics[r.Metric](p)
+		e.keys[key] = sts
+	}
+	for i, st := range sts {
+		r := &e.rules[i]
+		sample := p.HotJoules // the lifetime metric's watermark
+		if f := e.sample[i]; f != nil {
+			sample = f(p)
 		}
 		st.win.Push(sample)
 		st.rounds++
@@ -310,10 +332,11 @@ func (e *Engine) Observe(key string, p series.Point) {
 			if lvl > OK {
 				ev.Threshold = r.threshold(lvl)
 			}
-			ev.Message = message(r, ev)
+			ev.Message = message(*r, ev)
 			e.log.Append(ev)
 		}
 	}
+	return sts
 }
 
 // Level returns the standing level of the first rule named rule for
@@ -321,10 +344,10 @@ func (e *Engine) Observe(key string, p series.Point) {
 func (e *Engine) Level(rule, key string) Level {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, r := range e.rules {
-		if r.Name == rule {
-			if st, ok := e.states[stateKey{i, key}]; ok {
-				return st.standing.Level
+	for i := range e.rules {
+		if e.rules[i].Name == rule {
+			if sts, ok := e.keys[key]; ok {
+				return sts[i].standing.Level
 			}
 			break
 		}
@@ -334,7 +357,7 @@ func (e *Engine) Level(rule, key string) Level {
 
 // aggregate reduces the rule's window to one value, reading it in
 // place oldest first; NaN means "not enough data yet" and never alerts.
-func (e *Engine) aggregate(r Rule, st *ruleState) float64 {
+func (e *Engine) aggregate(r *Rule, st *ruleState) float64 {
 	w := &st.win
 	n := w.Len()
 	if n == 0 {
@@ -496,20 +519,20 @@ func (e *Engine) Dropped() int {
 func (e *Engine) States() []State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	order := append([]stateKey(nil), e.order...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].rule != order[j].rule {
-			return order[i].rule < order[j].rule
+	keys := make([]string, 0, len(e.keys))
+	for key := range e.keys {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	out := make([]State, 0, len(e.rules)*len(keys))
+	for i := range e.rules {
+		for _, key := range keys {
+			st := e.keys[key][i]
+			out = append(out, State{
+				Rule: e.rules[i].Name, Key: key,
+				Level: st.standing.Level, Since: st.standing.Since, Value: sanitize(st.value), Rounds: st.rounds,
+			})
 		}
-		return order[i].key < order[j].key
-	})
-	out := make([]State, 0, len(order))
-	for _, sk := range order {
-		st := e.states[sk]
-		out = append(out, State{
-			Rule: e.rules[sk.rule].Name, Key: sk.key,
-			Level: st.standing.Level, Since: st.standing.Since, Value: sanitize(st.value), Rounds: st.rounds,
-		})
 	}
 	return out
 }

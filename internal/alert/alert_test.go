@@ -626,3 +626,28 @@ func TestObserveAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEngineObserve measures one point through the storm,
+// excursion and orphan presets, the rule set the chaos benchmark
+// attaches, with the points spread over six keys as a grid of
+// algorithms and runs spreads them. The stream is mostly
+// transition-free, as a healthy run's is.
+func BenchmarkEngineObserve(b *testing.B) {
+	rules, err := ParseRules("storm; excursion; orphan")
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(rules...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := []string{"IQ", "HBC", "ADAPT", "0.1/IQ", "0.1/HBC", "0.1/ADAPT"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		round := i / len(keys)
+		e.Observe(keys[i%len(keys)], series.Point{
+			Round: round, Span: 1, Frames: 100 + round%7, Refines: 1,
+			RankError: round % 8 / 7, Orphans: round % 64 / 63,
+		})
+	}
+}

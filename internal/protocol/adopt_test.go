@@ -15,6 +15,13 @@ import (
 	"wsnq/internal/wsn"
 )
 
+// countersEmpty reports whether a validation payload carries no
+// information at all, so a node sends nothing.
+func countersEmpty(c *Counters) bool {
+	return c.OutOfL == 0 && c.IntoL == 0 && c.OutOfG == 0 && c.IntoG == 0 &&
+		!c.HasLo && !c.HasHi && len(c.Attached) == 0
+}
+
 // ownFirstValidation is RunValidation as it was before relaying nodes
 // adopted their first child's payload: every node takes a fresh payload,
 // fills in its own contribution, then merges its children into it.
@@ -47,7 +54,7 @@ func ownFirstValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 		for _, ch := range children {
 			c.merge(ch.(*Counters))
 		}
-		if c.Empty() {
+		if countersEmpty(c) {
 			return nil
 		}
 		return c

@@ -107,27 +107,6 @@ func TestCountersBitsMonotone(t *testing.T) {
 	}
 }
 
-// TestCountersEmpty covers the suppression predicate.
-func TestCountersEmpty(t *testing.T) {
-	c := &Counters{mode: HintTwoValues, sizes: msg.DefaultSizes()}
-	if !c.Empty() {
-		t.Error("zero counters not empty")
-	}
-	c.IntoG = 1
-	if c.Empty() {
-		t.Error("non-zero counters empty")
-	}
-	c = &Counters{mode: HintTwoValues, sizes: msg.DefaultSizes()}
-	c.Attached = []int{1}
-	if c.Empty() {
-		t.Error("attached values empty")
-	}
-	c = &Counters{mode: HintTwoValues, sizes: msg.DefaultSizes(), HasLo: true}
-	if c.Empty() {
-		t.Error("hint-only counters empty")
-	}
-}
-
 // TestHintModeBits covers the encoding widths.
 func TestHintModeBits(t *testing.T) {
 	if HintNone.Bits(16) != 0 {

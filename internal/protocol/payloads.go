@@ -122,13 +122,6 @@ func getCounters(mode HintMode, sizes msg.Sizes) *Counters {
 // release returns c to its pool; c must not be used afterwards.
 func (c *Counters) release() { countersPool.Put(c) }
 
-// Empty reports whether the payload carries no information at all and
-// can therefore be suppressed.
-func (c *Counters) Empty() bool {
-	return c.OutOfL == 0 && c.IntoL == 0 && c.OutOfG == 0 && c.IntoG == 0 &&
-		!c.HasLo && !c.HasHi && len(c.Attached) == 0
-}
-
 // Bits implements sim.Payload: four counters, the hint fields of the
 // configured mode, and the attached values.
 func (c *Counters) Bits() int {

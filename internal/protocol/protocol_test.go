@@ -328,7 +328,7 @@ func TestRunValidationSilence(t *testing.T) {
 		Prev:  func(n int) int { return rt.ReadingAt(n, 0) },
 		Hints: HintTwoValues,
 	})
-	if !c.Empty() {
+	if !countersEmpty(&c) {
 		t.Errorf("expected empty counters, got %+v", c)
 	}
 	if rt.Ledger().TotalSpent() != before {

@@ -17,7 +17,11 @@ import (
 // jsonReader.round, a direct reader of their two-level shape: replay
 // spends most of its time decoding them, and encoding/json's
 // reflective decoder (a validation pass plus a per-field type walk)
-// dominated it. Header and run records go through encoding/json.
+// dominated it. It matches each field's key literal in the order the
+// recorder writes the fields, sets the field through a switch on its
+// index and parses an integer in the pass that checks its grammar;
+// reflection only reads the struct tags, once, when the package loads.
+// Header and run records go through encoding/json.
 // A round record is decoded into the roundRecord rec.Round points to on
 // entry, when it is set, so a reader can reuse one across lines.
 func decodeRecord(line []byte, rec *fileRecord) error {
@@ -42,27 +46,29 @@ func decodeRecord(line []byte, rec *fileRecord) error {
 	return json.Unmarshal(line, rec)
 }
 
-// pointNames lists each series.Point field's JSON name, by field
-// index. It is read from the struct tags, so the recorder's
-// encoding/json output and this decoder share one schema.
-var pointNames = func() []string {
-	t := reflect.TypeOf(series.Point{})
-	names := make([]string, t.NumField())
-	for i := range names {
-		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
-	}
-	return names
-}()
-
-// pointKeys holds each pointNames entry as the key literal the
+// schema is one struct's JSON shape: each field's JSON name, by field
+// index, read from the struct tags so the recorder's encoding/json
+// output and this decoder share one schema, and the key literal the
 // recorder writes before the field's value, `"name":`.
-var pointKeys = func() [][]byte {
-	keys := make([][]byte, len(pointNames))
-	for i, name := range pointNames {
-		keys[i] = []byte(strconv.Quote(name) + ":")
+type schema struct {
+	names []string
+	keys  [][]byte
+}
+
+func schemaOf(v any) *schema {
+	t := reflect.TypeOf(v)
+	s := &schema{names: make([]string, t.NumField()), keys: make([][]byte, t.NumField())}
+	for i := range s.names {
+		s.names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		s.keys[i] = []byte(strconv.Quote(s.names[i]) + ":")
 	}
-	return keys
-}()
+	return s
+}
+
+var (
+	roundFields = schemaOf(roundRecord{})
+	pointFields = schemaOf(series.Point{})
+)
 
 // jsonReader reads the JSON subset round records use: objects with
 // string keys whose values are objects, strings or numbers.
@@ -158,29 +164,31 @@ func (r *jsonReader) key() ([]byte, error) {
 	return k, err
 }
 
+// digits consumes a run of decimal digits and returns its length. A
+// byte below '0' wraps above 9 in the unsigned subtraction.
+func (r *jsonReader) digits() int {
+	start := r.i
+	for r.i < len(r.b) && r.b[r.i]-'0' <= 9 {
+		r.i++
+	}
+	return r.i - start
+}
+
 // number returns the next number literal, enforcing JSON's number
 // grammar (strconv alone also accepts forms such as "01", ".5" and
 // "1.").
 func (r *jsonReader) number() ([]byte, error) {
 	start := r.ws()
-	digits := func() int {
-		n := 0
-		for r.i < len(r.b) && r.b[r.i] >= '0' && r.b[r.i] <= '9' {
-			r.i++
-			n++
-		}
-		return n
-	}
 	if r.i < len(r.b) && r.b[r.i] == '-' {
 		r.i++
 	}
 	lead := r.i
-	if n := digits(); n == 0 || (n > 1 && r.b[lead] == '0') {
+	if n := r.digits(); n == 0 || (n > 1 && r.b[lead] == '0') {
 		return nil, fmt.Errorf("bad number at offset %d", start)
 	}
 	if r.i < len(r.b) && r.b[r.i] == '.' {
 		r.i++
-		if digits() == 0 {
+		if r.digits() == 0 {
 			return nil, fmt.Errorf("bad number at offset %d", start)
 		}
 	}
@@ -189,63 +197,100 @@ func (r *jsonReader) number() ([]byte, error) {
 		if r.i < len(r.b) && (r.b[r.i] == '+' || r.b[r.i] == '-') {
 			r.i++
 		}
-		if digits() == 0 {
+		if r.digits() == 0 {
 			return nil, fmt.Errorf("bad number at offset %d", start)
 		}
 	}
 	return r.b[start:r.i], nil
 }
 
-// int reads an integer literal. One short enough that it cannot
-// overflow is parsed in place; anything else goes to strconv, which
-// rejects fractions and exponents exactly as encoding/json does for an
-// integer field.
+// int reads an integer literal, checking its grammar and accumulating
+// its value in one pass. A fraction or exponent is rejected, as
+// encoding/json rejects one for an integer field. A literal of 19 or
+// more digits, which may overflow, is handed to strconv.
 func (r *jsonReader) int() (int64, error) {
-	b, err := r.number()
-	if err != nil {
-		return 0, err
+	start := r.ws()
+	b, i := r.b, start
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
 	}
-	digits := b
-	if digits[0] == '-' {
-		digits = digits[1:]
-	}
+	lead := i
 	var n int64
-	for i, c := range digits {
-		if c < '0' || c > '9' || i == 18 {
-			return strconv.ParseInt(string(b), 10, 64)
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
 		}
-		n = n*10 + int64(c-'0')
+		n = n*10 + int64(d)
 	}
-	if len(digits) < len(b) {
+	r.i = i
+	if digits := i - lead; digits == 0 || (digits > 1 && b[lead] == '0') {
+		return 0, fmt.Errorf("bad number at offset %d", start)
+	} else if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+		return 0, fmt.Errorf("not an integer at offset %d", start)
+	} else if digits > 18 {
+		return strconv.ParseInt(string(b[start:i]), 10, 64)
+	}
+	if neg {
 		n = -n
 	}
 	return n, nil
 }
 
-// object reads an object, calling field for each key; field must
-// consume the value.
-func (r *jsonReader) object(field func(key []byte) error) error {
+// float reads a number literal as encoding/json reads it into a
+// float64.
+func (r *jsonReader) float() (float64, error) {
+	b, err := r.number()
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseFloat(string(b), 64)
+}
+
+// open consumes an object's '{' and reports whether a field follows.
+func (r *jsonReader) open() (bool, error) {
 	if !r.byte('{') {
-		return fmt.Errorf("expected an object at offset %d", r.i)
+		return false, fmt.Errorf("expected an object at offset %d", r.i)
+	}
+	return !r.byte('}'), nil
+}
+
+// more consumes the ',' or '}' after an object's field and reports
+// whether another field follows.
+func (r *jsonReader) more() (bool, error) {
+	if r.byte(',') {
+		return true, nil
 	}
 	if r.byte('}') {
-		return nil
+		return false, nil
 	}
-	for {
-		k, err := r.key()
-		if err != nil {
-			return err
-		}
-		if err := field(k); err != nil {
-			return fmt.Errorf("%q: %w", k, err)
-		}
-		if r.byte('}') {
-			return nil
-		}
-		if !r.byte(',') {
-			return fmt.Errorf("expected ',' or '}' at offset %d", r.i)
+	return false, fmt.Errorf("expected ',' or '}' at offset %d", r.i)
+}
+
+// field reads an object key and its colon and returns the index of
+// the schema field it names. The recorder writes the fields in struct
+// order, omitting empty ones, with no whitespace, so the key literals
+// of the fields from next on are tried first; any other key is read
+// as a string and looked up.
+func (r *jsonReader) field(s *schema, next int) (int, error) {
+	rest := r.b[r.i:]
+	for i := next; i < len(s.keys); i++ {
+		if bytes.HasPrefix(rest, s.keys[i]) {
+			r.i += len(s.keys[i])
+			return i, nil
 		}
 	}
+	key, err := r.key()
+	if err != nil {
+		return 0, err
+	}
+	for i, name := range s.names {
+		if name == string(key) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("%q: unknown field", key)
 }
 
 // round reads a roundRecord object into rr, overwriting it. A key equal
@@ -254,102 +299,137 @@ func (r *jsonReader) object(field func(key []byte) error) error {
 func (r *jsonReader) round(rr *roundRecord) error {
 	prev := rr.Key
 	*rr = roundRecord{}
-	return r.object(func(key []byte) (err error) {
-		var n int64
-		switch string(key) {
-		case "key":
-			var k []byte
-			k, err = r.str()
-			if rr.Key = prev; string(k) != prev {
-				rr.Key = string(k)
-			}
-		case "answer":
-			n, err = r.int()
-			rr.Answer = int(n)
-		case "k":
-			n, err = r.int()
-			rr.K = int(n)
-		case "rank_err":
-			n, err = r.int()
-			rr.RankErr = int(n)
-		case "point":
-			err = r.point(&rr.Point)
-		default:
-			err = fmt.Errorf("unknown round field")
+	more, err := r.open()
+	for next := 0; more; more, err = r.more() {
+		i, ferr := r.field(roundFields, next)
+		if ferr != nil {
+			return ferr
+		}
+		next = i + 1
+		if ferr := r.roundValue(rr, i, prev); ferr != nil {
+			return fmt.Errorf("%q: %w", roundFields.names[i], ferr)
+		}
+	}
+	return err
+}
+
+// roundValue reads the value of rr's field i, a roundFields index.
+// A key equal to prev keeps prev's string.
+func (r *jsonReader) roundValue(rr *roundRecord, i int, prev string) error {
+	var n *int
+	switch i {
+	case 0: // key
+		k, err := r.str()
+		if rr.Key = prev; string(k) != prev {
+			rr.Key = string(k)
 		}
 		return err
-	})
+	case 1:
+		n = &rr.Answer
+	case 2:
+		n = &rr.K
+	case 3:
+		n = &rr.RankErr
+	case 4:
+		return r.point(&rr.Point)
+	default:
+		return fmt.Errorf("no reader for round field %d", i)
+	}
+	v, err := r.int()
+	*n = int(v)
+	return err
 }
 
 // point reads a series.Point object, parsing each number exactly as
 // encoding/json would for the field's type.
 func (r *jsonReader) point(p *series.Point) error {
-	if !r.byte('{') {
-		return fmt.Errorf("expected an object at offset %d", r.i)
-	}
-	if r.byte('}') {
-		return nil
-	}
-	v := reflect.ValueOf(p).Elem()
-	next := 0
-	for {
-		i, err := r.pointKey(next)
-		if err != nil {
-			return err
+	more, err := r.open()
+	for next := 0; more; more, err = r.more() {
+		i, ferr := r.field(pointFields, next)
+		if ferr != nil {
+			return ferr
 		}
 		next = i + 1
-		if err := r.pointValue(v.Field(i)); err != nil {
-			return fmt.Errorf("%q: %w", pointNames[i], err)
-		}
-		if r.byte('}') {
-			return nil
-		}
-		if !r.byte(',') {
-			return fmt.Errorf("expected ',' or '}' at offset %d", r.i)
+		if ferr := r.pointValue(p, i); ferr != nil {
+			return fmt.Errorf("%q: %w", pointFields.names[i], ferr)
 		}
 	}
+	return err
 }
 
-// pointKey reads a Point field's key and colon and returns the field's
-// index. The recorder writes the fields in struct order, omitting empty
-// ones, with no whitespace, so the key literals of the fields from next
-// on are tried first; any other key is read as a string and looked up.
-func (r *jsonReader) pointKey(next int) (int, error) {
-	rest := r.b[r.i:]
-	for i := next; i < len(pointKeys); i++ {
-		if bytes.HasPrefix(rest, pointKeys[i]) {
-			r.i += len(pointKeys[i])
-			return i, nil
-		}
-	}
-	key, err := r.key()
-	if err != nil {
-		return 0, err
-	}
-	for i, name := range pointNames {
-		if name == string(key) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("%q: unknown point field", key)
-}
-
-// pointValue reads the number for Point field f.
-func (r *jsonReader) pointValue(f reflect.Value) error {
-	switch f.Kind() {
-	case reflect.Int, reflect.Int64:
-		n, err := r.int()
-		f.SetInt(n)
-		return err
-	case reflect.Float64:
-		b, err := r.number()
-		if err != nil {
-			return err
-		}
-		x, err := strconv.ParseFloat(string(b), 64)
-		f.SetFloat(x)
-		return err
+// pointValue reads the number for p's field i, a pointFields index,
+// as an integer or a float as the field's type asks. The cases follow
+// series.Point's field order; TestPointValueSetsItsField pins each one
+// to the field its struct tag names.
+func (r *jsonReader) pointValue(p *series.Point, i int) (err error) {
+	var (
+		n   *int
+		n64 *int64
+		x   *float64
+	)
+	switch i {
+	case 0:
+		n = &p.Round
+	case 1:
+		n = &p.Span
+	case 2:
+		n = &p.Frames
+	case 3:
+		n = &p.Messages
+	case 4:
+		x = &p.Joules
+	case 5:
+		n = &p.RankError
+	case 6:
+		n = &p.Refines
+	case 7:
+		n = &p.Retries
+	case 8:
+		n = &p.Orphans
+	case 9:
+		n = &p.ValidationBits
+	case 10:
+		n = &p.RefinementBits
+	case 11:
+		n = &p.ShippingBits
+	case 12:
+		n = &p.OtherBits
+	case 13:
+		x = &p.HotJoules
+	case 14:
+		n = &p.Deficit
+	case 15:
+		n = &p.Staleness
+	case 16:
+		x = &p.StepMs
+	case 17:
+		x = &p.SLOBurn
+	case 18:
+		x = &p.SLOSpend
+	case 19:
+		n = &p.Adapts
+	case 20:
+		n64 = &p.HeapLiveBytes
+	case 21:
+		n = &p.Goroutines
+	case 22:
+		x = &p.GCPauseMs
+	case 23:
+		n64 = &p.AllocBytes
+	case 24:
+		n64 = &p.AllocObjects
 	default:
-		return fmt.Errorf("unsupported point field kind %v", f.Kind())
+		return fmt.Errorf("no reader for point field %d", i)
 	}
+	if x != nil {
+		*x, err = r.float()
+		return err
+	}
+	v, err := r.int()
+	if n != nil {
+		*n = int(v)
+	} else {
+		*n64 = v
+	}
+	return err
 }

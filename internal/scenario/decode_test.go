@@ -105,3 +105,46 @@ func TestDecodeRoundRejectsMalformed(t *testing.T) {
 		t.Errorf("whitespace-separated point: %+v, %v", p, err)
 	}
 }
+
+// TestPointValueSetsItsField: the reader's switch on a Point field's
+// index writes the field that index's struct tag names, and no other.
+func TestPointValueSetsItsField(t *testing.T) {
+	for i, name := range pointFields.names {
+		var p series.Point
+		if err := (&jsonReader{b: []byte(`{"` + name + `":7}`)}).point(&p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		v := reflect.ValueOf(p)
+		for j := 0; j < v.NumField(); j++ {
+			got, want := v.Field(j), reflect.Zero(v.Field(j).Type())
+			if i == j {
+				want = reflect.ValueOf(7).Convert(got.Type())
+			}
+			if !got.Equal(want) {
+				t.Errorf("%q set field %s to %v", name, v.Type().Field(j).Name, got)
+			}
+		}
+	}
+}
+
+// chaosRoundLine is a round record as the chaos benchmark scenario's
+// recorder writes it, with every point column a faulty, adapting run
+// fills.
+const chaosRoundLine = `{"round":{"key":"ADAPT","answer":27275,"k":100,"rank_err":7,"point":{"round":120,"span":1,"frames":354,"messages":158,"joules":0.00744434400000038,"rank_error":7,"refines":0,"retries":57,"orphans":200,"validation_bits":77168,"refinement_bits":0,"shipping_bits":0,"other_bits":0,"hot_joules":0.014148260000000083,"deficit":200,"staleness":1,"adapts":1}}}`
+
+// BenchmarkDecodeRecord measures the round-record reader alone: one
+// chaos-shaped line decoded into a reused roundRecord, as Replay
+// decodes every round line.
+func BenchmarkDecodeRecord(b *testing.B) {
+	line := []byte(chaosRoundLine)
+	var rec fileRecord
+	scratch := new(roundRecord)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(line)))
+	for i := 0; i < b.N; i++ {
+		rec.Round = scratch
+		if err := decodeRecord(line, &rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"hash"
+	"io"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -29,6 +30,12 @@ import (
 type encoder struct {
 	b   []byte
 	err error
+
+	// spill, when set, takes b between a snapshot's points once b holds
+	// a full chunk, so a long line is not gathered whole. spilled
+	// records that part of the current line went to spill.
+	spill   io.Writer
+	spilled bool
 }
 
 // float appends f as encoding/json writes a float64.
@@ -185,6 +192,10 @@ func (e *encoder) snapshot(s *series.Snapshot) {
 			e.b = append(e.b, ',')
 		}
 		e.point(&s.Points[i])
+		if e.spill != nil && len(e.b) >= digestChunk {
+			e.spill.Write(e.b)
+			e.b, e.spilled = e.b[:0], true
+		}
 	}
 	e.b = append(e.b, "]}"...)
 }
@@ -275,6 +286,9 @@ const digestChunk = 32 << 10
 type digest struct {
 	encoder
 	h hash.Hash
+	// spoiled records a payload json.Marshal rejects, part of which
+	// had already been spilled to h: the digest is then wrong.
+	spoiled bool
 }
 
 // begin writes a line's tag and returns where its payload starts.
@@ -289,8 +303,12 @@ func (d *digest) begin(tag string) int {
 // and a full chunk goes to the digest.
 func (d *digest) end(payload int) {
 	if d.err != nil {
+		if d.spilled {
+			d.spoiled, payload = true, 0
+		}
 		d.b, d.err = d.b[:payload], nil
 	}
+	d.spilled = false
 	d.b = append(d.b, '\n')
 	if len(d.b) >= digestChunk {
 		d.h.Write(d.b)

@@ -87,6 +87,41 @@ func TestHashMatchesReference(t *testing.T) {
 	}
 }
 
+// TestHashSpillsLongSeries: a series line longer than the digest's
+// chunk goes to the hash in pieces, and the digest still equals the
+// json.Marshal-built one — also when a float json.Marshal rejects comes
+// after the first piece, and the line must hash as its tag alone.
+func TestHashSpillsLongSeries(t *testing.T) {
+	b, err := os.ReadFile("../../testdata/recordings/lossy-storm.rec.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Replay(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []series.Point
+	for len(points) < 1000 {
+		for _, snap := range out.Series {
+			points = append(points, snap.Points...)
+		}
+	}
+	if line, _ := json.Marshal(series.Snapshot{Points: points}); len(line) < 3*digestChunk {
+		t.Fatalf("series line of %d bytes spills at most once", len(line))
+	}
+	for _, bad := range []int{-1, 0, 500, len(points) - 1} {
+		long := append([]series.Point(nil), points...)
+		if bad >= 0 {
+			long[bad].HotJoules = math.Inf(1)
+		}
+		o := *out
+		o.Series = map[string]series.Snapshot{"a": {Stride: 1, Rounds: len(long), Points: long}, "b": out.Series["IQ"]}
+		if got, want := o.Hash(), referenceHash(&o); got != want {
+			t.Errorf("bad point %d: Hash %s, reference %s", bad, got, want)
+		}
+	}
+}
+
 // TestEncodeMatchesMarshalRandom runs the fuzz target's check over a
 // fixed stream of random inputs, so every field of every record type
 // is exercised set, empty and unencodable without a fuzzing run.

@@ -101,7 +101,7 @@ func (s Spec) Validate() error {
 	if !(s.WarnBurn > 0) || math.IsInf(s.WarnBurn, 0) {
 		return fmt.Errorf("slo: %s: warn burn %v must be finite and positive", s.Name, s.WarnBurn)
 	}
-	if s.CritBurn < s.WarnBurn || math.IsInf(s.CritBurn, 0) {
+	if !(s.CritBurn >= s.WarnBurn) || math.IsInf(s.CritBurn, 0) {
 		return fmt.Errorf("slo: %s: crit burn %v below warn %v", s.Name, s.CritBurn, s.WarnBurn)
 	}
 	switch s.Signal {
@@ -126,7 +126,7 @@ func (s Spec) Validate() error {
 func (s Spec) Budget() float64 { return (1 - s.Objective) * float64(s.Window) }
 
 // good classifies one sample under this spec.
-func (s Spec) good(sm Sample) bool {
+func (s *Spec) good(sm Sample) bool {
 	switch s.Signal {
 	case SignalRank:
 		return float64(sm.RankError) <= s.Epsilon*float64(sm.N)
@@ -243,7 +243,7 @@ func newState(sp Spec) *state {
 
 // push records one classification, moving the round that leaves each
 // suffix window out of its bad count.
-func (st *state) push(sp Spec, bad bool) {
+func (st *state) push(sp *Spec, bad bool) {
 	n := st.win.Len()
 	slide := func(size int, count *int) {
 		if n >= size && st.win.At(n-size) {
@@ -331,8 +331,8 @@ func (t *Tracker) Observe(key string, sm Sample) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sts := t.stateFor(key)
-	for i, sp := range t.specs {
-		st := sts[i]
+	for i, st := range sts {
+		sp := &t.specs[i]
 		st.push(sp, !sp.good(sm))
 		st.exemplar.Push(exemplarSlot{round: sm.Round, offset: sm.Offset})
 		st.seen++
