@@ -17,7 +17,8 @@ help:
 	@echo "  check       the merge gate: vet + staticcheck + race + oracle + telemetry + alert + prof + chaos + serve + scenario + slo + adapt + fuzz-smoke"
 	@echo "  vet         static analysis, plus the perfbench module's build + vet"
 	@echo "  race        full suite under the race detector"
-	@echo "  oracle      flight-recorder collectors + invariant oracle suite"
+	@echo "  oracle      flight-recorder collectors, series-vs-recorded-events parity,"
+	@echo "              and the invariant oracle suite"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
 	@echo "  alert       series ring race-hammer, the shared windowed-level package,"
 	@echo "              alert rule-engine determinism and zero-allocation observe"
@@ -79,8 +80,10 @@ race:
 	$(GO) test -race ./...
 
 # oracle runs the flight-recorder suite: collectors (including the
-# round-level contract, TestRoundCollectorSkipsHops), the invariant
-# checker, and the differential tests against the centralized oracle.
+# round-level contract, TestRoundCollectorSkipsHops), the series
+# ingester against a fold of a lossy, faulty run's recorded events
+# (TestSeriesMatchesEventFold), the invariant checker, and the
+# differential tests against the centralized oracle.
 oracle:
 	$(GO) test ./internal/trace/...
 

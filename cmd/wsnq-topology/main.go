@@ -61,8 +61,17 @@ func main() {
 		os.Exit(1)
 	}
 
+	var plan *fault.Plan
+	if *faultSpec != "" {
+		if plan, err = fault.Parse(*faultSpec); err != nil {
+			fmt.Fprintln(os.Stderr, "wsnq-topology:", err)
+			os.Exit(1)
+		}
+	}
+
 	// The probe round's flight-recorder stream can go to a JSONL file,
-	// the health analyzer behind -http, or both.
+	// the health analyzer behind -http, the series store behind -http
+	// and -alert, or all three.
 	var collectors []trace.Collector
 	var flushTrace func() error
 	if *traceFile != "" {
@@ -93,6 +102,13 @@ func main() {
 		}
 		eng.SetBudget(cfg.Energy.InitialBudget)
 	}
+	var rt *sim.Runtime
+	if *traceFile != "" || *httpAddr != "" || eng != nil {
+		if rt, err = experiment.BuildRuntime(cfg, 0); err != nil {
+			fmt.Fprintln(os.Stderr, "wsnq-topology:", err)
+			os.Exit(1)
+		}
+	}
 	var an *telemetry.Analyzer
 	var st *series.Store
 	if *httpAddr != "" || eng != nil {
@@ -101,7 +117,7 @@ func main() {
 		if eng != nil {
 			sinks = append(sinks, eng.Observe)
 		}
-		collectors = append(collectors, st.Ingest("TAG-probe", sinks...))
+		collectors = append(collectors, st.IngestTotals("TAG-probe", experiment.SeriesSampler(rt), sinks...))
 	}
 	if *httpAddr != "" {
 		reg := telemetry.NewRegistry()
@@ -113,15 +129,8 @@ func main() {
 		}
 		collectors = append(collectors, an)
 	}
-	var plan *fault.Plan
-	if *faultSpec != "" {
-		if plan, err = fault.Parse(*faultSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "wsnq-topology:", err)
-			os.Exit(1)
-		}
-	}
-	if len(collectors) > 0 {
-		if err := traceProbe(cfg, plan, trace.Multi(collectors...)); err != nil {
+	if rt != nil {
+		if err := traceProbe(cfg, rt, plan, trace.Multi(collectors...)); err != nil {
 			fmt.Fprintln(os.Stderr, "wsnq-topology:", err)
 			os.Exit(1)
 		}
@@ -198,27 +207,23 @@ func build(cfg experiment.Config) (*wsn.Topology, error) {
 }
 
 // traceProbe records one TAG collection round (a full leaves-to-root
-// convergecast of every reading) on run 0's deployment, so the event
+// convergecast of every reading) on rt, run 0's runtime, so the event
 // stream shows exactly which hops carry how much traffic on the
-// inspected tree. A -fault plan is injected into the probe round with
-// the default ARQ recovery, showing where retries and crashes land.
-func traceProbe(cfg experiment.Config, plan *fault.Plan, c trace.Collector) error {
-	rt, err := experiment.BuildRuntime(cfg, 0)
+// inspected tree. The round is the initialization round of the one
+// round driver every tool shares: a -fault plan is attached with the
+// default ARQ recovery, and like every initialization the probe runs
+// over reliable links, so crashes land in it but bursts and
+// partitions do not.
+func traceProbe(cfg experiment.Config, rt *sim.Runtime, plan *fault.Plan, c trace.Collector) error {
+	d, err := experiment.NewDriver(rt, baseline.NewTAG(), cfg.K(), experiment.Rig{
+		Trace: c, Faults: plan, FaultSeed: experiment.FaultSeed(cfg, 0),
+	})
 	if err != nil {
 		return err
 	}
-	rt.SetTrace(c)
-	if plan != nil {
-		if err := rt.SetFaults(plan, experiment.FaultSeed(cfg, 0), sim.DefaultARQ()); err != nil {
-			return err
-		}
-	}
-	k := cfg.K()
-	q, err := baseline.NewTAG().Init(rt, k)
-	if err != nil {
+	if _, err := d.Step(); err != nil {
 		return err
 	}
-	rt.TraceDecision(k, q)
 	rt.EndTrace()
 	return nil
 }

@@ -94,15 +94,73 @@ var metrics = map[string]func(series.Point) float64{
 // metricLifetime is the derived burn-rate metric.
 const metricLifetime = "lifetime"
 
-// aggs enumerates the window aggregators. "rate" is the per-round rate
-// of change across the window (newest minus oldest over the spanned
+// aggOp is a window aggregator, resolved from its name once per engine.
+type aggOp uint8
+
+const (
+	aggLast aggOp = iota
+	aggMean
+	aggSum
+	aggMax
+	aggMin
+	aggP95
+	aggRate
+	aggNz
+	aggLifetime // the lifetime metric's projection, whatever the rule's Agg
+)
+
+// aggs names the window aggregators. "rate" is the per-round rate of
+// change across the window (newest minus oldest over the spanned
 // rounds); "nz" counts non-zero samples in the window.
-var aggs = map[string]bool{
-	"last": true, "mean": true, "max": true, "min": true,
-	"sum": true, "p95": true, "rate": true, "nz": true,
+var aggs = map[string]aggOp{
+	"last": aggLast, "mean": aggMean, "max": aggMax, "min": aggMin,
+	"sum": aggSum, "p95": aggP95, "rate": aggRate, "nz": aggNz,
 }
 
-var cmps = map[string]bool{">": true, ">=": true, "<": true, "<=": true}
+// cmpOp is a threshold comparator, resolved from its name once per
+// engine.
+type cmpOp uint8
+
+const (
+	cmpGT cmpOp = iota
+	cmpGE
+	cmpLT
+	cmpLE
+)
+
+var cmps = map[string]cmpOp{">": cmpGT, ">=": cmpGE, "<": cmpLT, "<=": cmpLE}
+
+// exceeds applies the comparator to value vs. threshold.
+func (c cmpOp) exceeds(v, threshold float64) bool {
+	switch c {
+	case cmpGT:
+		return v > threshold
+	case cmpGE:
+		return v >= threshold
+	case cmpLT:
+		return v < threshold
+	case cmpLE:
+		return v <= threshold
+	}
+	return false
+}
+
+// op is a rule resolved for evaluation: its metric's sampler (nil for
+// lifetime, which samples the HotJoules watermark), aggregator and
+// comparator, so observing a point compares no strings.
+type op struct {
+	sample func(series.Point) float64
+	agg    aggOp
+	cmp    cmpOp
+}
+
+func resolve(r *Rule) op {
+	o := op{sample: metrics[r.Metric], agg: aggs[r.Agg], cmp: cmps[r.Cmp]}
+	if r.Metric == metricLifetime {
+		o.agg = aggLifetime
+	}
+	return o
+}
 
 // Validate checks the rule is well-formed: known metric, aggregator
 // and comparator, a positive window, and a crit threshold at least as
@@ -114,10 +172,10 @@ func (r Rule) Validate() error {
 	if _, ok := metrics[r.Metric]; !ok && r.Metric != metricLifetime {
 		return fmt.Errorf("alert: rule %s: unknown metric %q", r.Name, r.Metric)
 	}
-	if !aggs[r.Agg] {
+	if _, ok := aggs[r.Agg]; !ok {
 		return fmt.Errorf("alert: rule %s: unknown aggregator %q", r.Name, r.Agg)
 	}
-	if !cmps[r.Cmp] {
+	if _, ok := cmps[r.Cmp]; !ok {
 		return fmt.Errorf("alert: rule %s: unknown comparator %q", r.Name, r.Cmp)
 	}
 	if r.Window < 1 {
@@ -136,31 +194,20 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// exceeds applies the rule's comparator to value vs. threshold.
-func (r *Rule) exceeds(v, threshold float64) bool {
-	switch r.Cmp {
-	case ">":
-		return v > threshold
-	case ">=":
-		return v >= threshold
-	case "<":
-		return v < threshold
-	case "<=":
-		return v <= threshold
-	}
-	return false
-}
+// classify maps an aggregate value to a level by the rule's comparator
+// name; the engine passes the comparator it resolved to level instead.
+func (r *Rule) classify(v float64) Level { return r.level(cmps[r.Cmp], v) }
 
-// classify maps an aggregate value to a level. NaN (not enough data
-// for the aggregate yet) never alerts.
-func (r *Rule) classify(v float64) Level {
+// level maps an aggregate value to a level under comparator c. NaN
+// (not enough data for the aggregate yet) never alerts.
+func (r *Rule) level(c cmpOp, v float64) Level {
 	if math.IsNaN(v) {
 		return OK
 	}
-	if r.HasCrit && r.exceeds(v, r.Crit) {
+	if r.HasCrit && c.exceeds(v, r.Crit) {
 		return Crit
 	}
-	if r.exceeds(v, r.Warn) {
+	if c.exceeds(v, r.Warn) {
 		return Warn
 	}
 	return OK
@@ -203,9 +250,9 @@ type State struct {
 type Engine struct {
 	mu     sync.Mutex
 	rules  []Rule
-	sample []func(series.Point) float64 // each rule's metric; nil for lifetime
-	budget float64                      // per-node energy budget for the lifetime metric
-	keys   map[string][]*ruleState      // per key, one state per rule, by rule index
+	ops    []op                    // each rule resolved, by rule index
+	budget float64                 // per-node energy budget for the lifetime metric
+	keys   map[string][]*ruleState // per key, one state per rule, by rule index
 	log    level.Log[Event]
 }
 
@@ -227,12 +274,12 @@ func NewEngine(rules ...Rule) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		rules:  append([]Rule(nil), rules...),
-		sample: make([]func(series.Point) float64, len(rules)),
-		keys:   make(map[string][]*ruleState),
+		rules: append([]Rule(nil), rules...),
+		ops:   make([]op, len(rules)),
+		keys:  make(map[string][]*ruleState),
 	}
-	for i, r := range rules {
-		e.sample[i] = metrics[r.Metric]
+	for i := range e.rules {
+		e.ops[i] = resolve(&e.rules[i])
 	}
 	return e, nil
 }
@@ -303,27 +350,27 @@ func (e *Engine) observe(key string, p series.Point) []*ruleState {
 	if !ok {
 		sts = make([]*ruleState, len(e.rules))
 		for i := range e.rules {
-			r := &e.rules[i]
-			st := &ruleState{win: level.NewRing[float64](r.Window)}
-			if r.Agg == "p95" && r.Metric != metricLifetime {
-				st.scratch = make([]float64, r.Window)
+			w := e.rules[i].Window
+			st := &ruleState{win: level.NewRing[float64](w)}
+			if e.ops[i].agg == aggP95 {
+				st.scratch = make([]float64, w)
 			}
 			sts[i] = st
 		}
 		e.keys[key] = sts
 	}
 	for i, st := range sts {
-		r := &e.rules[i]
+		r, o := &e.rules[i], &e.ops[i]
 		sample := p.HotJoules // the lifetime metric's watermark
-		if f := e.sample[i]; f != nil {
-			sample = f(p)
+		if o.sample != nil {
+			sample = o.sample(p)
 		}
 		st.win.Push(sample)
 		st.rounds++
 
-		v := e.aggregate(r, st)
+		v := e.reduce(o.agg, st)
 		st.value = v
-		lvl := r.classify(v)
+		lvl := r.level(o.cmp, v)
 		if prev, changed := st.standing.Set(lvl, p.Round); changed {
 			ev := Event{
 				Rule: r.Name, Key: key, Round: p.Round,
@@ -355,30 +402,35 @@ func (e *Engine) Level(rule, key string) Level {
 	return OK
 }
 
-// aggregate reduces the rule's window to one value, reading it in
-// place oldest first; NaN means "not enough data yet" and never alerts.
+// aggregate reduces rule r's window by its aggregator's name; the
+// engine passes the aggregator it resolved to reduce instead.
 func (e *Engine) aggregate(r *Rule, st *ruleState) float64 {
+	return e.reduce(resolve(r).agg, st)
+}
+
+// reduce aggregates a rule's window to one value, reading it in place
+// oldest first; NaN means "not enough data yet" and never alerts.
+func (e *Engine) reduce(agg aggOp, st *ruleState) float64 {
 	w := &st.win
 	n := w.Len()
 	if n == 0 {
 		return math.NaN()
 	}
-	if r.Metric == metricLifetime {
+	switch agg {
+	case aggLifetime:
 		return lifetime(w.At(0), w.At(n-1), n, e.budget)
-	}
-	switch r.Agg {
-	case "last":
+	case aggLast:
 		return w.At(n - 1)
-	case "mean", "sum":
+	case aggMean, aggSum:
 		s := 0.0
 		for i := 0; i < n; i++ {
 			s += w.At(i)
 		}
-		if r.Agg == "mean" {
+		if agg == aggMean {
 			return s / float64(n)
 		}
 		return s
-	case "max":
+	case aggMax:
 		m := w.At(0)
 		for i := 1; i < n; i++ {
 			if v := w.At(i); v > m {
@@ -386,7 +438,7 @@ func (e *Engine) aggregate(r *Rule, st *ruleState) float64 {
 			}
 		}
 		return m
-	case "min":
+	case aggMin:
 		m := w.At(0)
 		for i := 1; i < n; i++ {
 			if v := w.At(i); v < m {
@@ -394,7 +446,7 @@ func (e *Engine) aggregate(r *Rule, st *ruleState) float64 {
 			}
 		}
 		return m
-	case "p95":
+	case aggP95:
 		// Nearest-rank p95, the mathx.QuantileFloat64 convention.
 		vs := st.scratch[:n]
 		for i := range vs {
@@ -402,12 +454,12 @@ func (e *Engine) aggregate(r *Rule, st *ruleState) float64 {
 		}
 		sort.Float64s(vs)
 		return vs[(95*n+99)/100-1] // ceil(0.95 n)
-	case "rate":
+	case aggRate:
 		if n < 2 {
 			return math.NaN()
 		}
 		return (w.At(n-1) - w.At(0)) / float64(n-1)
-	case "nz":
+	case aggNz:
 		c := 0.0
 		for i := 0; i < n; i++ {
 			if w.At(i) != 0 {

@@ -445,7 +445,7 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 				}
 				sampler := SeriesSampler(rt)
 				if opts.Prof != nil {
-					sampler = withRuntimeStats(sampler, prof.NewRuntimeSampler())
+					sampler = ProfSeriesSampler(rt)
 				}
 				return trace.Multi(tc, store.IngestTotals(key, sampler, sinks...))
 			}

@@ -7,10 +7,10 @@ import (
 )
 
 // SeriesSampler adapts a runtime's cumulative counters to the series
-// recorder's sampling fast path (series.Store.IngestTotals): traffic
-// from the stats block, phase bits folded into the recorder's three
-// named buckets (validation+filter, refinement, collect+init), and both
-// energy watermarks from one ledger pass.
+// recorder (series.Store.IngestTotals): traffic from the stats block,
+// phase bits folded into the recorder's three named buckets
+// (validation+filter, refinement, collect+init), and both energy
+// watermarks from one ledger pass.
 func SeriesSampler(rt *sim.Runtime) series.Sampler {
 	return func() series.Totals {
 		st := rt.Stats()
@@ -33,17 +33,11 @@ func SeriesSampler(rt *sim.Runtime) series.Sampler {
 // ProfSeriesSampler is SeriesSampler with the Go runtime's health
 // counters folded into every totals sample — the sampler a profiled
 // run uses so its series points additionally carry GC pause p95, live
-// heap, goroutine count, and allocs per round. The query server uses
-// it for registrations on a profiled registry.
+// heap, goroutine count, and allocs per round. The engine uses it when
+// Options.Prof is set, and the query server for registrations on a
+// profiled registry.
 func ProfSeriesSampler(rt *sim.Runtime) series.Sampler {
-	return withRuntimeStats(SeriesSampler(rt), prof.NewRuntimeSampler())
-}
-
-// withRuntimeStats folds the Go runtime's health counters into every
-// totals sample, so the per-round series points additionally carry GC
-// pause p95, live heap, goroutine count, and allocs per round. The
-// engine wraps SeriesSampler with it when Options.Prof is set.
-func withRuntimeStats(base series.Sampler, rs *prof.RuntimeSampler) series.Sampler {
+	base, rs := SeriesSampler(rt), prof.NewRuntimeSampler()
 	return func() series.Totals {
 		t := base()
 		s := rs.Sample()

@@ -1,10 +1,12 @@
 // Package series is a fixed-capacity, per-key time-series store fed
-// per round from the flight recorder. Each key (one algorithm, or
-// "cell/algorithm" inside a grid study) accumulates one Point per
-// simulated round: frames, messages, joules, the decision's absolute
-// rank error, refinement requests, the per-phase wire-bit anatomy
-// (validation vs. refinement vs. raw-value shipping), and the running
-// maximum of any single node's cumulative energy drain.
+// once per round by IngestTotals, which diffs a running simulation's
+// cumulative counters at the flight recorder's round markers. Each key
+// (one algorithm, or "cell/algorithm" inside a grid study) accumulates
+// one Point per simulated round: frames, messages, joules, the
+// decision's absolute rank error, refinement requests, the per-phase
+// wire-bit anatomy (validation vs. refinement vs. raw-value shipping),
+// and the running maximum of any single node's cumulative energy
+// drain.
 //
 // Memory is bounded: when a key reaches the store's capacity, adjacent
 // points are pairwise merged and the sampling stride doubles
@@ -32,17 +34,6 @@ const DefaultCapacity = 512
 
 // minCapacity keeps the pairwise-merge downsampler well-formed.
 const minCapacity = 8
-
-// Phase labels as they appear on trace events (mirrors the
-// sim.Phase* constants; series_test cross-checks the vocabulary so the
-// two cannot drift apart silently).
-const (
-	phaseInit       = "init"
-	phaseValidation = "validation"
-	phaseRefinement = "refinement"
-	phaseFilter     = "filter"
-	phaseCollect    = "collect"
-)
 
 // Point is one sample of a key's time series covering Span consecutive
 // rounds starting at Round. Additive fields (frames, messages, joules,
@@ -257,10 +248,10 @@ func (s *Store) append(key string, p Point) int {
 	return round
 }
 
-// Add ingests one raw span-1 point for key exactly as the live
-// ingesters do — the store assigns the monotonic per-key round index
-// and Span=1, merges the point into the downsampling ring, and then
-// hands the round-stamped point to each sink — and returns the stamped
+// Add ingests one raw span-1 point for key exactly as IngestTotals
+// does — the store assigns the monotonic per-key round index and
+// Span=1, merges the point into the downsampling ring, and then hands
+// the round-stamped point to each sink — and returns the stamped
 // point. It is the replay path of the scenario layer: streaming a
 // recording's points through Add reproduces, bit for bit, the store
 // and sink states of the live run that produced them.
@@ -403,9 +394,8 @@ func (s *Store) Window(key string, lastN int, f func(Point) float64) WindowStats
 
 // Totals is one monotonic sample of a running simulation's cumulative
 // traffic and energy counters, as a Sampler reads them. Diffing two
-// samples yields the same per-round numbers the event-driven ingester
-// accumulates: the runtime books every transmission into exactly one
-// phase bucket and emits exactly one send event for it.
+// samples yields the round's traffic and energy: the runtime books
+// every transmission into exactly one phase bucket.
 type Totals struct {
 	Messages       int     // logical payload transmissions (per hop)
 	Frames         int     // link-layer frames
@@ -440,16 +430,16 @@ type Totals struct {
 // It is called once per round, at round boundaries only.
 type Sampler func() Totals
 
-// IngestTotals is the sampling fast path of Ingest: instead of counting
-// every send and energy event, it samples the run's cumulative counters
-// once per round and stores the difference. Only the event kinds
-// without a cumulative counter — the round's decision (rank error),
-// refinement requests, and degraded-answer tags (orphan count) — are
-// still read from the stream. The collector is a trace.RoundCollector,
-// so a runtime it is attached to alone builds no per-hop events.
-// Use it whenever the live runtime is at hand (the experiment engine
-// and Simulation do); Ingest remains for replaying recorded streams,
-// where no counters exist to sample.
+// IngestTotals returns a trace collector that records key's series:
+// instead of counting every send and energy event, it samples the run's
+// cumulative counters once per round and appends the difference as one
+// Point on every round end, handing the raw span-1 point to each sink.
+// Only the event kinds without a cumulative counter — the round's
+// decision (rank error), refinement requests, and degraded-answer tags
+// (orphans, deficit, staleness) — are read from the stream. The
+// collector is a trace.RoundCollector, so a runtime it is attached to
+// alone builds no per-hop events. One collector observes one
+// sequential run; use separate collectors for separate runs.
 func (s *Store) IngestTotals(key string, sample Sampler, sinks ...Sink) trace.Collector {
 	return &totalsIngester{store: s, key: key, sample: sample, sinks: sinks}
 }
@@ -549,111 +539,5 @@ func (in *totalsIngester) Collect(e trace.Event) {
 		if e.Aux > in.stale {
 			in.stale = e.Aux
 		}
-	}
-}
-
-// Ingest returns a trace collector that accumulates key's events into
-// one Point per round, appends it to the store on every round end, and
-// hands the raw span-1 point to each sink. One ingester observes one
-// sequential event stream (the experiment engine forces sequential
-// grids whenever a series store is attached); use separate ingesters
-// for separate streams.
-func (s *Store) Ingest(key string, sinks ...Sink) trace.Collector {
-	return &ingester{store: s, key: key, sinks: sinks}
-}
-
-// ingester folds one run's event stream into per-round points.
-// Per-node cumulative joules feed the HotJoules watermark.
-type ingester struct {
-	store *Store
-	key   string
-	sinks []Sink
-	cur   Point
-	open  bool
-	node  []float64 // cumulative joules by node index this run
-	hot   float64   // max cumulative drain of any single node
-}
-
-func (in *ingester) Collect(e trace.Event) {
-	switch e.Kind {
-	case trace.KindRoundStart:
-		in.cur = Point{}
-		in.open = true
-	case trace.KindRoundEnd:
-		if !in.open {
-			return
-		}
-		in.open = false
-		// One watermark scan per round beats a compare on every energy
-		// event: per-node cumulative drain only grows, so the max over
-		// the slice is the monotonic high-water mark.
-		hot := in.hot
-		for _, j := range in.node {
-			if j > hot {
-				hot = j
-			}
-		}
-		in.hot = hot
-		p := in.cur
-		p.HotJoules = hot
-		p.Span = 1
-		p.Round = in.store.append(in.key, p)
-		for _, sink := range in.sinks {
-			sink(in.key, p)
-		}
-	case trace.KindSend:
-		if e.Cast != trace.Ack {
-			// Ack-cast sends are wire-only control frames (link-layer
-			// ACKs, join handshakes): frames and bits, but no logical
-			// payload, mirroring the runtime's control accounting.
-			in.cur.Messages++
-		}
-		in.cur.Frames += e.Frames
-		in.addPhaseBits(e)
-	case trace.KindRetry:
-		in.cur.Retries++
-		in.cur.Frames += e.Frames
-		in.addPhaseBits(e)
-	case trace.KindAdapt:
-		in.cur.Adapts++
-	case trace.KindDegraded:
-		if e.Values > in.cur.Orphans {
-			in.cur.Orphans = e.Values
-		}
-		if e.Err > in.cur.Deficit {
-			in.cur.Deficit = e.Err
-		}
-		if e.Aux > in.cur.Staleness {
-			in.cur.Staleness = e.Aux
-		}
-	case trace.KindEnergy:
-		in.cur.Joules += e.Joules
-		if n := e.Node; n >= 0 {
-			if n >= len(in.node) {
-				in.node = append(in.node, make([]float64, n+1-len(in.node))...)
-			}
-			in.node[n] += e.Joules
-		}
-	case trace.KindDecision:
-		if e.Err > in.cur.RankError {
-			in.cur.RankError = e.Err
-		}
-	case trace.KindRefine:
-		in.cur.Refines++
-	}
-}
-
-// addPhaseBits books a transmission's wire bits into the phase bucket
-// its trace phase names.
-func (in *ingester) addPhaseBits(e trace.Event) {
-	switch e.Phase {
-	case phaseValidation, phaseFilter:
-		in.cur.ValidationBits += e.Wire
-	case phaseRefinement:
-		in.cur.RefinementBits += e.Wire
-	case phaseCollect, phaseInit:
-		in.cur.ShippingBits += e.Wire
-	default:
-		in.cur.OtherBits += e.Wire
 	}
 }

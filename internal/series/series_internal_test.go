@@ -1,32 +1,6 @@
 package series
 
-import (
-	"testing"
-
-	"wsnq/internal/sim"
-)
-
-// TestPhaseVocabularyMatchesSim pins the package-local phase labels to
-// the sim constants the algorithms actually stamp on trace events, so
-// the two vocabularies cannot drift apart silently (a drift would
-// quietly shunt every bit into OtherBits).
-func TestPhaseVocabularyMatchesSim(t *testing.T) {
-	pairs := []struct {
-		name      string
-		ours, sim string
-	}{
-		{"init", phaseInit, sim.PhaseInit},
-		{"validation", phaseValidation, sim.PhaseValidation},
-		{"refinement", phaseRefinement, sim.PhaseRefinement},
-		{"filter", phaseFilter, sim.PhaseFilter},
-		{"collect", phaseCollect, sim.PhaseCollect},
-	}
-	for _, p := range pairs {
-		if p.ours != p.sim {
-			t.Errorf("phase %s: series uses %q, sim emits %q", p.name, p.ours, p.sim)
-		}
-	}
-}
+import "testing"
 
 // TestMergeRetriesAndOrphans pins the downsampling semantics of the
 // fault metrics: retries are additive across the merged span, the

@@ -755,8 +755,8 @@ func (g *group) join(q *Query) {
 		sinks = append(sinks, q.ctl.Observe)
 	}
 	// The sampling ingester diffs the runtime's cumulative counters at
-	// the round boundaries AdvanceRound emits — the same fast path the
-	// experiment engine and Simulation.SeriesCollector use. A profiled
+	// the round boundaries AdvanceRound emits, as the experiment engine
+	// and Simulation.SeriesCollector do. A profiled
 	// registry additionally folds the Go runtime's health counters into
 	// each sample.
 	sampler := experiment.SeriesSampler(rt)

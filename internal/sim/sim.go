@@ -475,9 +475,9 @@ func (rt *Runtime) Oracle(k int) int {
 	if rt.oracle == nil {
 		rt.oracle = make([]int, rt.N())
 	}
-	// KthSmallest reorders the buffer, so every call refills it.
+	// Select reorders the buffer in place, so every call refills it.
 	copy(rt.oracle, rt.roundReadings())
-	return mathx.KthSmallest(rt.oracle, k)
+	return mathx.Select(rt.oracle, k)
 }
 
 // emitSend records one transmission (and, for multi-frame payloads, its

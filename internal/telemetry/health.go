@@ -14,20 +14,19 @@ import (
 // percentiles, and a first-node-death lifetime projection from ledger
 // drain rates.
 //
-// Unlike trace.Metrics (whose per-round arrays are indexed by round
-// number and therefore sum across the runs of a multi-run study, where
-// round indices restart at zero), the Analyzer counts round-start
-// events to learn the true number of rounds executed and keeps
-// bounded histograms of per-round-instance cost — so its statistics
-// stay meaningful across an entire experiment grid.
+// Round indices restart at zero in every run of a multi-run study, so
+// the Analyzer never indexes by them: it counts round-start events to
+// learn the true number of rounds executed and keeps bounded
+// histograms of per-round-instance cost — so its statistics stay
+// meaningful across an entire experiment grid.
 //
 // All methods are safe for concurrent use: Collect is serialized
 // against Report, so a live /health endpoint can read while a study
 // runs.
 type Analyzer struct {
 	mu     sync.Mutex
-	budget float64 // initial per-node energy budget, joules (0 = unknown)
-	m      *trace.Metrics
+	budget float64    // initial per-node energy budget, joules (0 = unknown)
+	nodes  []NodeLoad // per-node counters, by node index; DrainPerRound unset
 
 	rounds    int  // round-start events seen (true round count across runs)
 	open      bool // a round is in progress
@@ -43,7 +42,6 @@ type Analyzer struct {
 func NewAnalyzer(budget float64) *Analyzer {
 	return &Analyzer{
 		budget: budget,
-		m:      trace.NewMetrics(),
 		frames: NewHistogram(DefaultHistogramCap),
 		joules: NewHistogram(DefaultHistogramCap),
 	}
@@ -53,7 +51,6 @@ func NewAnalyzer(budget float64) *Analyzer {
 func (a *Analyzer) Collect(e trace.Event) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.m.Collect(e)
 	switch e.Kind {
 	case trace.KindRoundStart:
 		a.rounds++
@@ -68,9 +65,35 @@ func (a *Analyzer) Collect(e trace.Event) {
 		}
 	case trace.KindSend:
 		a.curFrames += e.Frames
+		if n := a.node(e.Node); n != nil {
+			n.Sends++
+			n.Frames += e.Frames
+			n.BitsOut += e.Wire
+		}
+	case trace.KindReceive:
+		if n := a.node(e.Node); n != nil {
+			n.Receives++
+		}
+	case trace.KindDrop:
+		a.node(e.Node) // the lost hop's node counts as seen
 	case trace.KindEnergy:
 		a.curJoules += e.Joules
+		if n := a.node(e.Node); n != nil {
+			n.Joules += e.Joules
+		}
 	}
+}
+
+// node returns node i's counters, growing the slice to cover i; nil for
+// the root (i < 0), whose activity counts toward the round totals only.
+func (a *Analyzer) node(i int) *NodeLoad {
+	if i < 0 {
+		return nil
+	}
+	for len(a.nodes) <= i {
+		a.nodes = append(a.nodes, NodeLoad{Node: len(a.nodes)})
+	}
+	return &a.nodes[i]
 }
 
 // Distribution summarizes a per-node load vector.
@@ -182,7 +205,7 @@ func (a *Analyzer) Report() HealthReport {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	n := a.m.Nodes()
+	n := len(a.nodes)
 	r := HealthReport{
 		Nodes:       n,
 		Rounds:      a.rounds,
@@ -195,23 +218,15 @@ func (a *Analyzer) Report() HealthReport {
 	joules := make([]float64, n)
 	var totalJoules float64
 	r.PerNode = make([]NodeLoad, n)
-	for i := 0; i < n; i++ {
-		ns := a.m.Node(i)
-		sends[i] = float64(ns.Sends)
-		joules[i] = ns.Joules
-		totalJoules += ns.Joules
-		load := NodeLoad{
-			Node:     i,
-			Sends:    ns.Sends,
-			Receives: ns.Receives,
-			Frames:   ns.Frames,
-			BitsOut:  ns.BitsOut,
-			Joules:   ns.Joules,
-		}
+	copy(r.PerNode, a.nodes)
+	for i := range r.PerNode {
+		load := &r.PerNode[i]
+		sends[i] = float64(load.Sends)
+		joules[i] = load.Joules
+		totalJoules += load.Joules
 		if a.rounds > 0 {
-			load.DrainPerRound = ns.Joules / float64(a.rounds)
+			load.DrainPerRound = load.Joules / float64(a.rounds)
 		}
-		r.PerNode[i] = load
 	}
 
 	r.Messages = distribution(sends)

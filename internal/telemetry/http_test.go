@@ -26,7 +26,7 @@ func observability(t *testing.T) (*series.Store, *alert.Engine) {
 		t.Fatal(err)
 	}
 	st := series.New(0)
-	c := st.Ingest("IQ", eng.Observe)
+	c := st.IngestTotals("IQ", func() series.Totals { return series.Totals{} }, eng.Observe)
 	for r := 0; r < 3; r++ {
 		c.Collect(trace.Event{Kind: trace.KindRoundStart, Round: r, Node: -1})
 		c.Collect(trace.Event{Kind: trace.KindRefine, Round: r, Node: -1})

@@ -398,7 +398,7 @@ func (rep *Report) checkDecision(cfg Config, e trace.Event, bound float64) {
 		}
 		return
 	}
-	want := mathx.KthSmallest(append([]int(nil), readings...), k)
+	want := mathx.KthSmallest(readings, k)
 	if e.Value != want {
 		rep.violate(e.Round, "quantile", "reported %d, centralized sort oracle says %d (k=%d, n=%d)", e.Value, want, k, len(readings))
 	}

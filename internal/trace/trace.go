@@ -6,10 +6,11 @@
 // recorder costs one pointer comparison per potential event and the hot
 // path stays allocation-free.
 //
-// Collectors are pluggable: an unbounded Recorder for tests and
-// replay, a JSONL Writer for offline analysis and golden traces, and a
-// Metrics aggregator for per-node/per-round counters and energy
-// timelines. Multi fans one stream out to several collectors. A
+// Collectors are pluggable: an unbounded Recorder for tests and the
+// invariant oracle, and a JSONL Writer for offline analysis and golden
+// traces; the per-round series recorder (internal/series) and the
+// health analyzer (internal/telemetry) are collectors too. Multi fans
+// one stream out to several collectors. A
 // RoundCollector reads only the round-level events, and emitters build
 // no per-hop events for it. The invariant-checking oracle that replays
 // recorded streams lives in the trace/oracle subpackage.

@@ -125,55 +125,6 @@ func TestReadEventsRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestMetrics(t *testing.T) {
-	m := NewMetrics()
-	for _, e := range []Event{
-		{Kind: KindRoundStart, Round: 0, Node: -1},
-		{Kind: KindSend, Round: 0, Node: 2, Peer: 1, Bits: 16, Wire: 144, Frames: 1, Values: 1},
-		{Kind: KindReceive, Round: 0, Node: 1, Peer: 2, Bits: 16, Wire: 144},
-		{Kind: KindSend, Round: 0, Node: 1, Peer: 0, Bits: 32, Wire: 160, Frames: 1, Values: 2},
-		{Kind: KindDrop, Round: 0, Node: 1, Peer: 0},
-		{Kind: KindEnergy, Round: 0, Node: 2, Wire: 144, Joules: 0.5, Aux: EnergySend},
-		{Kind: KindEnergy, Round: 0, Node: 1, Wire: 144, Joules: 0.25, Aux: EnergyRecv},
-		{Kind: KindRefine, Round: 1, Node: -1, Value: 10, Aux: 20, Values: 3},
-		{Kind: KindDecision, Round: 1, Node: -1, Value: 99, Aux: 5},
-		{Kind: KindEnergy, Round: 1, Node: 2, Joules: 0.125, Aux: EnergySend},
-	} {
-		m.Collect(e)
-	}
-
-	n2 := m.Node(2)
-	if n2.Sends != 1 || n2.BitsOut != 144 || n2.Joules != 0.625 {
-		t.Fatalf("node 2 stats = %+v", n2)
-	}
-	n1 := m.Node(1)
-	if n1.Sends != 1 || n1.Receives != 1 || n1.BitsIn != 144 || n1.Joules != 0.25 {
-		t.Fatalf("node 1 stats = %+v", n1)
-	}
-
-	r0 := m.Round(0)
-	if r0.Sends != 2 || r0.Receives != 1 || r0.Drops != 1 || r0.Joules != 0.75 {
-		t.Fatalf("round 0 stats = %+v", r0)
-	}
-	r1 := m.Round(1)
-	if !r1.Decided || r1.Decision != 99 || r1.K != 5 || r1.Refines != 1 {
-		t.Fatalf("round 1 stats = %+v", r1)
-	}
-
-	tl := m.energyTimeline()
-	if len(tl) != 2 || tl[0] != 0.75 || tl[1] != 0.125 {
-		t.Fatalf("energy timeline = %v", tl)
-	}
-
-	// Out-of-range accessors return zero values, not panics.
-	if got := m.Node(99); got != (NodeStats{}) {
-		t.Fatalf("Node(99) = %+v, want zero", got)
-	}
-	if got := m.Round(99); got != (RoundStats{}) {
-		t.Fatalf("Round(99) = %+v, want zero", got)
-	}
-}
-
 func TestMulti(t *testing.T) {
 	if Multi() != nil {
 		t.Fatal("Multi() should be nil")

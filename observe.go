@@ -35,23 +35,20 @@ type SeriesWindowStats = series.WindowStats
 // of a study (keyed "algorithm" or "cell/algorithm" inside sweeps).
 // Memory stays fixed: past the capacity, adjacent points merge and the
 // sampling stride doubles. Safe for concurrent reads while a study
-// runs. Ingest exposes the event-counting path as a trace collector
-// for one replayed stream; live simulations use SeriesCollector.
+// runs; a live Simulation records into it through SeriesCollector.
 type Series = series.Store
 
 // NewSeries returns an empty time-series store with the default
 // per-key capacity (512 points).
 func NewSeries() *Series { return series.New(0) }
 
-// SeriesCollector is the sampling fast path of (*Series).Ingest for a
-// live simulation: instead of counting every trace event, the
-// returned collector samples sim's cumulative traffic and energy
-// counters once per round and records the difference, shrinking the
-// per-event overhead on the traced hot path to a single dispatch.
-// Records the same points as (*Series).Ingest; prefer it whenever
-// the stream comes from sim itself rather than a replayed recording.
-// Pass it to sim.SetTrace (wrap with MultiCollector to combine with
-// other collectors) and call sim.FinishTrace after the last Step.
+// SeriesCollector records sim's per-round series into ser under key:
+// instead of counting every trace event, the returned collector
+// samples sim's cumulative traffic and energy counters once per round
+// and records the difference, so attached alone it makes the runtime
+// build no per-hop events at all. Pass it to sim.SetTrace (wrap with
+// MultiCollector to combine with other collectors) and call
+// sim.FinishTrace after the last Step.
 func (sim *Simulation) SeriesCollector(ser *Series, key string, a *Alerts) TraceCollector {
 	return sim.seriesCollector(ser, key, a, nil)
 }

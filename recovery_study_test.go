@@ -84,7 +84,7 @@ func TestGoldenRecoveryStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.SetTrace(trace.Multi(rec, st.Ingest("IQ", eng.Observe)))
+	rt.SetTrace(trace.Multi(rec, st.IngestTotals("IQ", experiment.SeriesSampler(rt), eng.Observe)))
 	if err := rt.SetFaults(plan, cfg.Seed, sim.DefaultARQ()); err != nil {
 		t.Fatal(err)
 	}

@@ -10,21 +10,21 @@ import (
 // allocations one warmed Simulation.Step may make at |N| = 500, seed 1.
 // The convergecast inbox is reused, every protocol payload is recycled
 // with its storage, and LCLL's partition splices in place from reused
-// buffers, so what remains is per-phase root results. Each ceiling is
-// twice the path's measured count (TAG 2, POS 4, LCLL-H 2, LCLL-S 7,
-// HBC 3, IQ 6; TAG and LCLL-H read 2 or 3 from run to run). Lower a
-// ceiling when a change cuts a path's count; never raise one to absorb
-// a regression.
+// buffers, and the rank oracle selects in place in a reused buffer, so
+// what remains is per-phase root results. Each ceiling is twice the
+// path's measured count (TAG 1, POS 3, LCLL-H 2, LCLL-S 6, HBC 2, IQ 5;
+// LCLL-H reads 1 or 2 from run to run). Lower a ceiling when a change
+// cuts a path's count; never raise one to absorb a regression.
 var roundAllocCeilings = []struct {
 	alg     wsnq.Algorithm
 	ceiling float64
 }{
-	{wsnq.TAG, 4},
-	{wsnq.POS, 8},
+	{wsnq.TAG, 2},
+	{wsnq.POS, 6},
 	{wsnq.LCLLH, 4},
-	{wsnq.LCLLS, 14},
-	{wsnq.HBC, 6},
-	{wsnq.IQ, 12},
+	{wsnq.LCLLS, 12},
+	{wsnq.HBC, 4},
+	{wsnq.IQ, 10},
 }
 
 // TestRoundAllocs holds every standard algorithm's steady-state round
