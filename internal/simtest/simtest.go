@@ -1,6 +1,7 @@
 // Package simtest provides runtime builders shared by the algorithm
-// test suites: random traces, synthetic and pressure deployments, and a
-// driver that runs a continuous algorithm against the central oracle.
+// test suites: random traces, synthetic and pressure deployments, a
+// driver that runs a continuous algorithm against the central oracle,
+// and the event fold that series ingestion is held to.
 package simtest
 
 import (
