@@ -5,7 +5,7 @@ FUZZTIME ?= 5s
 #   go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: help build test check bench bench-json bench-diff race vet fmt fuzz-smoke oracle trace-guard telemetry alert series-guard prof prof-guard chaos serve scenario slo slo-guard adapt adapt-guard staticcheck
+.PHONY: help build test check bench bench-json bench-diff ladder-guard race vet fmt fuzz-smoke oracle telemetry alert prof chaos serve scenario slo adapt staticcheck
 
 # help lists the targets; keep the `##` summaries next to the targets
 # they describe.
@@ -32,22 +32,16 @@ help:
 	@echo "  slo         SLO gate: spec grammar round-trips, budget-arithmetic"
 	@echo "              goldens, zero-allocation observe, serve /slo surface,"
 	@echo "              and the live-vs-replay budget-trajectory differential"
-	@echo "  slo-guard   per-round SLO evaluation overhead vs the 2% budget (idle machine)"
 	@echo "  adapt       closed-loop adaptation gate: policy grammar round-trips,"
 	@echo "              controller hysteresis/cooldown determinism, the pinned"
 	@echo "              golden adaptive study, cross-driver decision parity,"
 	@echo "              and the adapt-clause scenario goldens"
-	@echo "  adapt-guard per-round policy evaluation overhead vs the 2% budget (idle machine)"
 	@echo "  prof        profiling gate: attribution unit suite, golden attribution"
 	@echo "              snapshot, /profilez + pprof endpoint coverage, the"
 	@echo "              allocation-ceiling regression guard, and the"
 	@echo "              round-path allocation ratchet"
 	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target (codecs,"
 	@echo "              parsers, the cell vector, the disc graph)"
-	@echo "  trace-guard disabled-tracer overhead vs the 2% budget (idle machine)"
-	@echo "  series-guard series-ingest overhead on the bare round vs the 2% budget"
-	@echo "              (idle machine)"
-	@echo "  prof-guard  phase-attribution overhead vs the 2% budget (idle machine)"
 	@echo "  bench       run the Go benchmarks of the root package, internal/sim,"
 	@echo "              internal/scenario (the round-record reader) and"
 	@echo "              internal/alert (the rule engine) with -benchmem"
@@ -57,6 +51,8 @@ help:
 	@echo "              or a broken allocs/op ceiling"
 	@echo "  bench-diff  benchstat-style delta table between the two newest"
 	@echo "              committed BENCH_*.json sessions"
+	@echo "  ladder-guard every layered rung of the bench-json ladder (prof, series,"
+	@echo "              SLO, adapt) vs the 2% budget over its base (idle machine)"
 	@echo "  fmt         gofmt the tree"
 
 # perfbench/ is its own module importing internal packages, so
@@ -105,25 +101,19 @@ alert:
 	$(GO) test -run '^(TestRuleEngineDeterminism|TestObserveAllocatesNothing)$$' -v ./internal/alert/
 
 # prof gates the profiling layer: the recorder/report unit suite, the
-# benchfmt schema-v2 + diff-table suite, the telemetry exposition
+# benchfmt schema-v3 + diff-table suite, the telemetry exposition
 # endpoints (/profilez, /metrics runtime gauges, /debug/pprof labels),
 # the golden attribution snapshot of the 60-node lossy study, the
 # allocation-ceiling arithmetic behind the regression guard, and the
 # round-path allocation ratchet (TestRoundAllocs: each standard
 # algorithm's warmed |N|=500 round under its ceiling). The timing
-# half of the layer (the ≤2% overhead budget) lives in prof-guard,
-# which — like trace-guard and series-guard — needs an idle machine.
+# half of the layer (the ≤2% overhead budget) lives in ladder-guard,
+# which needs an idle machine.
 prof:
 	$(GO) test -v ./internal/prof/
 	$(GO) test -v ./internal/benchfmt/
 	$(GO) test -short -run '^(TestProfilezEndpoint|TestMetricsPublishRuntime|TestDebugPprofProfile)$$' -v ./internal/telemetry/
 	$(GO) test -count=1 -run '^(TestProfAttributionGolden|TestProfNamesLCLLSTopAllocPhase|TestProfResetAndReuse|TestBenchRegressionGuard|TestBenchGuardArithmetic|TestRoundAllocs)$$' -v .
-
-# prof-guard measures phase attribution (pprof label switches plus the
-# allocation-delta accounting) against the traced hot path and fails
-# beyond the 2% budget. Timing sensitive — run on an idle machine.
-prof-guard:
-	PROF_GUARD=1 $(GO) test -count=1 -run '^TestProfOverheadGuard$$' -v .
 
 # chaos is the robustness gate: the seeded crash+burst smoke of HBC
 # and IQ through the engine, the public API, the oracle's fault mode,
@@ -169,17 +159,11 @@ scenario:
 # layer's /slo surface and update stamping, and the differential test
 # proving a live run and a replay of its recording produce identical
 # budget trajectories and burn-rate transitions. The timing half (the
-# ≤2% per-round overhead budget) lives in slo-guard.
+# ≤2% per-round overhead budget) lives in ladder-guard.
 slo:
 	$(GO) test -v ./internal/slo/
 	$(GO) test -race -run '^TestSLO' -v ./internal/serve/
 	$(GO) test -count=1 -run '^(TestSLOBudgetGolden|TestSLOLiveReplayDifferential)$$' -v .
-
-# slo-guard measures the serve step path with objectives attached
-# against the plain step path and fails beyond the 2% budget. Timing
-# sensitive — run on an idle machine.
-slo-guard:
-	SLO_GUARD=1 $(GO) test -count=1 -run '^TestSLOOverheadGuard$$' -v .
 
 # adapt gates the closed-loop adaptation layer: the policy grammar and
 # controller unit suite (round-trips, hysteresis, cooldowns, replay
@@ -188,16 +172,10 @@ slo-guard:
 # and the cross-driver parity tests proving the batch engine, the
 # round-by-round Simulation, and the parallel grid all derive one
 # decision log. The timing half (the ≤2% per-round overhead budget)
-# lives in adapt-guard.
+# lives in ladder-guard.
 adapt:
 	$(GO) test -v ./internal/adapt/
 	$(GO) test -count=1 -run '^(TestGoldenAdaptiveStudy|TestAdaptDecisionsDeterministicAcrossParallelism|TestSimulationControllerMatchesEngine|TestControllerResetForReuse|TestControllerCanonicalString)$$' -v .
-
-# adapt-guard measures the serve step path with a standing (never
-# firing) policy set attached against the plain step path and fails
-# beyond the 2% budget. Timing sensitive — run on an idle machine.
-adapt-guard:
-	ADAPT_GUARD=1 $(GO) test -count=1 -run '^TestAdaptOverheadGuard$$' -v .
 
 # fuzz-smoke gives each fuzz target a short budget of fresh inputs on
 # top of the committed corpus (go test -fuzz accepts one target at a
@@ -217,19 +195,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/alert/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecs$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzDiscGraph$$' -fuzztime $(FUZZTIME) ./internal/wsn/
-
-# trace-guard measures the disabled flight recorder against the
-# pre-instrumentation hot path and fails beyond the 2% budget. Timing
-# sensitive — run on an idle machine.
-trace-guard:
-	TRACE_GUARD=1 $(GO) test -run '^TestTracerOverheadGuard$$' -v ./internal/sim/
-
-# series-guard measures per-round series ingestion (sampling fast path
-# plus the storm rule) against the same warm round with no collector
-# attached and fails beyond the 2% budget. Timing sensitive — run on
-# an idle machine.
-series-guard:
-	SERIES_GUARD=1 $(GO) test -count=1 -run '^TestSeriesIngestOverheadGuard$$' -v .
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTracesCSV$$' -fuzztime $(FUZZTIME) ./internal/data/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegisterSpec$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 # staticcheck is enforced when the pinned binary is installed: any
 # finding fails the gate. Machines without it skip with an install
@@ -259,6 +226,13 @@ bench:
 # against the previous session.
 bench-json: build
 	$(GO) run ./cmd/wsnq-bench -json
+
+# ladder-guard times every layered rung of the bench-json ladder
+# against its base the way the session does (interleaved, fastest of
+# six reps per side) and fails a rung that costs more than 2% over its
+# base. Timing sensitive — run on an idle machine.
+ladder-guard:
+	LADDER_GUARD=1 $(GO) test -count=1 -run '^TestLadderOverheadGuard$$' -v ./cmd/wsnq-bench/
 
 # bench-diff prints the benchstat-style per-path delta table between
 # the two newest committed sessions — the table behind any regression

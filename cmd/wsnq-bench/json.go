@@ -30,30 +30,281 @@ func runBenchDiff(oldPath, newPath string) error {
 	return benchfmt.FormatDiff(os.Stdout, oldF, newF)
 }
 
-// measure runs fn under testing.Benchmark reps times and keeps the
-// fastest sample. Allocations are deterministic per op, so the minimum
-// wall-clock rep measures the same work with the least scheduler
-// disturbance — the same noise filter the overhead guards use.
-func measure(reps int, fn func(b *testing.B)) testing.BenchmarkResult {
-	best := testing.Benchmark(fn)
-	for i := 1; i < reps; i++ {
-		if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-			best = r
+// overheadBudget is the cost a layer may add to its base rung: 2% of
+// the base's ns/op.
+const overheadBudget = 0.02
+
+// A rung is one observed path of the layer ladder. warm builds the
+// path's state (a warm simulation past its initialization round, a
+// server with its query registered) and returns the step one op runs
+// on it. A rung with a base adds one layer to that rung and is held to
+// overheadBudget over it. study, when set, names the protocol whose
+// short study supplies the rung's domain costs.
+type rung struct {
+	name  string
+	base  string
+	study wsnq.Algorithm
+	warm  func() (step func() error, err error)
+}
+
+// discard is a full flight-recorder collector that keeps nothing: its
+// rung prices building every per-hop event, not storing it.
+type discard struct{}
+
+func (discard) Collect(wsnq.TraceEvent) {}
+
+// rungs is the layer ladder: the six bare protocol rounds at |N| = 500,
+// the IQ round under each observability layer, one hosted IQ query's
+// serve step under objectives and policies, and the serve paths with
+// no round underneath.
+func rungs() []rung {
+	var out []rung
+	for _, alg := range wsnq.StandardAlgorithms() {
+		name := "Round" + strings.ReplaceAll(string(alg), "-", "")
+		out = append(out, rung{name: name, study: alg, warm: warmRound(alg, nil)})
+	}
+	return append(out,
+		rung{name: "RoundIQTrace", warm: warmRound(wsnq.IQ, func(s *wsnq.Simulation) error {
+			s.SetTrace(discard{})
+			return nil
+		})},
+		// Phase attribution on top of the traced round.
+		rung{name: "RoundIQProf", base: "RoundIQTrace", warm: warmRound(wsnq.IQ, func(s *wsnq.Simulation) error {
+			s.SetTrace(discard{})
+			s.SetProf(wsnq.NewProf())
+			return nil
+		})},
+		// The series ingester, with the storm rule as its sink: what
+		// every -alert / -http study pays per round.
+		rung{name: "RoundIQSeries", base: "RoundIQ", warm: warmRound(wsnq.IQ, func(s *wsnq.Simulation) error {
+			alerts, err := wsnq.NewAlerts("storm")
+			if err != nil {
+				return err
+			}
+			s.SetTrace(s.SeriesCollector(wsnq.NewSeries(), "IQ", alerts))
+			return nil
+		})},
+		// A controller whose heap/gc presets only fire on profiled
+		// runs: the policies stand armed and never act, so the rung is
+		// pure evaluation cost (the private series tap included).
+		rung{name: "RoundIQAdapt", warm: warmRound(wsnq.IQ, func(s *wsnq.Simulation) error {
+			ctl, err := wsnq.NewController("on heap(crit) do widen 2; on gc(warn) do narrow 2")
+			if err != nil {
+				return err
+			}
+			return s.SetController(ctl)
+		})},
+		rung{name: "ServeAdvance", warm: warmServe(wsnq.ServerConfig{})},
+		rung{name: "ServeAdvanceSLO", base: "ServeAdvance", warm: warmServe(wsnq.ServerConfig{SLO: "rank; fresh; latency"})},
+		// Standing policies again: the heap presets never fire unprofiled.
+		rung{name: "ServeAdvanceAdapt", base: "ServeAdvance", warm: warmServe(wsnq.ServerConfig{Adapt: "on heap(crit) do reroot; on heap(warn) do widen 2"})},
+		// What every POST /queries pays to admit a query and assemble
+		// its runtime over the shared deployment; deregistering in the
+		// same op keeps the registry size flat.
+		rung{name: "ServeRegisterQuery", warm: func() (func() error, error) {
+			srv := wsnq.NewServer(wsnq.ServerConfig{})
+			cfg := wsnq.DefaultConfig()
+			cfg.Nodes = 60
+			cfg.Area = 80
+			cfg.RadioRange = 25
+			cfg.Rounds = 1 << 20
+			cfg.Runs = 1
+			if err := srv.AddFleet("fleet0", cfg); err != nil {
+				return nil, err
+			}
+			return func() error {
+				id, err := srv.Register(wsnq.QuerySpec{Fleet: "fleet0", Algorithm: wsnq.IQ, Phi: 0.9})
+				if err != nil {
+					return err
+				}
+				return srv.Deregister(id)
+			}, nil
+		}},
+		// One Observe across the three objective signals. Samples
+		// alternate good and bad rounds so the rings, the budget
+		// ledger and the level classification all do real work.
+		rung{name: "ServeSLOEval", warm: func() (func() error, error) {
+			slos, err := wsnq.NewSLOs("rank; fresh; latency")
+			if err != nil {
+				return nil, err
+			}
+			i := 0
+			return func() error {
+				slos.Observe("bench", wsnq.SLOSample{
+					Round:     i,
+					RankError: i % 40, // εN = 25 at |N|=500: bad every 26th..39th
+					N:         500,
+					Staleness: i % 3,
+					LatencyMs: float64(i % 60),
+				})
+				i++
+				return nil
+			}, nil
+		}},
+		// One whole-study engine sample: a shared-deployment comparison
+		// of the standard line-up.
+		rung{name: "EngineCompare", warm: func() (func() error, error) {
+			cfg := wsnq.DefaultConfig()
+			cfg.Nodes = 200
+			cfg.Rounds = 50
+			cfg.Runs = 4
+			return func() error {
+				_, err := wsnq.CompareContext(context.Background(), cfg, wsnq.StandardAlgorithms())
+				return err
+			}, nil
+		}},
+	)
+}
+
+// roundConfig is the cell every Round rung steps: |N| = 500, one run,
+// stepped manually.
+func roundConfig() wsnq.Config {
+	cfg := wsnq.DefaultConfig()
+	cfg.Nodes = 500
+	cfg.Rounds = 1 << 30
+	cfg.Runs = 1
+	return cfg
+}
+
+// warmRound builds a simulation of alg with attach (if any) applied
+// and its initialization round stepped; one op is one round.
+func warmRound(alg wsnq.Algorithm, attach func(*wsnq.Simulation) error) func() (func() error, error) {
+	return func() (func() error, error) {
+		sim, err := wsnq.NewSimulation(roundConfig(), alg)
+		if err != nil {
+			return nil, err
+		}
+		if attach != nil {
+			if err := attach(sim); err != nil {
+				return nil, err
+			}
+		}
+		step := func() error { _, err := sim.Step(); return err }
+		return step, step() // the initialization round
+	}
+}
+
+// warmServe builds a server hosting one IQ query on a 500-node fleet,
+// advanced past its initialization round; one op is one Advance.
+func warmServe(sc wsnq.ServerConfig) func() (func() error, error) {
+	return func() (func() error, error) {
+		srv := wsnq.NewServer(sc)
+		if err := srv.AddFleet("fleet0", roundConfig()); err != nil {
+			return nil, err
+		}
+		if _, err := srv.Register(wsnq.QuerySpec{Fleet: "fleet0", Algorithm: wsnq.IQ}); err != nil {
+			return nil, err
+		}
+		srv.Advance()
+		return func() error { srv.Advance(); return nil }, nil
+	}
+}
+
+// ladder is the rung table with the steps built so far: each rung's
+// warm state is built once, the first time it is measured, and reused
+// when it is measured again as another rung's base.
+type ladder struct {
+	rungs []rung
+	steps map[string]func() error
+}
+
+func newLadder() *ladder {
+	return &ladder{rungs: rungs(), steps: make(map[string]func() error)}
+}
+
+func (l *ladder) rung(name string) (rung, bool) {
+	for _, r := range l.rungs {
+		if r.name == name {
+			return r, true
 		}
 	}
-	return best
+	return rung{}, false
+}
+
+func (l *ladder) step(name string) (func() error, error) {
+	if step, ok := l.steps[name]; ok {
+		return step, nil
+	}
+	r, ok := l.rung(name)
+	if !ok {
+		return nil, fmt.Errorf("no rung %q", name)
+	}
+	step, err := r.warm()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	l.steps[name] = step
+	return step, nil
+}
+
+// sample is a rung's fastest rep and, for a rung with a base, the
+// base's fastest rep from the same interleaved run.
+type sample struct {
+	rung, base testing.BenchmarkResult
+}
+
+// overhead is the rung's fractional ns/op over its base.
+func (s sample) overhead() float64 {
+	return float64(s.rung.NsPerOp())/float64(s.base.NsPerOp()) - 1
+}
+
+// measure times rung r reps times under testing.Benchmark and keeps the
+// fastest rep. A rung with a base is timed against it interleaved, base
+// first in every rep, so drift hits both sides alike. Allocations are
+// deterministic per op, so the fastest rep measures the same work with
+// the least scheduler disturbance.
+func (l *ladder) measure(r rung, reps int) (sample, error) {
+	step, err := l.step(r.name)
+	if err != nil {
+		return sample{}, err
+	}
+	var baseStep func() error
+	if r.base != "" {
+		if baseStep, err = l.step(r.base); err != nil {
+			return sample{}, err
+		}
+	}
+	var s sample
+	for rep := 0; rep < max(reps, 1); rep++ {
+		if baseStep != nil {
+			res, err := bench(baseStep)
+			if err != nil {
+				return sample{}, fmt.Errorf("%s: %w", r.base, err)
+			}
+			if rep == 0 || res.NsPerOp() < s.base.NsPerOp() {
+				s.base = res
+			}
+		}
+		res, err := bench(step)
+		if err != nil {
+			return sample{}, fmt.Errorf("%s: %w", r.name, err)
+		}
+		if rep == 0 || res.NsPerOp() < s.rung.NsPerOp() {
+			s.rung = res
+		}
+	}
+	return s, nil
+}
+
+// bench runs step under testing.Benchmark, one step per op, stopping
+// at the first error.
+func bench(step func() error) (testing.BenchmarkResult, error) {
+	var err error
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N && err == nil; i++ {
+			err = step()
+		}
+	})
+	return res, err
 }
 
 // runBenchJSON is the continuous-benchmarking mode: it measures every
-// tracked hot path with testing.Benchmark (the fastest of reps
-// repetitions each), pairs each sample with the domain costs of a
-// short study (frames and hottest-node energy per round), and writes
-// one schema-versioned BENCH_<date>.json for the regression guard to
-// diff against the previous session.
+// rung of the ladder (the fastest of reps repetitions each, a layered
+// rung interleaved with its base), pairs each bare protocol rung with
+// the domain costs of a short study (frames and hottest-node energy per
+// round), and writes one schema-versioned BENCH_<date>.json for the
+// regression guard to diff against the previous session.
 func runBenchJSON(out string, reps int) error {
-	if reps < 1 {
-		reps = 1
-	}
 	f := benchfmt.File{
 		Date:      time.Now().Format("2006-01-02"),
 		GoVersion: runtime.Version(),
@@ -64,230 +315,42 @@ func runBenchJSON(out string, reps int) error {
 		out = benchfmt.Filename(time.Now())
 	}
 
-	// The per-round protocol hot paths, mirroring bench_test.go's
-	// BenchmarkRound* (|N| = 500, one warm simulation stepped in place).
-	for _, alg := range wsnq.StandardAlgorithms() {
-		name := "Round" + strings.ReplaceAll(string(alg), "-", "")
-		fmt.Fprintf(os.Stderr, "wsnq-bench: measuring %s...\n", name)
-		res := measure(reps, func(b *testing.B) {
-			cfg := wsnq.DefaultConfig()
-			cfg.Nodes = 500
-			cfg.Rounds = 1 << 30 // stepped manually
-			cfg.Runs = 1
-			sim, err := wsnq.NewSimulation(cfg, alg)
+	l := newLadder()
+	for _, r := range l.rungs {
+		fmt.Fprintf(os.Stderr, "wsnq-bench: measuring %s...\n", r.name)
+		s, err := l.measure(r, reps)
+		if err != nil {
+			return err
+		}
+		res := benchfmt.Result{
+			Name:        r.name,
+			Base:        r.base,
+			NsPerOp:     float64(s.rung.NsPerOp()),
+			BytesPerOp:  s.rung.AllocedBytesPerOp(),
+			AllocsPerOp: s.rung.AllocsPerOp(),
+		}
+		if r.base != "" {
+			fmt.Fprintf(os.Stderr, "wsnq-bench: %s %+.2f%% over %s\n", r.name, 100*s.overhead(), r.base)
+		}
+		if r.study != "" {
+			cfg := roundConfig()
+			cfg.Rounds = 40
+			m, err := wsnq.Run(cfg, r.study)
 			if err != nil {
-				b.Fatal(err)
+				return fmt.Errorf("%s study: %w", r.name, err)
 			}
-			if _, err := sim.Step(); err != nil { // initialization round
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-
-		// Domain costs from a short averaged study on the same cell.
-		cfg := wsnq.DefaultConfig()
-		cfg.Nodes = 500
-		cfg.Rounds = 40
-		cfg.Runs = 1
-		m, err := wsnq.Run(cfg, alg)
-		if err != nil {
-			return fmt.Errorf("%s study: %w", name, err)
+			res.FramesPerRound = m.FramesPerRound
+			res.EnergyPerRound = m.MaxNodeEnergyPerRound
 		}
-
-		f.Results = append(f.Results, benchfmt.Result{
-			Name:           name,
-			NsPerOp:        float64(res.NsPerOp()),
-			BytesPerOp:     res.AllocedBytesPerOp(),
-			AllocsPerOp:    res.AllocsPerOp(),
-			FramesPerRound: m.FramesPerRound,
-			EnergyPerRound: m.MaxNodeEnergyPerRound,
-		})
-	}
-
-	// The observability hot path: the same warm IQ round with a series
-	// ingester (plus the storm rule as its sink) attached to the trace
-	// hook — what every -alert / -http study pays per round. Diffing
-	// RoundIQSeries against RoundIQ across sessions guards the ingest
-	// overhead.
-	fmt.Fprintln(os.Stderr, "wsnq-bench: measuring RoundIQSeries...")
-	seriesRes := measure(reps, func(b *testing.B) {
-		cfg := wsnq.DefaultConfig()
-		cfg.Nodes = 500
-		cfg.Rounds = 1 << 30 // stepped manually
-		cfg.Runs = 1
-		sim, err := wsnq.NewSimulation(cfg, wsnq.IQ)
-		if err != nil {
-			b.Fatal(err)
+		// Stamp the sample with its allocation budget: the measured
+		// allocs/op plus 10%, rounded up, so a count of 1 still gets
+		// headroom of 1. Allocations are deterministic per op, which is
+		// what lets the regression guard enforce these as hard ceilings
+		// where ns/op only supports a relative threshold.
+		if a := res.AllocsPerOp; a > 0 {
+			res.AllocsCeiling = a + (a+9)/10
 		}
-		alerts, err := wsnq.NewAlerts("storm")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.SetTrace(sim.SeriesCollector(wsnq.NewSeries(), "IQ", alerts))
-		if _, err := sim.Step(); err != nil { // initialization round
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	f.Results = append(f.Results, benchfmt.Result{
-		Name:        "RoundIQSeries",
-		NsPerOp:     float64(seriesRes.NsPerOp()),
-		BytesPerOp:  seriesRes.AllocedBytesPerOp(),
-		AllocsPerOp: seriesRes.AllocsPerOp(),
-	})
-
-	// The controller decision hot path: the same warm IQ round with a
-	// closed-loop controller attached — the private series tap, the
-	// alert engine pass, and the policy evaluation every adaptive study
-	// pays per round. The heap/gc presets only fire on profiled runs,
-	// so the policies stand armed but never act and the sample stays a
-	// pure evaluation cost with deterministic allocations. Diffing
-	// RoundIQAdapt against RoundIQSeries across sessions isolates the
-	// policy evaluation (the controller's private tap is the same
-	// series ingest that benchmark pays).
-	fmt.Fprintln(os.Stderr, "wsnq-bench: measuring RoundIQAdapt...")
-	adaptRes := measure(reps, func(b *testing.B) {
-		cfg := wsnq.DefaultConfig()
-		cfg.Nodes = 500
-		cfg.Rounds = 1 << 30 // stepped manually
-		cfg.Runs = 1
-		sim, err := wsnq.NewSimulation(cfg, wsnq.IQ)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctl, err := wsnq.NewController("on heap(crit) do widen 2; on gc(warn) do narrow 2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sim.SetController(ctl); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Step(); err != nil { // initialization round
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	f.Results = append(f.Results, benchfmt.Result{
-		Name:        "RoundIQAdapt",
-		NsPerOp:     float64(adaptRes.NsPerOp()),
-		BytesPerOp:  adaptRes.AllocedBytesPerOp(),
-		AllocsPerOp: adaptRes.AllocsPerOp(),
-	})
-
-	// The query service's registration path: what every POST /queries
-	// pays to admit a query and assemble its runtime over the shared
-	// deployment. Registered queries are deregistered in the same
-	// iteration so the registry size stays flat across b.N.
-	fmt.Fprintln(os.Stderr, "wsnq-bench: measuring ServeRegisterQuery...")
-	serveRes := measure(reps, func(b *testing.B) {
-		srv := wsnq.NewServer(wsnq.ServerConfig{})
-		fcfg := wsnq.DefaultConfig()
-		fcfg.Nodes = 60
-		fcfg.Area = 80
-		fcfg.RadioRange = 25
-		fcfg.Rounds = 1 << 20
-		fcfg.Runs = 1
-		if err := srv.AddFleet("fleet0", fcfg); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id, err := srv.Register(wsnq.QuerySpec{Fleet: "fleet0", Algorithm: wsnq.IQ, Phi: 0.9})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := srv.Deregister(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	f.Results = append(f.Results, benchfmt.Result{
-		Name:        "ServeRegisterQuery",
-		NsPerOp:     float64(serveRes.NsPerOp()),
-		BytesPerOp:  serveRes.AllocedBytesPerOp(),
-		AllocsPerOp: serveRes.AllocsPerOp(),
-	})
-
-	// The SLO evaluation hot path: one Observe across the three
-	// objective signals — what every served query with attached
-	// objectives pays per round on top of its protocol step. Samples
-	// alternate good and bad rounds so the rings, the budget ledger,
-	// and the level classification all do real work.
-	fmt.Fprintln(os.Stderr, "wsnq-bench: measuring ServeSLOEval...")
-	sloRes := measure(reps, func(b *testing.B) {
-		slos, err := wsnq.NewSLOs("rank; fresh; latency")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			slos.Observe("bench", wsnq.SLOSample{
-				Round:     i,
-				RankError: i % 40, // εN = 25 at |N|=500: bad every 26th..39th
-				N:         500,
-				Staleness: i % 3,
-				LatencyMs: float64(i % 60),
-			})
-		}
-	})
-	f.Results = append(f.Results, benchfmt.Result{
-		Name:        "ServeSLOEval",
-		NsPerOp:     float64(sloRes.NsPerOp()),
-		BytesPerOp:  sloRes.AllocedBytesPerOp(),
-		AllocsPerOp: sloRes.AllocsPerOp(),
-	})
-
-	// One whole-study engine sample: a shared-deployment comparison of
-	// the standard line-up (no per-round interpretation).
-	fmt.Fprintln(os.Stderr, "wsnq-bench: measuring EngineCompare...")
-	res := measure(reps, func(b *testing.B) {
-		cfg := wsnq.DefaultConfig()
-		cfg.Nodes = 200
-		cfg.Rounds = 50
-		cfg.Runs = 4
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wsnq.CompareContext(context.Background(), cfg, wsnq.StandardAlgorithms()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	f.Results = append(f.Results, benchfmt.Result{
-		Name:        "EngineCompare",
-		NsPerOp:     float64(res.NsPerOp()),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-	})
-
-	// Schema 2: stamp every sample with its allocation budget — the
-	// measured allocs/op plus 10%, rounded up, so a count of 1 still
-	// gets headroom of 1. Allocations are deterministic per op, which
-	// is what lets the regression guard enforce these as hard ceilings
-	// where ns/op only supports a relative threshold.
-	for i := range f.Results {
-		if a := f.Results[i].AllocsPerOp; a > 0 {
-			f.Results[i].AllocsCeiling = a + (a+9)/10
-		}
+		f.Results = append(f.Results, res)
 	}
 
 	if err := benchfmt.WriteFile(out, f); err != nil {

@@ -194,10 +194,6 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// classify maps an aggregate value to a level by the rule's comparator
-// name; the engine passes the comparator it resolved to level instead.
-func (r *Rule) classify(v float64) Level { return r.level(cmps[r.Cmp], v) }
-
 // level maps an aggregate value to a level under comparator c. NaN
 // (not enough data for the aggregate yet) never alerts.
 func (r *Rule) level(c cmpOp, v float64) Level {
@@ -400,12 +396,6 @@ func (e *Engine) Level(rule, key string) Level {
 		}
 	}
 	return OK
-}
-
-// aggregate reduces rule r's window by its aggregator's name; the
-// engine passes the aggregator it resolved to reduce instead.
-func (e *Engine) aggregate(r *Rule, st *ruleState) float64 {
-	return e.reduce(resolve(r).agg, st)
 }
 
 // reduce aggregates a rule's window to one value, reading it in place

@@ -39,12 +39,13 @@ func TestComparators(t *testing.T) {
 		if err := r.Validate(); err != nil {
 			t.Fatalf("cmp %q: %v", c.cmp, err)
 		}
+		cmp := resolve(&r).cmp
 		for i, v := range c.values {
-			if got := r.classify(v); got != c.want[i] {
+			if got := r.level(cmp, v); got != c.want[i] {
 				t.Errorf("cmp %q value %g: level %v, want %v", c.cmp, v, got, c.want[i])
 			}
 		}
-		if got := r.classify(math.NaN()); got != OK {
+		if got := r.level(cmp, math.NaN()); got != OK {
 			t.Errorf("cmp %q NaN: level %v, want OK (not enough data never alerts)", c.cmp, got)
 		}
 	}
@@ -54,7 +55,7 @@ func TestComparators(t *testing.T) {
 // out at Warn.
 func TestWarnOnlyRuleNeverCrit(t *testing.T) {
 	r := Rule{Name: "r", Metric: "frames", Agg: "last", Window: 1, Cmp: ">", Warn: 10}
-	if got := r.classify(1e9); got != Warn {
+	if got := r.level(resolve(&r).cmp, 1e9); got != Warn {
 		t.Errorf("warn-only rule at 1e9: level %v, want Warn", got)
 	}
 }

@@ -17,6 +17,7 @@ import (
 // aggregates; its per-key states go unused.
 type refEngine struct {
 	Engine
+	ops    []op // each rule resolved once, like NewEngine does
 	states map[refKey]*ruleState
 	order  []refKey
 }
@@ -27,10 +28,14 @@ type refKey struct {
 }
 
 func newRefEngine(rules ...Rule) *refEngine {
-	return &refEngine{
+	e := &refEngine{
 		Engine: Engine{rules: append([]Rule(nil), rules...)},
 		states: make(map[refKey]*ruleState),
 	}
+	for i := range e.rules {
+		e.ops = append(e.ops, resolve(&e.rules[i]))
+	}
+	return e
 }
 
 func (e *refEngine) StartRun(key string) {
@@ -62,9 +67,9 @@ func (e *refEngine) Observe(key string, p series.Point) {
 		st.win.Push(sample)
 		st.rounds++
 
-		v := e.aggregate(&r, st)
+		v := e.reduce(e.ops[i].agg, st)
 		st.value = v
-		lvl := r.classify(v)
+		lvl := r.level(e.ops[i].cmp, v)
 		if prev, changed := st.standing.Set(lvl, p.Round); changed {
 			ev := Event{
 				Rule: r.Name, Key: key, Round: p.Round,

@@ -22,12 +22,13 @@ import (
 
 // SchemaVersion identifies the BENCH JSON layout. Version 2 adds the
 // per-benchmark allocation ceiling (allocs_ceiling) the allocation-
-// budget gate enforces. ReadFile also accepts version-1 files — they
-// simply carry no ceilings, so the gate falls back to a relative
-// budget — and rejects anything newer, so the regression guard never
-// compares measurements it does not understand.
+// budget gate enforces; version 3 adds the base rung (base) a layered
+// path is measured against. ReadFile also accepts versions 1 and 2 —
+// they simply carry no ceilings or bases, so the gate falls back to a
+// relative budget — and rejects anything newer, so the regression
+// guard never compares measurements it does not understand.
 const (
-	SchemaVersion    = 2
+	SchemaVersion    = 3
 	minSchemaVersion = 1
 )
 
@@ -63,26 +64,32 @@ type Result struct {
 	// one derived from AllocsPerOp. Schema 2.
 	AllocsCeiling int64 `json:"allocs_ceiling,omitempty"`
 
+	// Base names the rung this path adds a layer to (RoundIQSeries
+	// rides on RoundIQ); empty for a bare path. The session measured
+	// the two interleaved and held the layer to its overhead budget.
+	// Schema 3.
+	Base string `json:"base,omitempty"`
+
 	FramesPerRound float64 `json:"frames_per_round,omitempty"`
 	EnergyPerRound float64 `json:"max_node_j_per_round,omitempty"`
 }
 
 // TrackedHotPaths lists the benchmarks the regression guard watches:
-// the per-round protocol costs of the §5.1.6 line-up, the traced IQ
-// round with series ingestion attached (the observability overhead
-// the alert pipeline rides on), the IQ round with a closed-loop
-// controller attached (the per-round policy-evaluation cost every
-// adaptive study pays), the query service's registration path (what
-// every POST /queries pays), and the serve layer's per-round SLO
-// evaluation (what every query with objectives pays on top of its
-// protocol round). A >15% slowdown of any of them fails the guard;
-// benchmarks absent from either session are skipped, so old files
-// without the newer paths still diff cleanly.
+// every rung of wsnq-bench's layer ladder but the whole-study
+// EngineCompare. That is the per-round protocol costs of the §5.1.6
+// line-up; the IQ round with a discarding flight recorder, with phase
+// attribution on top of it, with series ingestion, and with a
+// closed-loop controller; one hosted IQ query's serve step, bare and
+// with objectives or policies attached; the query service's
+// registration path; and the per-round SLO evaluation. A >15%
+// slowdown of any of them fails the guard; benchmarks absent from
+// either session are skipped, so old files without the newer paths
+// still diff cleanly.
 func TrackedHotPaths() []string {
 	return []string{
 		"RoundTAG", "RoundPOS", "RoundLCLLH", "RoundLCLLS", "RoundHBC", "RoundIQ",
-		"RoundIQSeries",
-		"RoundIQAdapt",
+		"RoundIQTrace", "RoundIQProf", "RoundIQSeries", "RoundIQAdapt",
+		"ServeAdvance", "ServeAdvanceSLO", "ServeAdvanceAdapt",
 		"ServeRegisterQuery",
 		"ServeSLOEval",
 	}

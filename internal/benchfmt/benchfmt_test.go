@@ -50,9 +50,38 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongSchema(t *testing.T) {
-	_, err := decode(strings.NewReader(`{"schema": 99, "results": []}`))
-	if err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("wrong schema error = %v", err)
+	for _, schema := range []string{"0", "4", "99"} {
+		_, err := decode(strings.NewReader(`{"schema": ` + schema + `, "results": []}`))
+		if err == nil || !strings.Contains(err.Error(), "schema") {
+			t.Errorf("schema %s: error = %v", schema, err)
+		}
+	}
+}
+
+// TestRoundTripBase: a schema-3 session keeps each layered rung's base
+// and omits it on bare paths.
+func TestRoundTripBase(t *testing.T) {
+	in := sample()
+	in.Results = append(in.Results, Result{Name: "RoundIQSeries", NsPerOp: 1010, AllocsPerOp: 12, Base: "RoundIQ"})
+	var buf bytes.Buffer
+	if err := encode(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(buf.String(), `"base"`) != 1 {
+		t.Errorf("want exactly one base key:\n%s", buf.String())
+	}
+	f, err := decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != 3 {
+		t.Errorf("schema = %d, want 3", f.Schema)
+	}
+	if r, ok := f.Result("RoundIQSeries"); !ok || r.Base != "RoundIQ" {
+		t.Errorf("RoundIQSeries = %+v, ok=%v; want base RoundIQ", r, ok)
+	}
+	if r, _ := f.Result("RoundIQ"); r.Base != "" {
+		t.Errorf("RoundIQ base = %q, want none", r.Base)
 	}
 }
 
@@ -114,6 +143,22 @@ func TestDecodeAcceptsSchema1(t *testing.T) {
 	}
 	if r.AllocsCeiling != 0 {
 		t.Errorf("schema-1 ceiling = %d, want 0", r.AllocsCeiling)
+	}
+}
+
+// TestDecodeAcceptsSchema2: the 2026-08-07 sessions are schema 2 and
+// keep loading with their ceilings and no bases.
+func TestDecodeAcceptsSchema2(t *testing.T) {
+	f, err := decode(strings.NewReader(`{
+		"schema": 2, "date": "2026-08-07",
+		"results": [{"name": "RoundIQSeries", "ns_per_op": 1000, "allocs_per_op": 12, "allocs_ceiling": 14}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := f.Result("RoundIQSeries")
+	if !ok || r.AllocsCeiling != 14 || r.Base != "" {
+		t.Fatalf("RoundIQSeries = %+v, ok=%v; want ceiling 14, no base", r, ok)
 	}
 }
 

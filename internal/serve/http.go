@@ -14,6 +14,10 @@ import (
 // viewAlertEvents bounds the alert events echoed in a query view.
 const viewAlertEvents = 20
 
+// maxSpecBytes bounds a POST /queries body; a spec is a few hundred
+// bytes, so anything near the bound is not a spec.
+const maxSpecBytes = 1 << 20
+
 // Handler returns the registry's HTTP/JSON API:
 //
 //	GET    /serve                registry status (round, queries, instances, dropped)
@@ -26,7 +30,8 @@ const viewAlertEvents = 20
 //	GET    /queries/{id}/subscribe  NDJSON stream of round updates
 //
 // Registration errors map to status codes: bad spec 400, unknown
-// fleet/query 404, duplicate ID 409, admission control 429. Requests
+// fleet/query 404, duplicate ID 409, a body over maxSpecBytes 413,
+// admission control 429. Requests
 // matching none of the routes fall through to next (the shared
 // telemetry surface in wsnq-serve); a nil next reports 404.
 func Handler(r *Registry, next http.Handler) http.Handler {
@@ -61,8 +66,13 @@ func Handler(r *Registry, next http.Handler) http.Handler {
 	})
 	mux.HandleFunc("POST /queries", func(w http.ResponseWriter, req *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
-			http.Error(w, "serve: bad spec: "+err.Error(), http.StatusBadRequest)
+		body := http.MaxBytesReader(w, req.Body, maxSpecBytes)
+		if err := json.NewDecoder(body).Decode(&spec); err != nil {
+			code := http.StatusBadRequest
+			if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "serve: bad spec: "+err.Error(), code)
 			return
 		}
 		q, err := r.Register(spec)

@@ -192,6 +192,9 @@ func TestHandlerBranches(t *testing.T) {
 	if resp := post(`{not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: %d, want 400", resp.StatusCode)
 	}
+	if resp := post(`{"id":"` + strings.Repeat("q", maxSpecBytes) + `"}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d, want 413", resp.StatusCode)
+	}
 	if resp := post(`{"fleet":"nosuch","algorithm":"IQ"}`); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown fleet: %d, want 404", resp.StatusCode)
 	}

@@ -1,16 +1,11 @@
 package sim
 
-// Flight-recorder overhead guard. The tracing hooks in the convergecast
-// hot path must be free when disabled: one nil check per potential
-// event. baselineConvergecast below is the pre-instrumentation hot path
-// copied verbatim; the guard compares it against the instrumented path
-// with tracing detached and fails when the regression exceeds the 2%
-// budget. The comparison is opt-in (TRACE_GUARD=1) because wall-clock
-// ratios are meaningless on loaded CI machines.
+// Hop-level benchmarks of the radio layer: one convergecast with the
+// flight recorder detached and with a full collector attached, and one
+// flood, over a fixed 256-node deployment.
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"wsnq/internal/data"
@@ -26,51 +21,6 @@ type benchPayload struct{ bits, values int }
 
 func (p benchPayload) Bits() int       { return p.bits }
 func (p benchPayload) ValueCount() int { return p.values }
-
-// baselineCharge is the pre-flight-recorder charge, verbatim.
-func (rt *Runtime) baselineCharge(sender, receiver int, p Payload) {
-	if rt.top.IsVirtual(sender) {
-		return
-	}
-	bits := p.Bits()
-	wire := rt.sizes.WireBits(bits)
-	rt.ledger.ChargeSend(sender, wire, rt.uplinkRange(sender))
-	rt.ledger.ChargeRecv(receiver, wire)
-	values := 0
-	if vc, ok := p.(ValueCarrier); ok {
-		values = vc.ValueCount()
-	}
-	rt.account(wire, rt.sizes.Frames(bits), values)
-}
-
-// baselineConvergecast is the pre-flight-recorder Convergecast,
-// verbatim. (The energy ledger's own debit hook cannot be excised here,
-// so its nil check is part of the baseline on both sides — the guard
-// measures exactly the checks this layer added.)
-func (rt *Runtime) baselineConvergecast(merge func(node int, children []Payload) Payload) []Payload {
-	rt.stats.Convergecasts++
-	inbox := make([][]Payload, rt.N())
-	var atRoot []Payload
-	for _, u := range rt.top.PostOrder {
-		p := merge(u, inbox[u])
-		inbox[u] = nil
-		if p == nil {
-			continue
-		}
-		parent := rt.top.Parent[u]
-		rt.baselineCharge(u, parent, p)
-		if rt.loss > 0 && rt.rng.Float64() < rt.loss {
-			rt.stats.PayloadsLost++
-			continue
-		}
-		if parent == -1 {
-			atRoot = append(atRoot, p)
-		} else {
-			inbox[parent] = append(inbox[parent], p)
-		}
-	}
-	return atRoot
-}
 
 // benchRuntime builds a 256-node random connected deployment with a
 // constant one-round trace, loss disabled, positioned at round 0.
@@ -113,15 +63,6 @@ func benchMerge(rt *Runtime) func(node int, children []Payload) Payload {
 	}
 }
 
-func BenchmarkConvergecastBaseline(b *testing.B) {
-	rt := benchRuntime(b)
-	merge := benchMerge(rt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.baselineConvergecast(merge)
-	}
-}
-
 func BenchmarkConvergecastTracerDisabled(b *testing.B) {
 	rt := benchRuntime(b)
 	merge := benchMerge(rt)
@@ -155,47 +96,5 @@ func BenchmarkConvergecastTracerFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Convergecast(merge)
-	}
-}
-
-// TestTracerOverheadGuard enforces the ≤2% budget for the disabled
-// recorder. Run with TRACE_GUARD=1 on an idle machine:
-//
-//	TRACE_GUARD=1 go test -run TestTracerOverheadGuard ./internal/sim/
-func TestTracerOverheadGuard(t *testing.T) {
-	if os.Getenv("TRACE_GUARD") != "1" {
-		t.Skip("timing guard; set TRACE_GUARD=1 to run")
-	}
-	rt := benchRuntime(t)
-	merge := benchMerge(rt)
-	run := func(cast func(func(int, []Payload) Payload) []Payload) float64 {
-		best := 0.0
-		// Min of interleaved reps filters scheduler noise: the fastest
-		// observed run is the closest estimate of the true cost.
-		for rep := 0; rep < 5; rep++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cast(merge)
-				}
-			})
-			ns := float64(r.NsPerOp())
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best
-	}
-	// Interleave the two measurements so thermal or frequency drift hits
-	// both sides alike.
-	base := run(rt.baselineConvergecast)
-	disabled := run(rt.Convergecast)
-	base2 := run(rt.baselineConvergecast)
-	if base2 < base {
-		base = base2
-	}
-	overhead := disabled/base - 1
-	t.Logf("baseline %.0f ns/op, tracer-disabled %.0f ns/op, overhead %+.2f%%", base, disabled, 100*overhead)
-	if overhead > 0.02 {
-		t.Errorf("disabled flight recorder costs %.2f%% (> 2%% budget)", 100*overhead)
 	}
 }

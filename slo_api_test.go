@@ -3,7 +3,6 @@ package wsnq_test
 import (
 	"bytes"
 	"context"
-	"os"
 	"reflect"
 	"testing"
 
@@ -184,62 +183,5 @@ func TestSLOLiveReplayDifferential(t *testing.T) {
 	}
 	if len(windowed.Verdicts()) == 0 {
 		t.Error("exemplar window replayed no rounds")
-	}
-}
-
-// TestSLOOverheadGuard enforces the ≤2% budget for per-round SLO
-// evaluation on the serve step path: two registries host the same
-// single query over identical fleets, one with the three standard
-// objectives attached and one without, alternated rep by rep with the
-// per-side minimum filtering scheduler noise. Opt-in (SLO_GUARD=1)
-// because wall-clock ratios are meaningless on loaded CI machines; the
-// cross-session ServeSLOEval entry in the bench JSON guards the
-// evaluation cost continuously.
-//
-//	SLO_GUARD=1 go test -run TestSLOOverheadGuard .
-func TestSLOOverheadGuard(t *testing.T) {
-	if os.Getenv("SLO_GUARD") != "1" {
-		t.Skip("timing guard; set SLO_GUARD=1 to run")
-	}
-	cfg := wsnq.DefaultConfig()
-	cfg.Nodes = 500
-	cfg.Rounds = 1 << 30 // driven by the registry clock
-	cfg.Runs = 1
-
-	newServer := func(sloSpec string) *wsnq.Server {
-		srv := wsnq.NewServer(wsnq.ServerConfig{SLO: sloSpec})
-		if err := srv.AddFleet("fleet0", cfg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.Register(wsnq.QuerySpec{Fleet: "fleet0", Algorithm: wsnq.IQ}); err != nil {
-			t.Fatal(err)
-		}
-		srv.Advance() // initialization round
-		return srv
-	}
-	plain := newServer("")
-	objectives := newServer("rank; fresh; latency")
-
-	bench := func(srv *wsnq.Server) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				srv.Advance()
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-	var base, slo float64
-	for rep := 0; rep < 6; rep++ {
-		if b := bench(plain); rep == 0 || b < base {
-			base = b
-		}
-		if s := bench(objectives); rep == 0 || s < slo {
-			slo = s
-		}
-	}
-	overhead := slo/base - 1
-	t.Logf("plain %.0f ns/op, with objectives %.0f ns/op, overhead %+.2f%%", base, slo, 100*overhead)
-	if overhead > 0.02 {
-		t.Errorf("SLO evaluation costs %.2f%% on the serve step (> 2%% budget)", 100*overhead)
 	}
 }
