@@ -39,7 +39,8 @@ help:
 	@echo "  prof        profiling gate: attribution unit suite, golden attribution"
 	@echo "              snapshot, /profilez + pprof endpoint coverage, the"
 	@echo "              allocation-ceiling regression guard, and the"
-	@echo "              round-path allocation ratchet"
+	@echo "              round-path allocation ratchet (run three times, so a"
+	@echo "              count that varies between runs fails the gate)"
 	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target (codecs,"
 	@echo "              parsers, the cell vector, the disc graph)"
 	@echo "  bench       run the Go benchmarks of the root package, internal/sim,"
@@ -106,14 +107,16 @@ alert:
 # the golden attribution snapshot of the 60-node lossy study, the
 # allocation-ceiling arithmetic behind the regression guard, and the
 # round-path allocation ratchet (TestRoundAllocs: each standard
-# algorithm's warmed |N|=500 round under its ceiling). The timing
+# algorithm's warmed |N|=500 round under its ceiling, run three times
+# so an allocation count that varies between runs shows up). The timing
 # half of the layer (the ≤2% overhead budget) lives in ladder-guard,
 # which needs an idle machine.
 prof:
 	$(GO) test -v ./internal/prof/
 	$(GO) test -v ./internal/benchfmt/
 	$(GO) test -short -run '^(TestProfilezEndpoint|TestMetricsPublishRuntime|TestDebugPprofProfile)$$' -v ./internal/telemetry/
-	$(GO) test -count=1 -run '^(TestProfAttributionGolden|TestProfNamesLCLLSTopAllocPhase|TestProfResetAndReuse|TestBenchRegressionGuard|TestBenchGuardArithmetic|TestRoundAllocs)$$' -v .
+	$(GO) test -count=1 -run '^(TestProfAttributionGolden|TestProfNamesLCLLSTopAllocPhase|TestProfResetAndReuse|TestBenchRegressionGuard|TestBenchGuardArithmetic)$$' -v .
+	$(GO) test -count=3 -run '^TestRoundAllocs$$' -v .
 
 # chaos is the robustness gate: the seeded crash+burst smoke of HBC
 # and IQ through the engine, the public API, the oracle's fault mode,

@@ -18,7 +18,8 @@
 //	DELETE /queries/{id}         deregister
 //	GET    /queries, /fleets, /serve  listings and status
 //
-// Every other path falls through to the standard telemetry surface.
+// Every other path falls through to the standard telemetry surface:
+// /metrics (the runtime gauges) and /debug/pprof.
 //
 // -load turns the tool into its own client: it binds a loopback
 // listener, floods the API with Zipf-distributed register/read/
@@ -40,7 +41,7 @@ import (
 
 func main() {
 	var (
-		httpAddr = flag.String("http", ":8080", "serve the query API on ADDR (query routes plus /metrics, /health, /dashboard)")
+		httpAddr = flag.String("http", ":8080", "serve the query API on ADDR (query routes plus /metrics and /debug/pprof)")
 		tick     = flag.Duration("tick", 100*time.Millisecond, "round clock period")
 		rounds   = flag.Int("rounds", 0, "stop the clock after N rounds (0 = run until Ctrl-C)")
 
@@ -53,7 +54,7 @@ func main() {
 		dataset    = flag.String("dataset", "synthetic", "fleet: synthetic or pressure")
 		fleetN     = flag.Int("fleet-count", 1, "number of fleets to host (fleet0, fleet1, ...)")
 
-		sloSpec = flag.String("slo", "", "default SLO objectives for every query (ParseSLOSpecs grammar, e.g. \"rank; fresh; latency ms=25\"); budget status lands in updates, GET /slo, and the dashboard")
+		sloSpec = flag.String("slo", "", "default SLO objectives for every query (ParseSLOSpecs grammar, e.g. \"rank; fresh; latency ms=25\"); budget status lands in updates and GET /slo")
 
 		adaptSpec = flag.String("adapt", "", "default closed-loop adaptation policies for every query (policy grammar, e.g. \"on storm(warn) do switch hbc; on burnrate(crit) do reroot\"); each query gets its own controller and its decisions land in updates")
 
@@ -123,9 +124,10 @@ func main() {
 	}
 
 	// The server-wide Observer backs the telemetry fall-through: query
-	// routes are handled first, everything else (/metrics, /health,
-	// /dashboard, /debug/pprof) by the standard surface.
-	ob := &wsnq.Observer{Telemetry: wsnq.NewTelemetry(), Series: wsnq.NewSeries()}
+	// routes are handled first, everything else (/metrics, /debug/pprof)
+	// by the standard surface. Queries keep their series in private
+	// stores, so no server-wide store backs /series or /dashboard.
+	ob := &wsnq.Observer{Telemetry: wsnq.NewTelemetry()}
 	srv := wsnq.NewServer(wsnq.ServerConfig{
 		MaxQueries:       *maxQueries,
 		ClientQuota:      *clientQuota,

@@ -159,10 +159,7 @@ type TraceJob struct {
 // callback with the points arriving at Options.PointSink (the scenario
 // recorder) use it to derive the identical key.
 func SeriesKeyFor(j TraceJob, prefix string) string {
-	key := j.AlgorithmName
-	if key == "" {
-		key = fmt.Sprintf("alg%d", j.Algorithm)
-	}
+	key := j.name()
 	if j.CellLabel != "" {
 		key = j.CellLabel + "/" + key
 	}
@@ -170,6 +167,14 @@ func SeriesKeyFor(j TraceJob, prefix string) string {
 		key = prefix + "/" + key
 	}
 	return key
+}
+
+// name is the job's algorithm name, "algN" for an unnamed factory.
+func (j TraceJob) name() string {
+	if j.AlgorithmName == "" {
+		return fmt.Sprintf("alg%d", j.Algorithm)
+	}
+	return j.AlgorithmName
 }
 
 // workers resolves the effective worker count. Tracing — including the
@@ -269,10 +274,13 @@ func (s *depSlot) get(cfg Config, run int) (*Deployment, error) {
 }
 
 // gridJob is one unit of the fan-out: one algorithm over one run of one
-// cell. idx is the job's rank in the deterministic cell-major order,
-// used to pick a stable error when several jobs fail.
+// cell, identified by the TraceJob its trace callback, series key, adapt
+// log, profiler labels and error prefix all derive from. idx is the
+// job's rank in the deterministic cell-major order, used to pick a
+// stable error when several jobs fail.
 type gridJob struct {
-	cell, alg, run, idx int
+	TraceJob
+	idx int
 }
 
 // runGrid executes the full (cell × algorithm × run) grid on a bounded
@@ -298,10 +306,15 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 	for ci := range cfgs {
 		perRun[ci] = make([][][]Metrics, len(algs))
 		deps[ci] = make([]depSlot, cfgs[ci].Runs)
-		for ai := range algs {
+		label := ""
+		if cellLabels != nil {
+			label = cellLabels[ci]
+		}
+		for ai, a := range algs {
 			perRun[ci][ai] = make([][]Metrics, cfgs[ci].Runs)
 			for r := 0; r < cfgs[ci].Runs; r++ {
-				jobs = append(jobs, gridJob{cell: ci, alg: ai, run: r, idx: len(jobs)})
+				id := TraceJob{Cell: ci, CellLabel: label, Algorithm: ai, AlgorithmName: a.Name, Run: r}
+				jobs = append(jobs, gridJob{TraceJob: id, idx: len(jobs)})
 			}
 		}
 	}
@@ -377,26 +390,15 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 	if opts.Alerts != nil {
 		opts.Alerts.DefaultBudget(cfgs[0].Energy.InitialBudget)
 	}
-	seriesKey := func(j gridJob) string {
-		label := ""
-		if cellLabels != nil {
-			label = cellLabels[j.cell]
-		}
-		return SeriesKeyFor(TraceJob{
-			Cell: j.cell, CellLabel: label,
-			Algorithm: j.alg, AlgorithmName: algs[j.alg].Name,
-			Run: j.run,
-		}, opts.KeyPrefix)
-	}
-
 	run := func(j gridJob) {
 		defer finish()
 		if ctx.Err() != nil {
 			return // canceled; leave the slot empty
 		}
 		jobStart := time.Now()
-		cfg := cfgs[j.cell]
-		dep, err := deps[j.cell][j.run].get(cfg, j.run)
+		cfg := cfgs[j.Cell]
+		key := SeriesKeyFor(j.TraceJob, opts.KeyPrefix)
+		dep, err := deps[j.Cell][j.Run].get(cfg, j.Run)
 		var ctl *adapt.Controller
 		if err == nil && opts.Adapt != nil && len(opts.Adapt.Policies) > 0 {
 			// One fresh controller per run: its hysteresis state and
@@ -407,15 +409,7 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 		if err == nil {
 			var tc trace.Collector
 			if opts.Trace != nil {
-				label := ""
-				if cellLabels != nil {
-					label = cellLabels[j.cell]
-				}
-				tc = opts.Trace(TraceJob{
-					Cell: j.cell, CellLabel: label,
-					Algorithm: j.alg, AlgorithmName: algs[j.alg].Name,
-					Run: j.run,
-				})
+				tc = opts.Trace(j.TraceJob)
 			}
 			mkTrace := func(rt *sim.Runtime, last *Verdict) trace.Collector {
 				store := seriesStore
@@ -431,7 +425,6 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 				// The series recorder samples the fresh runtime's
 				// cumulative counters at round boundaries instead of
 				// counting events — hence the late binding.
-				key := seriesKey(j)
 				var sinks []series.Sink
 				if opts.Alerts != nil {
 					opts.Alerts.StartRun(key)
@@ -449,53 +442,41 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 				}
 				return trace.Multi(tc, store.IngestTotals(key, sampler, sinks...))
 			}
-			rig := Rig{Faults: opts.Faults, ARQ: opts.ARQ, FaultSeed: FaultSeed(cfg, j.run), Ctl: ctl}
+			rig := Rig{Faults: opts.Faults, ARQ: opts.ARQ, FaultSeed: FaultSeed(cfg, j.Run), Ctl: ctl}
 			var m Metrics
 			if opts.Prof != nil {
 				// The job runs under pprof goroutine labels so sampling
 				// profiles slice by algorithm/run/cell; the attached
 				// handle adds the live phase label and books the
 				// CPU/allocation spans.
-				name := algs[j.alg].Name
-				if name == "" {
-					name = fmt.Sprintf("alg%d", j.alg)
-				}
-				labels := []string{"algorithm", name, "run", strconv.Itoa(j.run)}
-				if cellLabels != nil {
-					labels = append(labels, "cell", cellLabels[j.cell])
+				labels := []string{"algorithm", j.name(), "run", strconv.Itoa(j.Run)}
+				if j.CellLabel != "" {
+					labels = append(labels, "cell", j.CellLabel)
 				}
 				pprof.Do(ctx, pprof.Labels(labels...), func(c context.Context) {
-					rig.Prof = opts.Prof.Attach(c, name)
-					m, err = runOn(cfg, dep, algs[j.alg].New(), mkTrace, rig)
+					rig.Prof = opts.Prof.Attach(c, j.name())
+					m, err = runOn(cfg, dep, algs[j.Algorithm].New(), mkTrace, rig)
 				})
 			} else {
-				m, err = runOn(cfg, dep, algs[j.alg].New(), mkTrace, rig)
+				m, err = runOn(cfg, dep, algs[j.Algorithm].New(), mkTrace, rig)
 			}
 			if err == nil {
 				if ctl != nil && opts.Adapt.Log != nil {
-					label := ""
-					if cellLabels != nil {
-						label = cellLabels[j.cell]
-					}
-					opts.Adapt.Log(TraceJob{
-						Cell: j.cell, CellLabel: label,
-						Algorithm: j.alg, AlgorithmName: algs[j.alg].Name,
-						Run: j.run,
-					}, seriesKey(j), ctl.Decisions())
+					opts.Adapt.Log(j.TraceJob, key, ctl.Decisions())
 				}
-				perRun[j.cell][j.alg][j.run] = []Metrics{m}
-				record(algs[j.alg].Name, m, time.Since(jobStart))
+				perRun[j.Cell][j.Algorithm][j.Run] = []Metrics{m}
+				record(j.AlgorithmName, m, time.Since(jobStart))
 				return
 			}
 		}
 		prefix := ""
-		if cellLabels != nil {
-			prefix = cellLabels[j.cell] + " / "
+		if j.CellLabel != "" {
+			prefix = j.CellLabel + " / "
 		}
-		if algs[j.alg].Name != "" {
-			prefix += algs[j.alg].Name + " / "
+		if j.AlgorithmName != "" {
+			prefix += j.AlgorithmName + " / "
 		}
-		fail(j.idx, fmt.Errorf("%srun %d: %w", prefix, j.run, err))
+		fail(j.idx, fmt.Errorf("%srun %d: %w", prefix, j.Run, err))
 	}
 
 	workers := opts.workers()

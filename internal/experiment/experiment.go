@@ -331,8 +331,12 @@ func runOn(cfg Config, dep *Deployment, alg protocol.Algorithm, mkTrace func(*si
 	m.EnergyGini, m.HotspotToMedianRatio = fairness(rt.Ledger().Snapshot())
 	st := rt.Stats()
 	m.PhaseBitsPerRound = make(map[string]float64)
-	for ph, ps := range st.PerPhase {
-		m.PhaseBitsPerRound[ph] = float64(ps.Bits) / rounds
+	for i, ps := range st.PerPhase {
+		// A phase gets a key iff it booked a transmission; Frames alone
+		// misses zero-bit payloads, which travel in no frame.
+		if ps.Payloads > 0 || ps.Frames > 0 {
+			m.PhaseBitsPerRound[sim.PhaseName(i)] = float64(ps.Bits) / rounds
+		}
 	}
 	m.ValuesPerRound = float64(st.ValuesSent) / rounds
 	m.FramesPerRound = float64(st.FramesSent) / rounds

@@ -20,9 +20,9 @@ func SeriesSampler(rt *sim.Runtime) series.Sampler {
 			Frames:         st.FramesSent,
 			Retries:        st.Retries,
 			Adapts:         st.Adapts,
-			ValidationBits: st.PerPhase[sim.PhaseValidation].Bits + st.PerPhase[sim.PhaseFilter].Bits,
-			RefinementBits: st.PerPhase[sim.PhaseRefinement].Bits,
-			ShippingBits:   st.PerPhase[sim.PhaseCollect].Bits + st.PerPhase[sim.PhaseInit].Bits,
+			ValidationBits: st.Phase(sim.PhaseValidation).Bits + st.Phase(sim.PhaseFilter).Bits,
+			RefinementBits: st.Phase(sim.PhaseRefinement).Bits,
+			ShippingBits:   st.Phase(sim.PhaseCollect).Bits + st.Phase(sim.PhaseInit).Bits,
 			TotalBits:      st.BitsSent,
 			Joules:         total,
 			HotJoules:      hottest,

@@ -434,7 +434,7 @@ func (rt *Runtime) computeReach() {
 func (rt *Runtime) accountControl(wire, frames int) {
 	rt.stats.FramesSent += frames
 	rt.stats.BitsSent += wire
-	ps := rt.phaseStats()
+	ps := &rt.stats.PerPhase[rt.phase]
 	ps.Frames += frames
 	ps.Bits += wire
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // carrierPayload carries vals raw measurements in bits bits.
 type carrierPayload struct{ bits, vals int }
@@ -12,11 +9,11 @@ func (p *carrierPayload) Bits() int       { return p.bits }
 func (p *carrierPayload) ValueCount() int { return p.vals }
 
 // TestPerPhaseMatchesHandTally switches the traffic label between
-// operations — including the unlabeled "" that books as "other", a
-// label that sends nothing, and a caller-chosen label — on lossy,
-// faulty runtimes under ARQ, and requires Stats().PerPhase to equal a
-// tally that attributes each operation's change in the global counters
-// to its label by hand.
+// operations — including the unlabeled "" and a label outside the
+// phase table, both of which book as "other", and a label that sends
+// nothing — on lossy, faulty runtimes under ARQ, and requires
+// Stats().PerPhase to equal a tally that attributes each operation's
+// change in the global counters to its label by hand.
 func TestPerPhaseMatchesHandTally(t *testing.T) {
 	type op struct {
 		label string
@@ -45,7 +42,7 @@ func TestPerPhaseMatchesHandTally(t *testing.T) {
 			faults = "crash@2-5:n3; burst(p=0.4,len=2):n7"
 		}
 		rt := randomRuntime(t, seed, seed%3 == 0, faults, nil)
-		want := map[string]PhaseStats{}
+		var want [len(phaseTable)]PhaseStats
 		// tally runs send under the current label and books the change
 		// in the global counters to that label.
 		tally := func(send func(rt *Runtime)) {
@@ -57,27 +54,26 @@ func TestPerPhaseMatchesHandTally(t *testing.T) {
 			if after.FramesSent == before.FramesSent {
 				return
 			}
-			ps := want[rt.Phase()]
+			ps := &want[rt.phase]
 			ps.Payloads += after.PayloadsSent - before.PayloadsSent
 			ps.Frames += after.FramesSent - before.FramesSent
 			ps.Bits += after.BitsSent - before.BitsSent
 			ps.Values += after.ValuesSent - before.ValuesSent
-			want[rt.Phase()] = ps
 		}
 		for round := 0; round < 8; round++ {
 			for _, o := range ops {
 				rt.SetPhase(o.label)
 				tally(o.send)
 			}
-			if got := rt.Stats().PerPhase; !reflect.DeepEqual(got, want) {
+			if got := rt.Stats().PerPhase; got != want {
 				t.Fatalf("seed %d round %d: PerPhase\n got  %v\n want %v", seed, round, got, want)
 			}
 			// Tree repair after a crash sends join handshakes under the
 			// label in force.
 			tally((*Runtime).AdvanceRound)
 		}
-		if _, ok := rt.Stats().PerPhase[PhaseRefinement]; ok {
-			t.Errorf("seed %d: a phase that sent nothing has a PerPhase entry", seed)
+		if st := rt.Stats(); st.Phase(PhaseRefinement) != (PhaseStats{}) {
+			t.Errorf("seed %d: a phase that sent nothing has a nonzero tally %+v", seed, st.Phase(PhaseRefinement))
 		}
 		acks += rt.Stats().AckFrames
 	}

@@ -71,6 +71,28 @@ const (
 	PhaseOther      = "other"      // anything unlabeled
 )
 
+// phaseTable is the ordered table of traffic labels: Stats.PerPhase
+// is indexed by it, and a runtime's current phase is an index into it.
+var phaseTable = [...]string{PhaseInit, PhaseValidation, PhaseRefinement, PhaseFilter, PhaseCollect, PhaseOther}
+
+// phaseOther is the index of PhaseOther, under which "" and any label
+// outside the table book.
+const phaseOther = len(phaseTable) - 1
+
+// phaseIndex resolves a traffic label to its table index.
+func phaseIndex(label string) int {
+	for i, name := range phaseTable {
+		if name == label {
+			return i
+		}
+	}
+	return phaseOther
+}
+
+// PhaseName returns the label at index i of the phase table, the
+// phase whose tally is Stats.PerPhase[i].
+func PhaseName(i int) string { return phaseTable[i] }
+
 // PhaseStats aggregates the traffic of one protocol phase.
 type PhaseStats struct {
 	Payloads int // logical payload transmissions (per hop)
@@ -95,10 +117,15 @@ type Stats struct {
 	AckFrames        int // link-layer ACK frames (ARQ and join handshakes)
 	Adapts           int // closed-loop controller actions applied
 
-	// PerPhase attributes the traffic to protocol stages, keyed by the
-	// Phase* labels (see Runtime.Stats for its snapshot semantics).
-	PerPhase map[string]PhaseStats
+	// PerPhase attributes the traffic to protocol stages, indexed by
+	// the phase table (PhaseName names entry i; Phase looks one up by
+	// label).
+	PerPhase [len(phaseTable)]PhaseStats
 }
+
+// Phase returns the tally of one traffic label; "" and labels outside
+// the phase table read the PhaseOther tally.
+func (s *Stats) Phase(label string) PhaseStats { return s.PerPhase[phaseIndex(label)] }
 
 // Runtime is the live simulation state. It is not safe for concurrent
 // use; each goroutine should own its Runtime.
@@ -112,17 +139,12 @@ type Runtime struct {
 	rng    *rand.Rand
 
 	round  int
-	phase  string
+	phase  int // index into phaseTable
 	stats  Stats
 	tr     trace.Collector // nil = flight recorder disabled
 	perHop trace.Collector // tr when it reads per-hop events, else nil
 	po     PhaseObserver   // nil = continuous profiling disabled
 	flt    *faultState     // nil = fault/recovery layer disabled
-
-	// The per-phase tallies behind Stats().PerPhase, and the current
-	// label's tally (nil until the label's first transmission).
-	phases   map[string]*PhaseStats
-	phaseAcc *PhaseStats
 
 	// Convergecast scratch, reused across calls: the delivered-payload
 	// stack with each entry's receiver, and the root's arrivals.
@@ -144,8 +166,9 @@ type Runtime struct {
 // when the run's event stream ends. Observing never influences the
 // simulation — it is the profiling analogue of the trace collector.
 type PhaseObserver interface {
-	// Switch is called when the traffic label actually changes (not on
-	// redundant SetPhase calls with the current label).
+	// Switch is called with the phase table's label when the phase
+	// actually changes (not on SetPhase calls that resolve to the
+	// current phase).
 	Switch(phase string)
 	// Close flushes the open span at the end of the run.
 	Close()
@@ -180,7 +203,7 @@ func New(cfg Config) (*Runtime, error) {
 		loss:      cfg.LossProb,
 		byDist:    cfg.ChargeByDistance,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		phases:    make(map[string]*PhaseStats),
+		phase:     phaseOther,
 		readings:  make([]int, cfg.Topology.N()),
 		readRound: -1,
 	}
@@ -223,33 +246,23 @@ func (rt *Runtime) Sizes() msg.Sizes { return rt.sizes }
 // Ledger returns the energy ledger.
 func (rt *Runtime) Ledger() *energy.Ledger { return rt.ledger }
 
-// Stats returns a snapshot of the traffic statistics. PerPhase is
-// refreshed from the runtime's per-phase tallies on every call, into
-// one map the runtime reuses: treat it as read-only, and copy it to
-// keep its values past the next Stats call.
-func (rt *Runtime) Stats() Stats {
-	if len(rt.phases) > 0 && rt.stats.PerPhase == nil {
-		rt.stats.PerPhase = make(map[string]PhaseStats, len(rt.phases))
-	}
-	for ph, ps := range rt.phases {
-		rt.stats.PerPhase[ph] = *ps
-	}
-	return rt.stats
-}
+// Stats returns a snapshot of the traffic statistics: a plain value
+// that shares no state with the runtime.
+func (rt *Runtime) Stats() Stats { return rt.stats }
 
-// SetPhase labels all subsequent traffic with a protocol stage (one of
-// the Phase* constants, or any caller-chosen string). With a profiling
-// observer attached, an actual label change also closes the open
-// attribution span; redundant calls with the current label cost one
-// compare.
+// SetPhase labels all subsequent traffic with a protocol stage, one of
+// the Phase* constants; "" and any other label book as PhaseOther.
+// With a profiling observer attached, an actual phase change also
+// closes the open attribution span.
 func (rt *Runtime) SetPhase(phase string) {
-	if phase != rt.phase {
-		if rt.po != nil {
-			rt.po.Switch(phase)
-		}
-		rt.phaseAcc = nil
+	i := phaseIndex(phase)
+	if i == rt.phase {
+		return
 	}
-	rt.phase = phase
+	rt.phase = i
+	if rt.po != nil {
+		rt.po.Switch(phaseTable[i])
+	}
 }
 
 // SetProf attaches a profiling observer and opens its first span under
@@ -262,13 +275,9 @@ func (rt *Runtime) SetProf(po PhaseObserver) {
 	}
 }
 
-// Phase returns the current traffic label.
-func (rt *Runtime) Phase() string {
-	if rt.phase == "" {
-		return PhaseOther
-	}
-	return rt.phase
-}
+// Phase returns the current traffic label, an entry of the phase
+// table.
+func (rt *Runtime) Phase() string { return phaseTable[rt.phase] }
 
 // account books one transmission into the global and per-phase stats.
 func (rt *Runtime) account(wire, frames, values int) { rt.accountN(1, wire, frames, values) }
@@ -280,27 +289,11 @@ func (rt *Runtime) accountN(n, wire, frames, values int) {
 	rt.stats.PayloadsSent += n
 	rt.stats.BitsSent += n * wire
 	rt.stats.ValuesSent += n * values
-	ps := rt.phaseStats()
+	ps := &rt.stats.PerPhase[rt.phase]
 	ps.Payloads += n
 	ps.Frames += n * frames
 	ps.Bits += n * wire
 	ps.Values += n * values
-}
-
-// phaseStats returns the current label's tally. It is looked up on the
-// label's first transmission after a change and reused until the next
-// change, so a phase that sends nothing gets no entry.
-func (rt *Runtime) phaseStats() *PhaseStats {
-	if rt.phaseAcc == nil {
-		ph := rt.Phase()
-		ps := rt.phases[ph]
-		if ps == nil {
-			ps = new(PhaseStats)
-			rt.phases[ph] = ps
-		}
-		rt.phaseAcc = ps
-	}
-	return rt.phaseAcc
 }
 
 // Round returns the current round number, starting at 0.

@@ -197,8 +197,8 @@ func TestPhaseAccounting(t *testing.T) {
 	rt.Broadcast(&testPayload{bits: 16}, nil)
 
 	st := rt.Stats()
-	val := st.PerPhase[sim.PhaseValidation]
-	fil := st.PerPhase[sim.PhaseFilter]
+	val := st.Phase(sim.PhaseValidation)
+	fil := st.Phase(sim.PhaseFilter)
 	if val.Payloads != 3 { // three convergecast hops
 		t.Errorf("validation payloads = %d, want 3", val.Payloads)
 	}
@@ -219,8 +219,28 @@ func TestPhaseDefaultsToOther(t *testing.T) {
 		t.Errorf("unlabeled phase = %q", rt.Phase())
 	}
 	rt.Broadcast(&testPayload{bits: 16}, nil)
-	if rt.Stats().PerPhase[sim.PhaseOther].Bits == 0 {
-		t.Error("unlabeled traffic not attributed to 'other'")
+	st := rt.Stats()
+	if other := st.Phase(sim.PhaseOther); other.Bits == 0 || other.Bits != st.BitsSent {
+		t.Errorf("unlabeled traffic: 'other' booked %d of %d bits", other.Bits, st.BitsSent)
+	}
+}
+
+// TestStatsSnapshotsAreIndependent requires Stats to return a value: a
+// snapshot taken before more traffic keeps its per-phase tallies, and
+// the later snapshot counts the new traffic.
+func TestStatsSnapshotsAreIndependent(t *testing.T) {
+	rt := simtest.ChainRuntime(t, chainSeries, 0, 1)
+	rt.SetPhase(sim.PhaseValidation)
+	rt.Broadcast(&testPayload{bits: 16}, nil)
+	first := rt.Stats()
+	once := first.Phase(sim.PhaseValidation)
+	rt.Broadcast(&testPayload{bits: 16}, nil)
+	second := rt.Stats()
+	if got := first.Phase(sim.PhaseValidation); got != once {
+		t.Errorf("first snapshot changed after more traffic: %+v, was %+v", got, once)
+	}
+	if got := second.Phase(sim.PhaseValidation); got.Payloads != 2*once.Payloads || got.Bits != 2*once.Bits {
+		t.Errorf("second snapshot %+v, want twice %+v", got, once)
 	}
 }
 

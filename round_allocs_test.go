@@ -12,16 +12,16 @@ import (
 // with its storage, and LCLL's partition splices in place from reused
 // buffers, and the rank oracle selects in place in a reused buffer, so
 // what remains is per-phase root results. Each ceiling is twice the
-// path's measured count (TAG 1, POS 3, LCLL-H 2, LCLL-S 6, HBC 2, IQ 5;
-// LCLL-H reads 1 or 2 from run to run). Lower a ceiling when a change
-// cuts a path's count; never raise one to absorb a regression.
+// path's measured count (TAG 1, POS 3, LCLL-H 1, LCLL-S 6, HBC 2,
+// IQ 5). Lower a ceiling when a change cuts a path's count; never
+// raise one to absorb a regression.
 var roundAllocCeilings = []struct {
 	alg     wsnq.Algorithm
 	ceiling float64
 }{
 	{wsnq.TAG, 2},
 	{wsnq.POS, 6},
-	{wsnq.LCLLH, 4},
+	{wsnq.LCLLH, 2},
 	{wsnq.LCLLS, 12},
 	{wsnq.HBC, 4},
 	{wsnq.IQ, 10},
@@ -49,9 +49,13 @@ func TestRoundAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The initialization round plus a few updates warm the
-			// payload pools and the runtime's scratch buffers.
-			for i := 0; i < 4; i++ {
+			// The initialization round plus 63 updates warm the payload
+			// pools and the runtime's scratch buffers. LCLL-H keeps
+			// allocating extra objects for ~45 rounds (8, 5, 7, 4 … a
+			// round, settling to 1); measured inside that warm-up its
+			// count would depend on the pool state earlier subtests
+			// left.
+			for i := 0; i < 64; i++ {
 				step()
 			}
 			allocs := testing.AllocsPerRun(50, step)

@@ -226,11 +226,17 @@ func (s *Server) Subscribe(id string) (updates <-chan QueryUpdate, cancel func()
 // GET /queries, GET /queries/{id}, GET /queries/{id}/subscribe
 // (NDJSON), GET /fleets, GET /serve — with every other request falling
 // through to the ServerConfig.Observer telemetry surface (404 without
-// one).
+// one). Hosted queries feed no server-wide health analyzer, so the
+// fall-through answers /health with 404 while /metrics keeps its
+// runtime gauges.
 func (s *Server) Handler() http.Handler {
 	var next http.Handler
-	if s.cfg.Observer != nil {
-		next = s.cfg.Observer.Handler()
+	if ob := s.cfg.Observer; ob != nil {
+		fall := *ob
+		if ob.Telemetry != nil {
+			fall.Telemetry = &Telemetry{reg: ob.Telemetry.reg}
+		}
+		next = fall.Handler()
 	}
 	return serve.Handler(s.reg, next)
 }

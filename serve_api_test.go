@@ -2,6 +2,7 @@ package wsnq
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -124,6 +125,35 @@ func TestServeObserverState(t *testing.T) {
 	}
 	if st.Rounds == 0 || st.Stats["rank_error"].Points == 0 {
 		t.Fatalf("status has no series state: %+v", st)
+	}
+}
+
+// TestServeFallThroughServesOnlyFedEndpoints pins the server's
+// telemetry fall-through: hosted queries feed no server-wide health
+// analyzer, so /health answers 404 however many rounds ran, while
+// /metrics serves the registry's runtime gauges.
+func TestServeFallThroughServesOnlyFedEndpoints(t *testing.T) {
+	srv := NewServer(ServerConfig{Observer: &Observer{Telemetry: NewTelemetry()}})
+	if err := srv.AddFleet("fleet0", serveTestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Register(QuerySpec{Fleet: "fleet0", Algorithm: IQ}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		srv.Advance()
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for path, want := range map[string]int{"/health": http.StatusNotFound, "/metrics": http.StatusOK} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
