@@ -25,7 +25,8 @@ help:
 	@echo "  chaos       seeded crash+burst fault smoke of HBC and IQ plus the"
 	@echo "              three-way driver differential, under -race"
 	@echo "  serve       query-service gate: registry race hammer, coalescing parity,"
-	@echo "              seeded 1,000-query load smoke"
+	@echo "              the server's HTTP fall-through surface, seeded 1,000-query"
+	@echo "              load smoke"
 	@echo "  scenario    golden-scenario gate: DSL round-trips, pinned replay digests,"
 	@echo "              byte-exact re-recording, live-vs-replay differential,"
 	@echo "              round-level-only live collectors, replay speedup, fleet boot"
@@ -134,13 +135,16 @@ chaos:
 # twins join and leave shared protocol instances), the HTTP-surface
 # branch tests, the coalescing parity test (a query sharing a protocol
 # instance reads what it reads alone; a profiled registry shares
-# none), and the seeded load smoke —
-# 1,000 queries multiplexed over one shared 60-node deployment,
-# asserting nonzero sustained throughput, zero dropped subscriber
-# answers under quota, and engaged series downsampling.
+# none), the public server's HTTP fall-through surface (/metrics and
+# /debug/pprof served, every unfed telemetry endpoint 404, /profilez
+# only with a profiler, GET /slo the registry's own view), and the
+# seeded load smoke — 1,000 queries multiplexed over one shared
+# 60-node deployment, asserting nonzero sustained throughput, zero
+# dropped subscriber answers under quota, and engaged series
+# downsampling.
 serve:
 	$(GO) test -race -run '^(TestServeHammer|TestHandlerBranches|TestSubscribeBackpressure|TestCoalescedQueriesMatchAlone|TestProfiledRegistryRunsQueriesAlone)$$' -v ./internal/serve/
-	$(GO) test -count=1 -run '^(TestServeDeterminism|TestServeLoadSmoke)$$' -v .
+	$(GO) test -count=1 -run '^(TestServeDeterminism|TestServeFallThroughServesOnlyFedEndpoints|TestServeLoadSmoke)$$' -v .
 
 # scenario gates the golden scenarios: the DSL parser/printer
 # round-trip suite, the record writers and outcome digest matching

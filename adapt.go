@@ -22,12 +22,12 @@ type AdaptDecision = adapt.Decision
 // hybrid to IQ or HBC, widening or narrowing IQ's Ξ interval, and
 // proactively re-rooting the tree away from a dying relay.
 //
-// Attach it to a study with WithAdaptation (or Observer.Adapt): the
-// engine then builds one deterministic per-run controller from the
-// policy set and collects every run's decision log here. Controllers
-// never force sequential execution — per-run decisions depend only on
-// that run's point stream, and Decisions returns the logs in grid
-// order — so adaptive studies stay bit-identical at any parallelism.
+// Attach it to a study with WithAdaptation: the engine then builds one
+// deterministic per-run controller from the policy set and collects
+// every run's decision log here. Controllers never force sequential
+// execution — per-run decisions depend only on that run's point
+// stream, and Decisions returns the logs in grid order — so adaptive
+// studies stay bit-identical at any parallelism.
 // For a live round-by-round simulation use Simulation.SetController.
 //
 // The policy grammar (see DESIGN.md §4k):

@@ -81,7 +81,8 @@ func rungs() []rung {
 			if err != nil {
 				return err
 			}
-			s.SetTrace(s.SeriesCollector(wsnq.NewSeries(), "IQ", alerts))
+			ob := &wsnq.Observer{Series: wsnq.NewSeries(), Alerts: alerts}
+			s.SetTrace(ob.Collector(s, "IQ"))
 			return nil
 		})},
 		// A controller whose heap/gc presets only fire on profiled

@@ -17,9 +17,12 @@
 //	GET    /queries/{id}/subscribe   NDJSON round stream
 //	DELETE /queries/{id}         deregister
 //	GET    /queries, /fleets, /serve  listings and status
+//	GET    /slo                  per-query SLO budget status
 //
-// Every other path falls through to the standard telemetry surface:
-// /metrics (the runtime gauges) and /debug/pprof.
+// Every other path falls through to the server's fixed surface:
+// /metrics (the process runtime gauges), /debug/pprof, and an index at
+// /. Queries keep their series, alerts and objectives private, so
+// /health, /series, /dashboard, /alerts and /profilez answer 404.
 //
 // -load turns the tool into its own client: it binds a loopback
 // listener, floods the API with Zipf-distributed register/read/
@@ -123,11 +126,8 @@ func main() {
 		}
 	}
 
-	// The server-wide Observer backs the telemetry fall-through: query
-	// routes are handled first, everything else (/metrics, /debug/pprof)
-	// by the standard surface. Queries keep their series in private
-	// stores, so no server-wide store backs /series or /dashboard.
-	ob := &wsnq.Observer{Telemetry: wsnq.NewTelemetry()}
+	// Query routes are handled first; everything else falls through to
+	// the server's fixed surface (/metrics, /debug/pprof).
 	srv := wsnq.NewServer(wsnq.ServerConfig{
 		MaxQueries:       *maxQueries,
 		ClientQuota:      *clientQuota,
@@ -136,7 +136,6 @@ func main() {
 		Workers:          *workers,
 		SLO:              *sloSpec,
 		Adapt:            *adaptSpec,
-		Observer:         ob,
 	})
 	fleets := make([]string, 0, *fleetN)
 	for i := 0; i < *fleetN; i++ {

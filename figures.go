@@ -67,10 +67,10 @@ type FigureOptions struct {
 	Progress func(done, total int)
 	// Observer bundles the figure's observability sinks — flight
 	// recorder, telemetry, per-round series, alert rules, series key
-	// prefix — as in WithObserver. Attaching a Trace, Series, or
-	// Alerts sink forces sequential execution in deterministic grid
-	// order; series keys are "<variant>/<algorithm>" (prefixed with
-	// Observer.Key when set).
+	// prefix, profiler — as in WithObserver. Attaching a Trace,
+	// Telemetry, Series, Alerts, or Prof sink forces sequential
+	// execution in deterministic grid order; series keys are
+	// "<variant>/<algorithm>" (prefixed with Observer.Key when set).
 	Observer *Observer
 	// Faults, when non-nil, attaches the fault plan to every simulation
 	// run of the figure, as in WithFaults: scheduled crashes, bursty

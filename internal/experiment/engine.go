@@ -301,17 +301,17 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 	}
 
 	jobs := make([]gridJob, 0, len(cfgs)*len(algs))
-	perRun := make([][][][]Metrics, len(cfgs)) // [cell][alg][run]
-	deps := make([][]depSlot, len(cfgs))       // [cell][run]
+	perRun := make([][][]Metrics, len(cfgs)) // [cell][alg][run]
+	deps := make([][]depSlot, len(cfgs))     // [cell][run]
 	for ci := range cfgs {
-		perRun[ci] = make([][][]Metrics, len(algs))
+		perRun[ci] = make([][]Metrics, len(algs))
 		deps[ci] = make([]depSlot, cfgs[ci].Runs)
 		label := ""
 		if cellLabels != nil {
 			label = cellLabels[ci]
 		}
 		for ai, a := range algs {
-			perRun[ci][ai] = make([][]Metrics, cfgs[ci].Runs)
+			perRun[ci][ai] = make([]Metrics, cfgs[ci].Runs)
 			for r := 0; r < cfgs[ci].Runs; r++ {
 				id := TraceJob{Cell: ci, CellLabel: label, Algorithm: ai, AlgorithmName: a.Name, Run: r}
 				jobs = append(jobs, gridJob{TraceJob: id, idx: len(jobs)})
@@ -464,7 +464,7 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 				if ctl != nil && opts.Adapt.Log != nil {
 					opts.Adapt.Log(j.TraceJob, key, ctl.Decisions())
 				}
-				perRun[j.Cell][j.Algorithm][j.Run] = []Metrics{m}
+				perRun[j.Cell][j.Algorithm][j.Run] = m
 				record(j.AlgorithmName, m, time.Since(jobStart))
 				return
 			}
@@ -517,11 +517,7 @@ func runGrid(ctx context.Context, cfgs []Config, cellLabels []string, algs []Nam
 	for ci := range cfgs {
 		out[ci] = make([]Metrics, len(algs))
 		for ai := range algs {
-			runs := make([]Metrics, cfgs[ci].Runs)
-			for r, slot := range perRun[ci][ai] {
-				runs[r] = slot[0]
-			}
-			out[ci][ai] = aggregate(runs)
+			out[ci][ai] = aggregate(perRun[ci][ai])
 		}
 	}
 	return out, nil

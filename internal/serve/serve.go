@@ -115,11 +115,10 @@ type Config struct {
 	Adapt string
 }
 
-// Spec describes one continuous query registration. The wire-visible
-// fields form the HTTP contract; Series, Alerts, and the alert budget
-// are injected by in-process callers (the public wsnq.Server passes
-// the Observer bundle through them) and built from Rules/defaults
-// otherwise.
+// Spec describes one continuous query registration; its fields form
+// the HTTP contract. Each query builds its own series store, alert
+// engine and SLO tracker from them (and the registry defaults), so no
+// two queries share observability state.
 type Spec struct {
 	// ID is the query's registry key; empty lets the registry assign
 	// "q<seq>". A duplicate ID is rejected with ErrExists.
@@ -152,16 +151,6 @@ type Spec struct {
 	// to this query's own protocol instance between rounds and appear
 	// as Update.Adapts.
 	Adapt string `json:"adapt,omitempty"`
-
-	// Series, when non-nil, receives the query's per-round points
-	// instead of a registry-built private store.
-	Series *series.Store `json:"-"`
-	// Alerts, when non-nil, evaluates the query's rounds instead of an
-	// engine built from Rules.
-	Alerts *alert.Engine `json:"-"`
-	// SLOTracker, when non-nil, evaluates the query's rounds instead of
-	// a tracker built from SLO / the registry default.
-	SLOTracker *slo.Tracker `json:"-"`
 }
 
 // Update is one query round's published result: the answer the
@@ -429,8 +418,8 @@ func (r *Registry) unadmit(spec Spec) {
 // store, alert engine, SLO tracker, and adaptation controller. The
 // protocol instance comes later, from attach.
 func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Query, error) {
-	eng := spec.Alerts
-	if eng == nil && spec.Rules != "" {
+	var eng *alert.Engine
+	if spec.Rules != "" {
 		rules, err := alert.ParseRules(spec.Rules)
 		if err != nil {
 			return nil, err
@@ -440,24 +429,18 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 		}
 		eng.DefaultBudget(energy.DefaultParams().InitialBudget)
 	}
-	store := spec.Series
-	if store == nil {
-		store = series.New(rcfg.SeriesCapacity)
+	var tracker *slo.Tracker
+	sloSpec := spec.SLO
+	if sloSpec == "" {
+		sloSpec = rcfg.SLO
 	}
-	tracker := spec.SLOTracker
-	if tracker == nil {
-		sloSpec := spec.SLO
-		if sloSpec == "" {
-			sloSpec = rcfg.SLO
+	if sloSpec != "" {
+		specs, err := slo.ParseSpecs(sloSpec)
+		if err != nil {
+			return nil, err
 		}
-		if sloSpec != "" {
-			specs, err := slo.ParseSpecs(sloSpec)
-			if err != nil {
-				return nil, err
-			}
-			if tracker, err = slo.NewTracker(specs...); err != nil {
-				return nil, err
-			}
+		if tracker, err = slo.NewTracker(specs...); err != nil {
+			return nil, err
 		}
 	}
 	var ctl *adapt.Controller
@@ -481,7 +464,7 @@ func buildQuery(spec Spec, cfg experiment.Config, fleet *Fleet, rcfg Config) (*Q
 		spec:   spec,
 		fleet:  fleet,
 		k:      cfg.K(),
-		store:  store,
+		store:  series.New(rcfg.SeriesCapacity),
 		eng:    eng,
 		slo:    tracker,
 		ctl:    ctl,
@@ -756,7 +739,7 @@ func (g *group) join(q *Query) {
 	}
 	// The sampling ingester diffs the runtime's cumulative counters at
 	// the round boundaries AdvanceRound emits, as the experiment engine
-	// and Simulation.SeriesCollector do. A profiled
+	// and Observer.Collector do. A profiled
 	// registry additionally folds the Go runtime's health counters into
 	// each sample.
 	sampler := experiment.SeriesSampler(rt)

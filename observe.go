@@ -5,9 +5,7 @@ import (
 
 	"wsnq/internal/alert"
 	"wsnq/internal/energy"
-	"wsnq/internal/experiment"
 	"wsnq/internal/series"
-	"wsnq/internal/slo"
 )
 
 // This file is the public face of the streaming-observability layer:
@@ -35,43 +33,12 @@ type SeriesWindowStats = series.WindowStats
 // of a study (keyed "algorithm" or "cell/algorithm" inside sweeps).
 // Memory stays fixed: past the capacity, adjacent points merge and the
 // sampling stride doubles. Safe for concurrent reads while a study
-// runs; a live Simulation records into it through SeriesCollector.
+// runs; a live Simulation records into it through Observer.Collector.
 type Series = series.Store
 
 // NewSeries returns an empty time-series store with the default
 // per-key capacity (512 points).
 func NewSeries() *Series { return series.New(0) }
-
-// SeriesCollector records sim's per-round series into ser under key:
-// instead of counting every trace event, the returned collector
-// samples sim's cumulative traffic and energy counters once per round
-// and records the difference, so attached alone it makes the runtime
-// build no per-hop events at all. Pass it to sim.SetTrace (wrap with
-// MultiCollector to combine with other collectors) and call
-// sim.FinishTrace after the last Step.
-func (sim *Simulation) SeriesCollector(ser *Series, key string, a *Alerts) TraceCollector {
-	return sim.seriesCollector(ser, key, a, nil)
-}
-
-// seriesCollector is SeriesCollector plus the SLO sink Observer wires
-// in: each completed round's point also classifies against sl's
-// objectives, with the simulation's population scaling the rank
-// objective's εN tolerance.
-func (sim *Simulation) seriesCollector(ser *Series, key string, a *Alerts, sl *SLOs) TraceCollector {
-	var sinks []series.Sink
-	if a != nil {
-		a.StartRun(key)
-		sinks = append(sinks, a.Observe)
-	}
-	if sl != nil {
-		n := sim.rt.N()
-		sl.StartRun(key)
-		sinks = append(sinks, func(k string, p series.Point) {
-			sl.Observe(k, slo.SampleFromPoint(p, n, 0))
-		})
-	}
-	return ser.IngestTotals(key, experiment.SeriesSampler(sim.rt), sinks...)
-}
 
 // AlertLevel is an alert severity; ordering is meaningful
 // (AlertOK < AlertWarn < AlertCrit).

@@ -148,7 +148,7 @@ func TestSeriesCollectorMatchesEventPath(t *testing.T) {
 	}
 	ser := wsnq.NewSeries()
 	rec := trace.NewRecorder()
-	sim.SetTrace(trace.Multi(rec, sim.SeriesCollector(ser, "HBC", nil)))
+	sim.SetTrace(trace.Multi(rec, (&wsnq.Observer{Series: ser}).Collector(sim, "HBC")))
 	for r := 0; r < 30; r++ {
 		if _, err := sim.Step(); err != nil {
 			t.Fatal(err)

@@ -5,25 +5,26 @@ import (
 
 	"wsnq/internal/experiment"
 	"wsnq/internal/series"
+	"wsnq/internal/slo"
 	"wsnq/internal/telemetry"
 	"wsnq/internal/trace"
 )
 
-// Observer bundles every observability sink a study or a served query
-// can attach — the flight recorder, the live telemetry surface, the
-// per-round time series, the streaming alert rules, and the series key
-// prefix that namespaces them — into one composable value, with a
-// single contract used identically by:
+// Observer bundles every observability sink a study or a live
+// simulation can attach — the flight recorder, the live telemetry
+// surface, the per-round time series, the streaming alert rules, the
+// objectives, the profiler, and the series key prefix that namespaces
+// them — into one composable value, with a single contract used
+// identically by:
 //
 //   - studies: wsnq.Run(cfg, alg, wsnq.WithObserver(o))
 //   - figures: FigureOptions{Observer: o}
 //   - live simulations: sim.SetTrace(o.Collector(sim, key))
-//   - the query server: QuerySpec{Observer: o} (per-query isolation)
 //
 // Any field may be nil (or empty); only the bundled sinks attach.
-// Attaching a Trace, Series, Alerts, or Telemetry sink forces strictly
-// sequential study execution in deterministic grid order, so a shared
-// sink never sees interleaved runs.
+// Attaching a Trace, Telemetry, Series, Alerts, or Prof sink forces
+// strictly sequential study execution in deterministic grid order, so
+// a shared sink never sees interleaved runs.
 type Observer struct {
 	// Trace receives the raw flight-recorder event stream.
 	Trace TraceCollector
@@ -36,28 +37,19 @@ type Observer struct {
 	Alerts *Alerts
 	// SLO evaluates declarative objectives (error budgets, burn
 	// rates) on every completed round. Live simulations (Collector)
-	// and served queries (QuerySpec.Observer) feed it; batch studies
-	// do not — their sweep cells mix populations an objective's εN
-	// tolerance cannot scale against, so apply leaves it detached.
+	// feed it; batch studies do not — their sweep cells mix
+	// populations an objective's εN tolerance cannot scale against, so
+	// apply leaves it detached and it only backs Handler's /slo.
 	SLO *SLOs
 	// Prof attributes CPU time and heap allocations to algorithm×phase
 	// buckets and labels the running goroutine for sampling profiles.
-	// Studies and the query server attach it through this slot; a live
-	// Simulation attaches it with Simulation.SetProf (profiling rides
-	// on phase switches, not on the trace stream, so Collector does not
-	// carry it).
+	// Studies attach it through this slot; a live Simulation attaches
+	// it with Simulation.SetProf (profiling rides on phase switches,
+	// not on the trace stream, so Collector does not carry it).
 	Prof *Prof
-	// Adapt attaches a closed-loop adaptation controller: each study run
-	// gets its own policy evaluator acting on that run's protocol, and
-	// the decision logs collect in the controller (Decisions). Unlike
-	// the stream sinks above it never forces sequential execution. A
-	// live Simulation attaches it with Simulation.SetController
-	// (actuation needs the simulation's own algorithm instance, so
-	// Collector does not carry it).
-	Adapt *Controller
 	// Key namespaces the series keys this observer writes: studies
-	// prefix every engine key with "Key/", and served queries use it
-	// verbatim as the query's series key.
+	// prefix every engine key with "Key/", and Collector uses it as the
+	// default key of a live simulation's series.
 	Key string
 }
 
@@ -82,9 +74,6 @@ func (ob *Observer) apply(o *engineOptions) {
 	if ob.Prof != nil {
 		o.exp.Prof = ob.Prof
 	}
-	if ob.Adapt != nil {
-		o.exp.Adapt = ob.Adapt.engineOptions()
-	}
 	if ob.Key != "" {
 		o.exp.KeyPrefix = ob.Key
 	}
@@ -92,8 +81,13 @@ func (ob *Observer) apply(o *engineOptions) {
 
 // Collector renders the bundle as one flight-recorder collector for a
 // live simulation (Simulation.SetTrace): the raw Trace collector, the
-// health analyzer, and the sampling series/alert path fan out from a
-// single dispatch. key labels the series ("" uses the observer's Key,
+// health analyzer, and the sampling series path fan out from a single
+// dispatch. The series path samples sim's cumulative traffic and
+// energy counters once per round instead of counting trace events, so
+// attached alone it makes the runtime build no per-hop events; each
+// completed round's point also feeds Alerts and classifies against
+// SLO, with the simulation's population scaling the rank objective's
+// εN tolerance. key labels the series ("" uses the observer's Key,
 // then "sim"); call sim.FinishTrace after the last Step so the final
 // round flushes. An observer with no stream consumers returns nil,
 // which detaches.
@@ -105,7 +99,7 @@ func (ob *Observer) Collector(sim *Simulation, key string) TraceCollector {
 	}
 	cs := []TraceCollector{ob.Trace}
 	if ob.Telemetry != nil {
-		cs = append(cs, ob.Telemetry.Collector())
+		cs = append(cs, ob.Telemetry.an)
 	}
 	if ob.Series != nil || ob.Alerts != nil || ob.SLO != nil {
 		ser := ob.Series
@@ -115,7 +109,19 @@ func (ob *Observer) Collector(sim *Simulation, key string) TraceCollector {
 			// does.
 			ser = series.New(1)
 		}
-		cs = append(cs, sim.seriesCollector(ser, key, ob.Alerts, ob.SLO))
+		var sinks []series.Sink
+		if a := ob.Alerts; a != nil {
+			a.StartRun(key)
+			sinks = append(sinks, a.Observe)
+		}
+		if sl := ob.SLO; sl != nil {
+			n := sim.rt.N()
+			sl.StartRun(key)
+			sinks = append(sinks, func(k string, p series.Point) {
+				sl.Observe(k, slo.SampleFromPoint(p, n, 0))
+			})
+		}
+		cs = append(cs, ser.IngestTotals(key, experiment.SeriesSampler(sim.rt), sinks...))
 	}
 	return MultiCollector(cs...)
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // This file is the public face of the continuous-profiling layer
-// (internal/prof): per-phase CPU/allocation attribution for studies
-// and live simulations, attachable through the Observer bundle
-// (Observer.Prof) and exposed over HTTP as /profilez.
+// (internal/prof): per-phase CPU/allocation attribution for studies,
+// live simulations and query servers, attachable through the Observer
+// bundle (Observer.Prof), Simulation.SetProf or ServerConfig.Prof, and
+// exposed over HTTP as /profilez.
 
 // ProfReport is a point-in-time attribution snapshot: one bucket per
 // algorithm×phase with CPU seconds, allocated bytes/objects, and each
@@ -22,12 +23,13 @@ type ProfPhaseStat = prof.PhaseStat
 // Prof attributes CPU time and heap allocations to algorithm×phase
 // buckets while a study or live simulation runs, and labels the
 // running goroutine (algorithm, phase, run) for /debug/pprof/profile.
-// Attach it via Observer{Prof: p}; read the attribution at any time
-// with Report (Report().WriteText renders it as a table), including
-// while the study runs. Like the flight recorder, attaching a Prof
-// forces strictly sequential study execution: the process-global
-// allocation counters are only attributable when one run executes at
-// a time.
+// Attach it to a study via Observer{Prof: p}, to a live Simulation
+// with SetProf, or to a Server as ServerConfig.Prof; read the
+// attribution at any time with Report (Report().WriteText renders it
+// as a table), including while the study runs. Like the flight
+// recorder, attaching a Prof forces strictly sequential study
+// execution: the process-global allocation counters are only
+// attributable when one run executes at a time.
 type Prof = prof.Recorder
 
 // NewProf returns an empty profiling recorder.

@@ -6,6 +6,7 @@ import (
 
 	"wsnq/internal/experiment"
 	"wsnq/internal/serve"
+	"wsnq/internal/telemetry"
 )
 
 // This file is the public face of the query service layer
@@ -48,14 +49,12 @@ type ServerConfig struct {
 	// them; each query gets its own controller acting on its own
 	// protocol instance, with decisions stamped into its updates.
 	Adapt string
-	// Observer, when non-nil, provides the server-wide observability
-	// surface: its Handler serves the telemetry endpoints every
-	// request outside the query API falls through to. Its Prof slot
-	// additionally attributes every query round's CPU time and heap
-	// allocations to algorithm×phase buckets (stepping queries on a
-	// single worker, like a profiled study) and adds the runtime-health
-	// columns to each query's series points.
-	Observer *Observer
+	// Prof, when non-nil, attributes every query round's CPU time and
+	// heap allocations to algorithm×phase buckets (stepping queries on
+	// a single worker, like a profiled study), adds the runtime-health
+	// columns to each query's series points, and backs the /profilez
+	// endpoint of Handler's fall-through surface.
+	Prof *Prof
 }
 
 // QuerySpec describes one continuous query registration with a Server.
@@ -88,13 +87,6 @@ type QuerySpec struct {
 	// Window is the sliding-window length for the stats reported by
 	// the query view; 0 selects the default (32).
 	Window int
-	// Observer optionally supplies the query's observability state:
-	// Series receives the query's points (instead of a private store),
-	// Alerts evaluates its rounds (instead of an engine built from
-	// AlertRules), and Key labels the series (default
-	// "<id>/<algorithm>"). Trace and Telemetry are ignored here — the
-	// per-hop stream stays on the server's sampling fast path.
-	Observer *Observer
 }
 
 // QueryUpdate is one query round's published result; see the
@@ -116,10 +108,6 @@ type Server struct {
 
 // NewServer builds an empty query server.
 func NewServer(cfg ServerConfig) *Server {
-	var rec *Prof
-	if cfg.Observer != nil {
-		rec = cfg.Observer.Prof
-	}
 	return &Server{cfg: cfg, reg: serve.NewRegistry(serve.Config{
 		MaxQueries:       cfg.MaxQueries,
 		ClientQuota:      cfg.ClientQuota,
@@ -128,7 +116,7 @@ func NewServer(cfg ServerConfig) *Server {
 		Workers:          cfg.Workers,
 		SLO:              cfg.SLO,
 		Adapt:            cfg.Adapt,
-		Prof:             rec,
+		Prof:             cfg.Prof,
 		Resolve:          func(name string) (experiment.Factory, error) { return factory(Algorithm(name)) },
 	})}
 }
@@ -161,10 +149,6 @@ func (s *Server) Register(spec QuerySpec) (string, error) {
 		SLO:       spec.SLO,
 		Adapt:     spec.Adapt,
 		Window:    spec.Window,
-	}
-	if ob := spec.Observer; ob != nil {
-		ispec.Key = ob.Key
-		ispec.Series, ispec.Alerts, ispec.SLOTracker = ob.Series, ob.Alerts, ob.SLO
 	}
 	q, err := s.reg.Register(ispec)
 	if err != nil {
@@ -224,19 +208,12 @@ func (s *Server) Subscribe(id string) (updates <-chan QueryUpdate, cancel func()
 
 // Handler returns the server's HTTP/JSON API — POST/DELETE /queries,
 // GET /queries, GET /queries/{id}, GET /queries/{id}/subscribe
-// (NDJSON), GET /fleets, GET /serve — with every other request falling
-// through to the ServerConfig.Observer telemetry surface (404 without
-// one). Hosted queries feed no server-wide health analyzer, so the
-// fall-through answers /health with 404 while /metrics keeps its
-// runtime gauges.
+// (NDJSON), GET /fleets, GET /slo, GET /serve — with every other
+// request falling through to a fixed surface: /metrics (the process
+// runtime gauges), /profilez (with ServerConfig.Prof; 404 without),
+// /debug/pprof, and the index at /. Hosted queries keep their series,
+// alerts and objectives private and serve them through the query
+// routes, so /health, /series, /dashboard and /alerts answer 404.
 func (s *Server) Handler() http.Handler {
-	var next http.Handler
-	if ob := s.cfg.Observer; ob != nil {
-		fall := *ob
-		if ob.Telemetry != nil {
-			fall.Telemetry = &Telemetry{reg: ob.Telemetry.reg}
-		}
-		next = fall.Handler()
-	}
-	return serve.Handler(s.reg, next)
+	return serve.Handler(s.reg, telemetry.Handler(telemetry.NewRegistry(), nil, nil, nil, s.cfg.Prof, nil))
 }

@@ -2,6 +2,7 @@ package wsnq
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -94,67 +95,108 @@ func TestServeDeterminism(t *testing.T) {
 	}
 }
 
-// TestServeObserverState verifies the QuerySpec.Observer contract: a
-// caller-supplied Series store and Alerts engine receive the query's
-// per-round state under the Observer's key.
-func TestServeObserverState(t *testing.T) {
-	cfg := serveTestConfig()
+// TestServeQueryState verifies that a query's observability state is
+// its own: two queries with the same alert rules on one fleet each
+// report series stats and a storm-rule state under their own series
+// key only, with no entry from the other query.
+func TestServeQueryState(t *testing.T) {
 	srv := NewServer(ServerConfig{})
-	if err := srv.AddFleet("fleet0", cfg); err != nil {
+	if err := srv.AddFleet("fleet0", serveTestConfig()); err != nil {
 		t.Fatal(err)
 	}
-	alerts, err := NewAlerts("storm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob := &Observer{Series: NewSeries(), Alerts: alerts, Key: "mine"}
-	id, err := srv.Register(QuerySpec{Fleet: "fleet0", Algorithm: IQ, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		id, err := srv.Register(QuerySpec{Fleet: "fleet0", Algorithm: IQ, AlertRules: "storm"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
 	for i := 0; i < 6; i++ {
 		srv.Advance()
 	}
-	pts := ob.Series.Points("mine")
-	if len(pts) == 0 {
-		t.Fatal("observer series saw no points under its key")
-	}
-	st, err := srv.Status(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rounds == 0 || st.Stats["rank_error"].Points == 0 {
-		t.Fatalf("status has no series state: %+v", st)
-	}
-}
-
-// TestServeFallThroughServesOnlyFedEndpoints pins the server's
-// telemetry fall-through: hosted queries feed no server-wide health
-// analyzer, so /health answers 404 however many rounds ran, while
-// /metrics serves the registry's runtime gauges.
-func TestServeFallThroughServesOnlyFedEndpoints(t *testing.T) {
-	srv := NewServer(ServerConfig{Observer: &Observer{Telemetry: NewTelemetry()}})
-	if err := srv.AddFleet("fleet0", serveTestConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Register(QuerySpec{Fleet: "fleet0", Algorithm: IQ}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		srv.Advance()
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	for path, want := range map[string]int{"/health": http.StatusNotFound, "/metrics": http.StatusOK} {
-		resp, err := http.Get(ts.URL + path)
+	for _, id := range ids {
+		st, err := srv.Status(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		if st.Rounds == 0 || st.Stats["rank_error"].Points == 0 {
+			t.Fatalf("%s: status has no series state: %+v", id, st)
+		}
+		if len(st.Alerts) != 1 {
+			t.Fatalf("%s: %d alert states, want the storm rule on its own key: %+v", id, len(st.Alerts), st.Alerts)
+		}
+		if a := st.Alerts[0]; a.Rule != "storm" || a.Key != id+"/IQ" || a.Rounds == 0 {
+			t.Fatalf("%s: alert state %+v, want rule storm on key %s/IQ with rounds observed", id, a, id)
 		}
 	}
+}
+
+// TestServeFallThroughServesOnlyFedEndpoints pins the server's fixed
+// fall-through surface: /metrics serves the process runtime gauges and
+// /debug/pprof the runtime profiles; hosted queries keep their series,
+// alerts and objectives private, so /health, /series, /dashboard and
+// /alerts answer 404 however many rounds ran; /profilez answers only
+// with ServerConfig.Prof set; and GET /slo is the registry's per-query
+// view, not the telemetry surface's.
+func TestServeFallThroughServesOnlyFedEndpoints(t *testing.T) {
+	get := func(t *testing.T, h http.Handler, want map[string]int) {
+		t.Helper()
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		for path, code := range want {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != code {
+				t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, code)
+			}
+		}
+	}
+	run := func(t *testing.T, cfg ServerConfig) *Server {
+		t.Helper()
+		srv := NewServer(cfg)
+		if err := srv.AddFleet("fleet0", serveTestConfig()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Register(QuerySpec{ID: "q", Fleet: "fleet0", Algorithm: IQ, AlertRules: "storm", SLO: "rank"}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			srv.Advance()
+		}
+		return srv
+	}
+
+	srv := run(t, ServerConfig{})
+	get(t, srv.Handler(), map[string]int{
+		"/metrics":      http.StatusOK,
+		"/debug/pprof/": http.StatusOK,
+		"/health":       http.StatusNotFound,
+		"/series":       http.StatusNotFound,
+		"/dashboard":    http.StatusNotFound,
+		"/alerts":       http.StatusNotFound,
+		"/profilez":     http.StatusNotFound,
+	})
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/slo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var slos []serve.QuerySLO
+	if err := json.NewDecoder(resp.Body).Decode(&slos); err != nil {
+		t.Fatalf("GET /slo is not the registry's per-query list: %v", err)
+	}
+	if len(slos) != 1 || slos[0].Query != "q" || len(slos[0].Statuses) == 0 {
+		t.Fatalf("GET /slo = %+v, want query q's objective statuses", slos)
+	}
+
+	get(t, run(t, ServerConfig{Prof: NewProf()}).Handler(), map[string]int{"/profilez": http.StatusOK})
 }
 
 // TestServeLoadSmoke is the `make serve` capacity gate: 1,000

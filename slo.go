@@ -79,9 +79,10 @@ func SLOSampleFromPoint(p SeriesPoint, n int, offset int64) SLOSample {
 // complete: each Observe classifies the round against every spec,
 // advances the rolling windows and the error-budget ledger, and logs
 // deduplicated OK→WARN→CRIT burn-rate transitions with exemplars.
-// Build it from the spec grammar (ParseSLOSpecs) and attach it via
-// Observer.SLO or QuerySpec.Observer; read Statuses and Log at any
-// time, including while the source runs. Safe for concurrent use.
+// Build it from the spec grammar (ParseSLOSpecs) and attach it to a
+// live simulation via Observer.SLO (served queries build their own
+// from QuerySpec.SLO); read Statuses and Log at any time, including
+// while the source runs. Safe for concurrent use.
 type SLOs = slo.Tracker
 
 // NewSLOs builds an SLO tracker from a semicolon-separated spec list,

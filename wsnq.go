@@ -412,12 +412,6 @@ func (t *Telemetry) Metrics() TelemetrySnapshot { return t.reg.Snapshot() }
 // Health returns the current network-health report.
 func (t *Telemetry) Health() HealthReport { return t.an.Report() }
 
-// Collector exposes the health analyzer as a trace collector, for
-// feeding it outside the Option path (Simulation.SetTrace); use
-// MultiCollector to combine it with other collectors such as
-// NewTraceJSONL.
-func (t *Telemetry) Collector() TraceCollector { return t.an }
-
 func resolveOptions(opts []Option) experiment.Options {
 	var o engineOptions
 	for _, opt := range opts {
