@@ -18,7 +18,8 @@ help:
 	@echo "  vet         static analysis, plus the perfbench module's build + vet"
 	@echo "  race        full suite under the race detector"
 	@echo "  oracle      flight-recorder collectors, series-vs-recorded-events parity,"
-	@echo "              and the invariant oracle suite"
+	@echo "              the invariant oracle suite, and the selective-vs-full"
+	@echo "              convergecast walk differential"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
 	@echo "  alert       series ring race-hammer, the shared windowed-level package,"
 	@echo "              alert rule-engine determinism and zero-allocation observe"
@@ -81,9 +82,14 @@ race:
 # round-level contract, TestRoundCollectorSkipsHops), the series
 # ingester against a fold of a lossy, faulty run's recorded events
 # (TestSeriesMatchesEventFold), the invariant checker, and the
-# differential tests against the centralized oracle.
+# differential tests against the centralized oracle; then the walk
+# differential: every algorithm with range-selective convergecasts
+# against a full-walk twin on the same seeds, loss-free, lossy and
+# faulty (TestSelectiveWalkMatchesFullWalk), plus the walk's own
+# reference and speaker-path tests.
 oracle:
 	$(GO) test ./internal/trace/...
+	$(GO) test -count=1 -run '^(TestSelectiveWalkMatchesFullWalk|TestConvergecastInboxMatchesNaive|TestConvergecastVisitsSpeakerPaths)$$' -v ./internal/sim/
 
 # telemetry gates the metrics registry: the concurrent-hammer test must
 # pass under the race detector and snapshots must encode

@@ -68,7 +68,9 @@ func (q *QD) Step(rt *sim.Runtime) (int, error) {
 	rt.SetPhase(sim.PhaseCollect)
 	sizes := rt.Sizes()
 	idBits := bits.Len(uint(2*q.size-1)) + 1
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	// Every sensor adds its reading to a digest, so the walk lists them
+	// all and no node is left out.
+	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		d, err := qdigest.New(q.size, q.K)
 		if err != nil {
 			return nil
@@ -149,7 +151,7 @@ func (s *Sample) Step(rt *sim.Runtime) (int, error) {
 	}
 	rt.SetPhase(sim.PhaseCollect)
 	s.round++
-	sample := protocol.GatherValues(rt, func(n, _ int) bool { return s.included(n) }, nil)
+	sample := protocol.GatherValues(rt, rt.Topology().PostOrder, func(n, _ int) bool { return s.included(n) }, nil)
 	if len(sample) == 0 {
 		// An empty draw can happen at small n·p; reuse the previous
 		// estimate (stale but available), as a deployed system would.

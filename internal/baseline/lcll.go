@@ -148,7 +148,9 @@ func (l *LCLL) validate(rt *sim.Runtime) {
 	sizes := rt.Sizes()
 	part := l.part
 	cells := part.Cells()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	// Any sensor may have slipped cells, so the walk lists them all and
+	// no node is left out.
+	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		// The first child's deltas are adopted and forwarded, so a node
 		// relaying one subtree takes no payload of its own.
 		var d *cellDeltas
@@ -458,7 +460,7 @@ func (d *cellDeltas) Bits() int {
 // addition and travel compressed.
 func collectCellCounts(rt *sim.Runtime, bounds []int) []int {
 	lo, hi := bounds[0], bounds[len(bounds)-1]
-	return protocol.CollectCounts(rt, len(bounds)-1, func(v int) (int, bool) {
+	return protocol.CollectCounts(rt, lo, hi-1, len(bounds)-1, func(v int) (int, bool) {
 		if v < lo || v >= hi {
 			return 0, false
 		}

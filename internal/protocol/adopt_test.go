@@ -27,7 +27,7 @@ func countersEmpty(c *Counters) bool {
 // fills in its own contribution, then merges its children into it.
 func ownFirstValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		cur := rt.Reading(n)
 		c := &Counters{mode: spec.Hints, sizes: sizes}
 		oldR := Classify(spec.Prev(n), spec.Lb, spec.Ub)
@@ -72,7 +72,7 @@ func ownFirstValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 // children's, in a fresh payload per node.
 func ownFirstGather(rt *sim.Runtime, keep func(node, v int) bool, trim func([]int) []int) []int {
 	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		v := &Values{sizes: sizes}
 		if r := rt.Reading(n); keep(n, r) {
 			v.Vals = append(v.Vals, r)
@@ -186,7 +186,7 @@ func TestAdoptingPayloadsMatchesOwnFirst(t *testing.T) {
 					slices.Sort(vals)
 					return vals[:min(len(vals), 5)]
 				}} {
-					g := GatherValues(got, keep, trim)
+					g := GatherValues(got, got.Topology().PostOrder, keep, trim)
 					w := ownFirstGather(want, keep, trim)
 					slices.Sort(g)
 					slices.Sort(w)

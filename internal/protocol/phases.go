@@ -56,7 +56,9 @@ type ValidationSpec struct {
 // network stayed silent).
 func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	// Every sensor may have moved, so the walk lists them all and no
+	// node is left out.
+	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		// The first child's counters are adopted and forwarded, so a
 		// node relaying one subtree takes no payload of its own. The
 		// merge is order-free apart from Attached, which the root sorts.
@@ -126,15 +128,20 @@ func (s LEG) Apply(c *Counters) LEG {
 	return LEG{L: l, E: s.N() - l - g, G: g}
 }
 
-// GatherValues runs a raw-value convergecast: node n contributes its
+// GatherValues runs a raw-value convergecast over the speakers' root
+// paths (see sim.Runtime.Convergecast): node n contributes its
 // measurement v when keep(n, v) holds and appends its children's
 // values, then trim (if non-nil) cuts the list before it is forwarded;
-// nodes left with no values stay silent. The values that reach the
-// root are returned concatenated and untrimmed (nil when none arrive),
-// in no particular order: every caller sorts or trims them.
-func GatherValues(rt *sim.Runtime, keep func(node, v int) bool, trim func([]int) []int) []int {
+// nodes left with no values stay silent. speakers must list every node
+// keep accepts: the sensors holding a requested range (Holders), or
+// Topology().PostOrder when keep is per node. The values that reach
+// the root are returned concatenated and untrimmed (nil when none
+// arrive), in no particular order: every caller sorts or trims them.
+func GatherValues(rt *sim.Runtime, speakers []int, keep func(node, v int) bool, trim func([]int) []int) []int {
 	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	// A node outside speakers has no children's values and keep
+	// rejects its own, so it would return nil: skipping it is silent.
+	atRoot := rt.Convergecast(speakers, func(n int, children []sim.Payload) sim.Payload {
 		// The first child's values are adopted and forwarded, so a node
 		// relaying one subtree takes no payload of its own.
 		var v *Values
@@ -191,31 +198,33 @@ func CollectSmallestK(rt *sim.Runtime, k int) []int {
 		sort.Ints(vals)
 		return vals[:min(len(vals), k)]
 	}
-	return smallest(GatherValues(rt, func(int, int) bool { return true }, smallest))
+	return smallest(GatherValues(rt, rt.Topology().PostOrder, func(int, int) bool { return true }, smallest))
 }
 
 // CollectValuesIn performs a direct-retrieval convergecast: every node
-// with a measurement in the closed interval [lo, hi] ships it; values
-// are concatenated unmodified. The result arrives sorted ascending.
+// with a measurement in the closed interval [lo, hi] ships it, and only
+// those holders and their root paths are walked; values are
+// concatenated unmodified. The result arrives sorted ascending.
 func CollectValuesIn(rt *sim.Runtime, lo, hi int) []int {
 	rt.TraceRefine(lo, hi, -1)
-	all := GatherValues(rt, func(_, v int) bool { return v >= lo && v <= hi }, nil)
+	all := GatherValues(rt, rt.Holders(lo, hi), func(_, v int) bool { return v >= lo && v <= hi }, nil)
 	sort.Ints(all)
 	return all
 }
 
 // CollectExtreme is IQ's refinement response: nodes with a measurement
-// in the closed interval [lo, hi] contribute it, and every aggregating
-// node truncates to the f largest (largest = true) or f smallest
-// values, always keeping values tied with the f-th so the root can
-// resolve duplicates exactly. The result arrives sorted ascending.
+// in the closed interval [lo, hi] contribute it (only they and their
+// root paths are walked), and every aggregating node truncates to the
+// f largest (largest = true) or f smallest values, always keeping
+// values tied with the f-th so the root can resolve duplicates
+// exactly. The result arrives sorted ascending.
 func CollectExtreme(rt *sim.Runtime, lo, hi, f int, largest bool) []int {
 	if f < 0 {
 		f = 0
 	}
 	rt.TraceRefine(lo, hi, f)
 	trim := func(vals []int) []int { return truncateExtreme(vals, f, largest) }
-	return trim(GatherValues(rt, func(_, v int) bool { return v >= lo && v <= hi }, trim))
+	return trim(GatherValues(rt, rt.Holders(lo, hi), func(_, v int) bool { return v >= lo && v <= hi }, trim))
 }
 
 // truncateExtreme keeps the f largest (or smallest) elements plus any
@@ -244,16 +253,22 @@ func truncateExtreme(vals []int, f int, largest bool) []int {
 // aggregate by vector addition, and only non-empty subtrees transmit.
 func CollectHistogram(rt *sim.Runtime, bu Buckets) []int {
 	rt.TraceRefine(bu.Lo, bu.Hi-1, bu.Effective())
-	return CollectCounts(rt, bu.Effective(), bu.Index)
+	return CollectCounts(rt, bu.Lo, bu.Hi-1, bu.Effective(), bu.Index)
 }
 
-// CollectCounts gathers per-cell counts over cells cells: a node whose
-// measurement v has cellOf(v) = (i, true) counts itself into cell i,
-// histograms aggregate by vector addition and travel compressed, and
-// only non-empty subtrees transmit. The root's totals are returned.
-func CollectCounts(rt *sim.Runtime, cells int, cellOf func(v int) (int, bool)) []int {
+// CollectCounts gathers per-cell counts over cells cells of the closed
+// value range [lo, hi]: only the sensors holding a reading in it
+// (Holders) and their root paths take part. A node whose measurement v
+// has cellOf(v) = (i, true) counts itself into cell i, histograms
+// aggregate by vector addition and travel compressed, and only
+// non-empty subtrees transmit. cellOf must reject every v outside
+// [lo, hi]. The root's totals are returned.
+func CollectCounts(rt *sim.Runtime, lo, hi, cells int, cellOf func(v int) (int, bool)) []int {
 	sizes := rt.Sizes()
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	// A node outside Holders has no children's histograms and cellOf
+	// rejects its reading, so it would return nil: skipping it is
+	// silent.
+	atRoot := rt.Convergecast(rt.Holders(lo, hi), func(n int, children []sim.Payload) sim.Payload {
 		// The first child's histogram is adopted and forwarded, so a
 		// node relaying one subtree takes no payload of its own.
 		var h *Histogram

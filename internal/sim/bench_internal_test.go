@@ -2,9 +2,11 @@ package sim
 
 // Hop-level benchmarks of the radio layer: one convergecast with the
 // flight recorder detached and with a full collector attached, and one
-// flood, over a fixed 256-node deployment.
+// flood, over a fixed 256-node deployment; and one ranged convergecast
+// over a 500-node deployment.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,9 +26,14 @@ func (p benchPayload) ValueCount() int { return p.values }
 
 // benchRuntime builds a 256-node random connected deployment with a
 // constant one-round trace, loss disabled, positioned at round 0.
-func benchRuntime(tb testing.TB) *Runtime {
+func benchRuntime(tb testing.TB) *Runtime { return benchRuntimeN(tb, 256) }
+
+// benchRuntimeN is benchRuntime over n nodes, the field grown with n
+// to keep the density (node i reads i mod 97).
+func benchRuntimeN(tb testing.TB, n int) *Runtime {
 	tb.Helper()
-	top, err := wsn.BuildConnectedTree(256, 200, 35, rand.New(rand.NewSource(1)), 50)
+	side := 200 * math.Sqrt(float64(n)/256)
+	top, err := wsn.BuildConnectedTree(n, side, 35, rand.New(rand.NewSource(1)), 50)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,7 +75,7 @@ func BenchmarkConvergecastTracerDisabled(b *testing.B) {
 	merge := benchMerge(rt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Convergecast(merge)
+		rt.Convergecast(rt.top.PostOrder, merge)
 	}
 }
 
@@ -95,6 +102,28 @@ func BenchmarkConvergecastTracerFull(b *testing.B) {
 	merge := benchMerge(rt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Convergecast(merge)
+		rt.Convergecast(rt.top.PostOrder, merge)
+	}
+}
+
+// BenchmarkConvergecastRange prices one refinement-shaped convergecast
+// on a warm 500-node runtime: the holders of a range covering about
+// 10% of the readings speak, their ancestors relay, and every other
+// sensor is skipped. The merge reuses one payload, so the walk itself
+// must allocate nothing.
+func BenchmarkConvergecastRange(b *testing.B) {
+	rt := benchRuntimeN(b, 500)
+	p := &senderPayload{bits: 32}
+	merge := func(node int, children []Payload) Payload {
+		if v := rt.Reading(node); len(children) == 0 && v > 9 {
+			return nil
+		}
+		return p
+	}
+	rt.Convergecast(rt.Holders(0, 9), merge)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Convergecast(rt.Holders(0, 9), merge)
 	}
 }

@@ -207,16 +207,18 @@ func (rt *Runtime) linkDown(u int) bool {
 }
 
 // subtreeSize returns the number of sensors (measurements) in u's
-// subtree, u included.
+// subtree, u included. Its depth-first stack is runtime-owned scratch,
+// so a warm call allocates nothing.
 func (rt *Runtime) subtreeSize(u int) int {
 	size := 0
-	stack := []int{u}
+	stack := append(rt.dfs[:0], u)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		size++
 		stack = append(stack, rt.top.Children[v]...)
 	}
+	rt.dfs = stack
 	return size
 }
 

@@ -1,19 +1,21 @@
 package sim
 
-// Equivalence and allocation tests for the convergecast inbox stack
-// and the one radio path. naiveConvergecast below is the per-node inbox
-// the stack replaced: one freshly allocated [][]Payload per call,
-// appended to per parent, with the fault-free hop written out in full
-// (refCharge plus the loss draw) as the reference for hop. naiveBroadcast
-// is the reliable flood Broadcast's walk replaced. Twin runtimes, one
-// driven by each, must call merge (or visit) with identical sequences —
-// child order included — and end every round with identical
-// statistics, event streams and energy ledgers.
+// Equivalence and allocation tests for the convergecast inbox stack,
+// the speaker-path walk and the one radio path. naiveConvergecast below
+// is the per-node inbox the stack replaced: every sensor visited, one
+// freshly allocated [][]Payload per call, appended to per parent, with
+// the fault-free hop written out in full (refCharge plus the loss draw)
+// as the reference for hop. naiveBroadcast is the reliable flood
+// Broadcast's walk replaced. Twin runtimes, one driven by each, must
+// call merge (or visit) with identical sequences — child order
+// included — and end every round with identical statistics, event
+// streams and energy ledgers.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wsnq/internal/data"
@@ -175,6 +177,24 @@ func (l *mergeLog) merge(salt int) func(int, []Payload) Payload {
 	}
 }
 
+// rangeMerge returns a merge that obeys the ranged-primitive contract:
+// a node speaks only when its reading lies in [lo, hi] or payloads
+// arrived from its children. It logs only the calls that speak, the
+// ones a full and a selective walk must share.
+func (l *mergeLog) rangeMerge(rt *Runtime, lo, hi int) func(int, []Payload) Payload {
+	return func(node int, children []Payload) Payload {
+		if v := rt.Reading(node); len(children) == 0 && (v < lo || v > hi) {
+			return nil
+		}
+		from := make([]int, len(children))
+		for i, c := range children {
+			from[i] = c.(*senderPayload).from
+		}
+		*l = append(*l, fmt.Sprint(node, from))
+		return &senderPayload{from: node, bits: 16 + 300*len(children)}
+	}
+}
+
 func senders(ps []Payload) []int {
 	out := make([]int, len(ps))
 	for i, p := range ps {
@@ -252,9 +272,17 @@ func sameRadio(t *testing.T, where string, got, want *Runtime, gotTr, wantTr *tr
 	}
 }
 
+// TestConvergecastInboxMatchesNaive drives twin runtimes through the
+// same rounds, one with Convergecast and one with the naive full walk.
+// Two casts a round list every sensor (PostOrder) with a merge that
+// speaks for most nodes; a third lists only the holders of a random
+// closed range, with a merge that speaks for exactly them and their
+// relays, and must match the full walk's merges, root arrivals, stats,
+// events and ledger — under virtual nodes, loss, crashes and repair.
 func TestConvergecastInboxMatchesNaive(t *testing.T) {
-	lost, repairs, fragments := 0, 0, 0
+	lost, repairs, fragments, ranged := 0, 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(-seed))
 		virtual := seed%2 == 0
 		faults := ""
 		if seed%3 != 0 {
@@ -268,7 +296,7 @@ func TestConvergecastInboxMatchesNaive(t *testing.T) {
 		for round := 0; round < 14; round++ {
 			for cast := 0; cast < 2; cast++ {
 				var gotLog, wantLog mergeLog
-				got := senders(stack.Convergecast(gotLog.merge(round + cast)))
+				got := senders(stack.Convergecast(stack.top.PostOrder, gotLog.merge(round+cast)))
 				want := senders(naive.naiveConvergecast(wantLog.merge(round + cast)))
 				if !reflect.DeepEqual(gotLog, wantLog) {
 					t.Fatalf("seed %d round %d cast %d: merge calls differ\n got  %v\n want %v", seed, round, cast, gotLog, wantLog)
@@ -276,6 +304,22 @@ func TestConvergecastInboxMatchesNaive(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d round %d cast %d: root arrivals %v, want %v", seed, round, cast, got, want)
 				}
+			}
+			// A random closed range, empty about one time in six.
+			lo := rng.Intn(1000)
+			hi := lo + rng.Intn(300) - 50
+			var gotLog, wantLog mergeLog
+			got := senders(stack.Convergecast(stack.Holders(lo, hi), gotLog.rangeMerge(stack, lo, hi)))
+			want := senders(naive.naiveConvergecast(wantLog.rangeMerge(naive, lo, hi)))
+			if !reflect.DeepEqual(gotLog, wantLog) {
+				t.Fatalf("seed %d round %d range [%d, %d]: speaking merges differ\n got  %v\n want %v", seed, round, lo, hi, gotLog, wantLog)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d range [%d, %d]: root arrivals %v, want %v", seed, round, lo, hi, got, want)
+			}
+			ranged += len(got)
+			if slices.Contains(stack.flags, true) {
+				t.Fatalf("seed %d round %d: visit mask left marked after the walk", seed, round)
 			}
 			sameRadio(t, fmt.Sprintf("seed %d round %d", seed, round), stack, naive, stackTr, naiveTr)
 			stack.AdvanceRound()
@@ -296,9 +340,120 @@ func TestConvergecastInboxMatchesNaive(t *testing.T) {
 	}
 	// The comparison only means something if loss, crashes, tree repair
 	// and fragmentation all occurred.
-	if lost == 0 || repairs == 0 || fragments == 0 {
-		t.Errorf("fixture too tame: %d payloads lost, %d repairs, %d fragments", lost, repairs, fragments)
+	if lost == 0 || repairs == 0 || fragments == 0 || ranged == 0 {
+		t.Errorf("fixture too tame: %d payloads lost, %d repairs, %d fragments, %d ranged root arrivals", lost, repairs, fragments, ranged)
 	}
+}
+
+// handTree builds a fixed six-sensor tree whose shape the test below
+// relies on:
+//
+//	root ─ 0 ─ 1 ─ 2
+//	  │         └─ 3
+//	  └─ 4 ─ 5
+//
+// Node i reads 10·i, so Holders(10a, 10b) is the nodes a..b.
+func handTree(t *testing.T) *Runtime {
+	t.Helper()
+	pos := []wsn.Point{{X: 10}, {X: 20}, {X: 30}, {X: 20, Y: 10}, {Y: 10}, {Y: 20}}
+	top, err := wsn.BuildTree(pos, wsn.Point{}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{-1, 0, 1, 1, -1, 4}; !slices.Equal(top.Parent, want) {
+		t.Fatalf("hand-built tree has parents %v, want %v", top.Parent, want)
+	}
+	series := make([][]int, len(pos))
+	for i := range series {
+		series[i] = []int{10 * i, 10 * i}
+	}
+	src, err := data.NewTrace(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Topology: top, Source: src, Sizes: msg.DefaultSizes(), Energy: energy.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestConvergecastVisitsSpeakerPaths: merge runs for exactly the
+// speakers and their ancestors, in post-order; listing PostOrder visits
+// every sensor once; and the visit mask is all-false after every call,
+// including one where a marked node has crashed.
+func TestConvergecastVisitsSpeakerPaths(t *testing.T) {
+	rt := handTree(t)
+	visits := func(speakers []int) []int {
+		var got []int
+		rt.Convergecast(speakers, func(node int, children []Payload) Payload {
+			got = append(got, node)
+			return &senderPayload{from: node, bits: 16}
+		})
+		if slices.Contains(rt.flags, true) {
+			t.Fatalf("speakers %v: visit mask left marked after the walk", speakers)
+		}
+		return got
+	}
+	post := rt.Topology().PostOrder
+	for _, tc := range []struct {
+		speakers, want []int // want as a set; the walk order is post's
+	}{
+		{nil, nil},
+		{[]int{2}, []int{0, 1, 2}},
+		{[]int{3, 5}, []int{0, 1, 3, 4, 5}},
+		{[]int{0, 0, 4}, []int{0, 4}},
+		{post, []int{0, 1, 2, 3, 4, 5}},
+	} {
+		if got, want := visits(tc.speakers), inPostOrder(post, tc.want); !slices.Equal(got, want) {
+			t.Errorf("speakers %v: visited %v, want %v", tc.speakers, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		lo, hi        int
+		holders, want []int
+	}{
+		{20, 30, []int{2, 3}, []int{0, 1, 2, 3}},
+		{10, 30, []int{1, 2, 3}, []int{0, 1, 2, 3}},
+		{31, 39, nil, nil},
+		{40, 10, nil, nil}, // empty range
+	} {
+		holders := rt.Holders(tc.lo, tc.hi)
+		if !slices.Equal(holders, tc.holders) {
+			t.Errorf("Holders(%d, %d) = %v, want %v", tc.lo, tc.hi, holders, tc.holders)
+		}
+		if got, want := visits(holders), inPostOrder(post, tc.want); !slices.Equal(got, want) {
+			t.Errorf("Holders(%d, %d): visited %v, want %v", tc.lo, tc.hi, got, want)
+		}
+	}
+	plan, err := fault.Parse("crash@0:n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.SetFaults(plan, 1, DefaultARQ()); err != nil {
+		t.Fatal(err)
+	}
+	// Node 1 is on the path from 2 and crashed: it is marked, skipped
+	// without a merge, and its mark cleared all the same.
+	if got, want := visits([]int{2}), []int{2, 0}; !slices.Equal(got, want) {
+		t.Errorf("crashed relay: visited %v, want %v", got, want)
+	}
+	// A mark left on node 1 would stop the next path at it, leaving 0
+	// unvisited.
+	if got, want := visits([]int{3}), []int{3, 0}; !slices.Equal(got, want) {
+		t.Errorf("after the crash: visited %v, want %v", got, want)
+	}
+}
+
+// inPostOrder returns the members of set in post's order.
+func inPostOrder(post, set []int) []int {
+	var out []int
+	for _, u := range post {
+		if slices.Contains(set, u) {
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 // TestBroadcastMatchesNaive: without faults, Broadcast's walk reaches
@@ -340,8 +495,27 @@ func TestConvergecastWarmAllocatesNothing(t *testing.T) {
 	rt := benchRuntime(t)
 	p := &senderPayload{bits: 32}
 	merge := func(int, []Payload) Payload { return p }
-	rt.Convergecast(merge)
-	if allocs := testing.AllocsPerRun(100, func() { rt.Convergecast(merge) }); allocs != 0 {
+	rt.Convergecast(rt.top.PostOrder, merge)
+	if allocs := testing.AllocsPerRun(100, func() { rt.Convergecast(rt.top.PostOrder, merge) }); allocs != 0 {
 		t.Errorf("warm Convergecast allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// TestSubtreeSizeWarmAllocatesNothing: the subtree count behind a lost
+// hop's coverage bound reuses the runtime's stack, so once it has grown
+// to the tree's needs a call allocates nothing, and it still counts
+// every sensor under the root's children.
+func TestSubtreeSizeWarmAllocatesNothing(t *testing.T) {
+	rt := benchRuntime(t)
+	total := 0
+	for _, c := range rt.top.RootChildren {
+		total += rt.subtreeSize(c)
+	}
+	if total != rt.N() {
+		t.Fatalf("subtrees under the root hold %d sensors, want %d", total, rt.N())
+	}
+	c := rt.top.RootChildren[0]
+	if allocs := testing.AllocsPerRun(100, func() { rt.subtreeSize(c) }); allocs != 0 {
+		t.Errorf("warm subtreeSize allocates %v objects per call, want 0", allocs)
 	}
 }

@@ -20,7 +20,7 @@ func TestPerPhaseMatchesHandTally(t *testing.T) {
 		send  func(rt *Runtime)
 	}
 	convergecast := func(rt *Runtime) {
-		rt.Convergecast(func(node int, children []Payload) Payload {
+		rt.Convergecast(rt.top.PostOrder, func(node int, children []Payload) Payload {
 			return &carrierPayload{bits: 16 + 8*len(children), vals: 1 + len(children)}
 		})
 	}

@@ -152,13 +152,25 @@ type Runtime struct {
 	inboxTo []int
 	atRoot  []Payload
 
+	// flags is the walks' per-node scratch: Convergecast's visit mask
+	// over the speakers' root paths and Broadcast's delivery flags.
+	// Both leave it all-false (Convergecast clears each mark as it
+	// visits the node), so neither clears it first.
+	flags []bool
+
+	holders []int // Holders' result, reused across calls
+	// allHolders makes Holders return every sensor, so every ranged
+	// convergecast walks the whole tree: the full-walk twin of the
+	// selective walk's differential test.
+	allHolders bool
+
 	// Round data: every node's reading for round readRound, filled by
 	// the first Reading of each round.
 	readings  []int
 	readRound int
 
-	oracle  []int  // Oracle's reading buffer, refilled on every call
-	reached []bool // Broadcast's per-node delivery flags
+	oracle []int // Oracle's reading buffer, refilled on every call
+	dfs    []int // subtreeSize's stack, reused across calls
 }
 
 // PhaseObserver is the continuous-profiling hook (internal/prof): the
@@ -206,6 +218,7 @@ func New(cfg Config) (*Runtime, error) {
 		phase:     phaseOther,
 		readings:  make([]int, cfg.Topology.N()),
 		readRound: -1,
+		flags:     make([]bool, cfg.Topology.N()),
 	}
 	if cfg.Trace != nil {
 		rt.SetTrace(cfg.Trace)
@@ -490,29 +503,55 @@ func (rt *Runtime) emitSend(sender, receiver int, cast trace.Cast, bits, wire, f
 	}
 }
 
-// Convergecast runs one bottom-up phase. merge is invoked for every
-// sensor in post-order with the payloads that actually arrived from its
-// children, in delivery order; a nil return means the node stays silent
-// (no transmission, no energy). Every other payload travels one hop
-// toward its parent through hop, with or without faults attached, and
-// may be lost on the way. The payloads that reach the root are
-// returned.
+// Convergecast runs one bottom-up phase over the speakers' root paths.
+// speakers lists the sensors that may have something to say, in any
+// order and possibly repeated; the walk visits exactly them and their
+// ancestors, in post-order, and invokes merge for each visited sensor
+// with the payloads that actually arrived from its children, in
+// delivery order. A nil return means the node stays silent (no
+// transmission, no energy). Every other payload travels one hop toward
+// its parent through hop, with or without faults attached, and may be
+// lost on the way. The payloads that reach the root are returned.
+// Passing Topology().PostOrder visits every sensor; a ranged primitive
+// passes Holders(lo, hi).
+//
+// The contract: a sensor left out of the walk receives no payload, and
+// merge must return nil and have no side effect for it, exactly as the
+// full walk would have observed — merge speaks only for a listed
+// speaker or a node with children's payloads. Loss draws happen in hop
+// for non-nil payloads only, so the draws, the per-hop events, the
+// ledger and Stats match the full walk's.
 //
 // Ownership: children is valid only during the merge call, and each
 // child payload belongs to the merging node once handed over, so merge
 // may recycle it. The returned slice is valid until the next
 // Convergecast call on this runtime. merge must not start another
-// Convergecast on the same runtime.
+// Convergecast or a Broadcast on the same runtime.
 //
-// The inbox is one stack of delivered payloads, each tagged with its
-// receiver and reused across calls. Because PostOrder visits every
-// subtree as one contiguous run ending in its root, the payloads
-// addressed to u are exactly the top entries tagged u when u is reached.
-func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload) []Payload {
+// The walk marks each speaker's root path in a runtime-owned mask,
+// stopping at a node already marked, then runs the loop body for the
+// marked nodes of PostOrder only, clearing each mark as it goes —
+// before the crash check, so the mask is all-false again after every
+// call. The inbox is one stack of delivered payloads, each tagged with
+// its receiver and reused across calls. Because PostOrder visits every
+// subtree as one contiguous run ending in its root, and a marked
+// subtree's marked nodes are one such run too, the payloads addressed
+// to u are exactly the top entries tagged u when u is reached.
+func (rt *Runtime) Convergecast(speakers []int, merge func(node int, children []Payload) Payload) []Payload {
 	rt.stats.Convergecasts++
+	marked, parentOf := rt.flags, rt.top.Parent
+	for _, s := range speakers {
+		for u := s; u != -1 && !marked[u]; u = parentOf[u] {
+			marked[u] = true
+		}
+	}
 	// Every entry is popped by its receiver, so the stack starts empty.
 	rt.atRoot = rt.atRoot[:0]
 	for _, u := range rt.top.PostOrder {
+		if !marked[u] {
+			continue
+		}
+		marked[u] = false
 		base := len(rt.inbox)
 		for base > 0 && rt.inboxTo[base-1] == u {
 			base--
@@ -528,11 +567,32 @@ func (rt *Runtime) Convergecast(merge func(node int, children []Payload) Payload
 		if p == nil {
 			continue
 		}
-		if parent := rt.top.Parent[u]; rt.hop(u, parent, p) {
+		if parent := parentOf[u]; rt.hop(u, parent, p) {
 			rt.deliver(parent, p)
 		}
 	}
 	return rt.atRoot
+}
+
+// Holders returns the sensors whose current reading lies in the closed
+// range [lo, hi], ascending: the speakers of a ranged convergecast. An
+// empty range (lo > hi) holds none. The slice is runtime-owned scratch,
+// valid until the next Holders call.
+func (rt *Runtime) Holders(lo, hi int) []int {
+	if rt.allHolders {
+		return rt.top.PostOrder
+	}
+	if rt.holders == nil {
+		// Sized once for the worst case, so no call grows it.
+		rt.holders = make([]int, 0, rt.N())
+	}
+	rt.holders = rt.holders[:0]
+	for u, v := range rt.roundReadings() {
+		if v >= lo && v <= hi {
+			rt.holders = append(rt.holders, u)
+		}
+	}
+	return rt.holders
 }
 
 // popInbox drops the inbox entries from base up, clearing their slots
@@ -709,11 +769,7 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 	if rt.perHop != nil {
 		rt.emitSend(-1, -1, trace.Broadcast, bits, wire, frames, vals)
 	}
-	if rt.reached == nil {
-		rt.reached = make([]bool, rt.top.N())
-	}
-	got := rt.reached
-	clear(got)
+	got := rt.flags
 	// Top-down order is the reverse of post-order.
 	po := rt.top.PostOrder
 	for i := len(po) - 1; i >= 0; i-- {
@@ -765,6 +821,7 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 			visit(u)
 		}
 	}
+	clear(got)
 	rt.accountN(sends, wire, frames, vals)
 }
 

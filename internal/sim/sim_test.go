@@ -56,7 +56,7 @@ func TestNewValidation(t *testing.T) {
 func TestConvergecastDeliveryAndEnergy(t *testing.T) {
 	rt := simtest.ChainRuntime(t, chainSeries, 0, 1)
 	// Leaf (2) starts a payload; each node appends its reading.
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		vals := []int{rt.Reading(n)}
 		for _, c := range children {
 			vals = append(vals, c.(*testPayload).vals...)
@@ -96,7 +96,7 @@ func TestConvergecastDeliveryAndEnergy(t *testing.T) {
 
 func TestConvergecastSilence(t *testing.T) {
 	rt := simtest.ChainRuntime(t, chainSeries, 0, 1)
-	atRoot := rt.Convergecast(func(n int, children []sim.Payload) sim.Payload { return nil })
+	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload { return nil })
 	if len(atRoot) != 0 {
 		t.Fatal("silent convergecast delivered payloads")
 	}
@@ -148,7 +148,7 @@ func TestLossInjection(t *testing.T) {
 	lossy := simtest.ChainRuntime(t, chainSeries, 0.9, 1)
 	lost := 0
 	for trial := 0; trial < 50; trial++ {
-		atRoot := lossy.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+		atRoot := lossy.Convergecast(lossy.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 			return &testPayload{bits: 16}
 		})
 		if len(atRoot) == 0 {
@@ -162,7 +162,7 @@ func TestLossInjection(t *testing.T) {
 		t.Error("no losses recorded")
 	}
 	clean := simtest.ChainRuntime(t, chainSeries, 0, 1)
-	atRoot := clean.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	atRoot := clean.Convergecast(clean.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		return &testPayload{bits: 16}
 	})
 	if len(atRoot) != 1 || clean.Stats().PayloadsLost != 0 {
@@ -190,7 +190,7 @@ func TestOracleAndRounds(t *testing.T) {
 func TestPhaseAccounting(t *testing.T) {
 	rt := simtest.ChainRuntime(t, chainSeries, 0, 1)
 	rt.SetPhase(sim.PhaseValidation)
-	rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		return &testPayload{bits: 16}
 	})
 	rt.SetPhase(sim.PhaseFilter)
@@ -265,7 +265,7 @@ func TestVirtualNodesAreFree(t *testing.T) {
 	}
 	// Every node (virtual included) transmits in the convergecast; only
 	// the three radio hops cost energy and appear in the statistics.
-	rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+	rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 		return &testPayload{bits: 16}
 	})
 	if got := rt.Stats().PayloadsSent; got != 3 {
@@ -304,7 +304,7 @@ func runHop(t *testing.T, rt *sim.Runtime, rounds int) []hopRound {
 	for r := range out {
 		from := rec.Len()
 		h := &out[r]
-		rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+		rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 			switch n {
 			case 2:
 				return &testPayload{bits: 16}

@@ -39,7 +39,7 @@ func TestDrainProjectionChain(t *testing.T) {
 		if r > 0 {
 			rt.AdvanceRound()
 		}
-		rt.Convergecast(func(n int, children []sim.Payload) sim.Payload {
+		rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
 			bits := 16
 			for _, c := range children {
 				bits += c.Bits()
