@@ -18,8 +18,9 @@ help:
 	@echo "  vet         static analysis, plus the perfbench module's build + vet"
 	@echo "  race        full suite under the race detector"
 	@echo "  oracle      flight-recorder collectors, series-vs-recorded-events parity,"
-	@echo "              the invariant oracle suite, and the selective-vs-full"
-	@echo "              convergecast walk differential"
+	@echo "              the invariant oracle suite, the selective-vs-full"
+	@echo "              convergecast walk differential, and the one-pass flood"
+	@echo "              vs walked flood differential"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
 	@echo "  alert       series ring race-hammer, the shared windowed-level package,"
 	@echo "              alert rule-engine determinism and zero-allocation observe"
@@ -48,7 +49,8 @@ help:
 	@echo "  bench       run the Go benchmarks of the root package, internal/sim,"
 	@echo "              internal/scenario (the round-record reader) and"
 	@echo "              internal/alert (the rule engine) with -benchmem"
-	@echo "  bench-json  measure tracked hot paths into BENCH_<date>.json; the"
+	@echo "  bench-json  measure tracked hot paths into the day's first free"
+	@echo "              BENCH_<date>[b|c|…].json; the"
 	@echo "              regression guard (TestBenchRegressionGuard) diffs the"
 	@echo "              newest two sessions and fails on >15% hot-path slowdown"
 	@echo "              or a broken allocs/op ceiling"
@@ -86,10 +88,12 @@ race:
 # differential: every algorithm with range-selective convergecasts
 # against a full-walk twin on the same seeds, loss-free, lossy and
 # faulty (TestSelectiveWalkMatchesFullWalk), plus the walk's own
-# reference and speaker-path tests.
+# reference and speaker-path tests; and the flood differential: an
+# untraced fault-free runtime's one-pass flood charge against a traced
+# twin's walk, bit for bit (TestFloodMatchesWalk).
 oracle:
 	$(GO) test ./internal/trace/...
-	$(GO) test -count=1 -run '^(TestSelectiveWalkMatchesFullWalk|TestConvergecastInboxMatchesNaive|TestConvergecastVisitsSpeakerPaths)$$' -v ./internal/sim/
+	$(GO) test -count=1 -run '^(TestSelectiveWalkMatchesFullWalk|TestConvergecastInboxMatchesNaive|TestConvergecastVisitsSpeakerPaths|TestFloodMatchesWalk)$$' -v ./internal/sim/
 
 # telemetry gates the metrics registry: the concurrent-hammer test must
 # pass under the race detector and snapshots must encode
@@ -235,8 +239,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/sim/ ./internal/scenario/ ./internal/alert/
 
 # bench-json appends one session to the perf trajectory: commit the
-# produced BENCH_<date>.json and TestBenchRegressionGuard will diff it
-# against the previous session.
+# produced BENCH_<date>.json (or, when the day already has a session,
+# the first free BENCH_<date>b.json, c, …) and TestBenchRegressionGuard
+# will diff it against the previous session.
 bench-json: build
 	$(GO) run ./cmd/wsnq-bench -json
 

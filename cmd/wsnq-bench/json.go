@@ -313,7 +313,10 @@ func runBenchJSON(out string, reps int) error {
 		GOARCH:    runtime.GOARCH,
 	}
 	if out == "" {
-		out = benchfmt.Filename(time.Now())
+		var err error
+		if out, err = benchfmt.NextFree(benchfmt.Filename(time.Now())); err != nil {
+			return err
+		}
 	}
 
 	l := newLadder()

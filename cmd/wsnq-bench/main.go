@@ -8,7 +8,7 @@
 //	wsnq-bench -fig all -metric energy,lifetime
 //	wsnq-bench -fig fig6 -scale 1 -par 8 -progress
 //	wsnq-bench -list
-//	wsnq-bench -json                    # write BENCH_<date>.json for the regression guard
+//	wsnq-bench -json                    # write the day's first free BENCH_<date>[b|c|…].json for the regression guard
 //	wsnq-bench -diff OLD.json NEW.json  # benchstat-style delta table of two sessions
 //	wsnq-bench -fig fig6 -http :8080    # live /metrics, /health, /series, /alerts, /dashboard
 //	wsnq-bench -fig loss -alert "storm; excursion"
@@ -52,7 +52,7 @@ func main() {
 		alertSpec = flag.String("alert", "", cli.AlertRulesUsage+" (forces sequential runs)")
 		faultSpec = flag.String("fault", "", cli.FaultPlanUsage)
 		jsonBench = flag.Bool("json", false, "continuous-benchmarking mode: measure the tracked hot paths and write a BENCH_<date>.json")
-		jsonOut   = flag.String("out", "", "with -json: output file (default BENCH_<today>.json)")
+		jsonOut   = flag.String("out", "", "with -json: output file (default the first free BENCH_<today>[b|c|…].json)")
 		jsonReps  = flag.Int("reps", 3, "with -json: repetitions per hot path; the fastest is recorded, filtering scheduler noise")
 		diffBench = flag.Bool("diff", false, "diff two BENCH_*.json sessions (wsnq-bench -diff OLD.json NEW.json) and exit")
 		profAttr  = flag.Bool("prof", false, "attribute CPU time and allocations to algorithm×phase buckets and print the table after the sweep (forces sequential runs)")

@@ -77,7 +77,7 @@ func (a *runtimeActuator) Act(p Policy) bool {
 		// so a root-side rescale must be announced: one control
 		// broadcast, same shape as the switcher's mode announcement.
 		a.rt.SetPhase(sim.PhaseFilter)
-		a.rt.Broadcast(protocol.Request{NBits: a.rt.Sizes().CounterBits}, nil)
+		a.rt.Broadcast(protocol.Request{NBits: a.rt.Sizes().CounterBits})
 		a.rt.TraceAdapt(int(p.Action), int(iq.XiScale()*100))
 		return true
 

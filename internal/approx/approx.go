@@ -56,7 +56,7 @@ func (q *QD) Init(rt *sim.Runtime, k int) (int, error) {
 	q.size = hi - lo + 1
 	// Query dissemination (k and the compression parameter).
 	rt.SetPhase(sim.PhaseInit)
-	rt.Broadcast(protocol.Request{NBits: 2 * rt.Sizes().CounterBits}, nil)
+	rt.Broadcast(protocol.Request{NBits: 2 * rt.Sizes().CounterBits})
 	return q.Step(rt)
 }
 
@@ -140,7 +140,7 @@ func (s *Sample) Init(rt *sim.Runtime, k int) (int, error) {
 	s.k, s.n = k, rt.N()
 	s.seed = 0x5A17ED ^ uint64(k)<<20 ^ uint64(rt.N())
 	rt.SetPhase(sim.PhaseInit)
-	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits}, nil)
+	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits})
 	return s.Step(rt)
 }
 

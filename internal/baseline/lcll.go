@@ -120,7 +120,7 @@ func (l *LCLL) Init(rt *sim.Runtime, k int) (int, error) {
 	l.topBounds = append([]int(nil), part.bounds...)
 	l.path, l.hasWin = nil, false
 
-	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits}, nil)
+	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits})
 	counts := collectCellCounts(rt, l.part.bounds)
 	copy(l.part.counts, counts)
 
@@ -226,7 +226,7 @@ func (l *LCLL) refineHierarchical(rt *sim.Runtime) (int, error) {
 		}
 	}
 	if popped {
-		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
+		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
 	}
 
 	// Zoom in until the owning cell has unit width.
@@ -249,7 +249,7 @@ func (l *LCLL) refineHierarchical(rt *sim.Runtime) (int, error) {
 			return q, nil
 		}
 		nb := EqualBounds(cLo, cHi, b)
-		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
+		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
 		counts := collectCellCounts(rt, nb)
 		if err := l.part.Replace(cLo, cHi, nb, counts); err != nil {
 			return 0, err
@@ -272,7 +272,7 @@ func (l *LCLL) mergeSpanToCells(s spanRange) error {
 // quantile out as a unit cell (with exact remainder counts), keeping
 // the partition exact without expanding the whole cell.
 func (l *LCLL) directCell(rt *sim.Runtime, cLo, cHi, below int) (int, error) {
-	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
 	vals := protocol.CollectValuesIn(rt, cLo, cHi-1)
 	localRank := l.k - below
 	if localRank < 1 || localRank > len(vals) {
@@ -373,7 +373,7 @@ func (l *LCLL) slideTo(rt *sim.Runtime, win spanRange) error {
 		bounds = append(bounds, cover.Hi)
 	}
 	l.bounds = bounds
-	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
 	counts := collectCellCounts(rt, bounds)
 	if err := l.part.Replace(cover.Lo, cover.Hi, bounds, counts); err != nil {
 		return err

@@ -63,7 +63,7 @@ func (p *POS) Init(rt *sim.Runtime, k int) (int, error) {
 	p.state = res.State
 	p.prev = make([]int, p.n)
 	p.snapshotPrev(rt)
-	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())})
 	return p.filter, nil
 }
 
@@ -138,9 +138,11 @@ func (p *POS) refine(rt *sim.Runtime, lo, hi int) (int, error) {
 // probe broadcasts threshold x as the trial filter; nodes whose
 // measurement switched regions between the previous threshold and x
 // answer with counters (message format identical to validation, §3.2).
+// Only a reading between the two thresholds, inclusive, can switch, so
+// the holders of that range are the speakers.
 func (p *POS) probe(rt *sim.Runtime, x int) protocol.LEG {
 	oldThresh := p.filter
-	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())})
 	c := protocol.RunValidation(rt, protocol.ValidationSpec{
 		Lb: x, Ub: x + 1,
 		// During refinement only the threshold moves, so a node's
@@ -149,7 +151,8 @@ func (p *POS) probe(rt *sim.Runtime, x int) protocol.LEG {
 		Prev: func(n int) int {
 			return regionStandIn(rt.Reading(n), oldThresh, x)
 		},
-		Hints: p.Hints,
+		Hints:    p.Hints,
+		Speakers: rt.Holders(min(oldThresh, x), max(oldThresh, x)),
 	})
 	st := p.state.Apply(&c)
 	p.filter = x
@@ -193,7 +196,7 @@ func (p *POS) hasCdf(x int) bool {
 // direct retrieves all candidates in [lo, hi], derives the quantile
 // exactly, and broadcasts the final filter (required, §3.2).
 func (p *POS) direct(rt *sim.Runtime, lo, hi int) (int, error) {
-	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
 	vals := protocol.CollectValuesIn(rt, lo, hi)
 	var belowLo int
 	if c, ok := p.cdf[lo]; ok {
@@ -215,7 +218,7 @@ func (p *POS) direct(rt *sim.Runtime, lo, hi int) (int, error) {
 	}
 	p.state.G = p.n - p.state.L - p.state.E
 	rt.SetPhase(sim.PhaseFilter)
-	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())})
 	return q, nil
 }
 

@@ -31,7 +31,7 @@ func (t *TAG) Init(rt *sim.Runtime, k int) (int, error) {
 	t.k = k
 	rt.SetPhase(sim.PhaseInit)
 	// Query dissemination: broadcast k once.
-	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits}, nil)
+	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits})
 	return t.collect(rt)
 }
 

@@ -12,11 +12,14 @@ package benchfmt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -99,6 +102,28 @@ func TrackedHotPaths() []string {
 // day, e.g. "BENCH_2026-08-05.json".
 func Filename(t time.Time) string {
 	return FilePrefix + t.Format("2006-01-02") + FileSuffix
+}
+
+// NextFree returns path if no file exists there, and otherwise the
+// first free path with a suffix letter b, c, …, z inserted before the
+// extension: for a session file (Filename), a second session on one
+// day never overwrites the first, and every name sorts after the
+// day's earlier ones.
+func NextFree(path string) (string, error) {
+	ext := filepath.Ext(path)
+	stem := strings.TrimSuffix(path, ext)
+	for suffix := 'a'; suffix <= 'z'; suffix++ {
+		next := path
+		if suffix > 'a' {
+			next = stem + string(suffix) + ext
+		}
+		if _, err := os.Stat(next); errors.Is(err, fs.ErrNotExist) {
+			return next, nil
+		} else if err != nil {
+			return "", err
+		}
+	}
+	return "", fmt.Errorf("benchfmt: %s and its suffixed names b..z are all taken", path)
 }
 
 // Result returns the sample of one benchmark by name.

@@ -2,7 +2,9 @@ package benchfmt
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -104,6 +106,42 @@ func TestFilenameSortsChronologically(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("sorted names = %v, want %v", names, want)
 		}
+	}
+}
+
+// TestNextFreeSkipsTakenSessions: a day's first session gets the plain
+// name and later ones the next free suffix letter, in name order,
+// whatever other days' files the directory holds.
+func TestNextFreeSkipsTakenSessions(t *testing.T) {
+	dir := t.TempDir()
+	day := time.Date(2026, 10, 19, 15, 0, 0, 0, time.UTC)
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_2026-10-18.json"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i := 0; i < 3; i++ {
+		path, err := NextFree(filepath.Join(dir, Filename(day)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, filepath.Base(path))
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"BENCH_2026-10-19.json", "BENCH_2026-10-19b.json", "BENCH_2026-10-19c.json"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("successive names %v, want %v", got, want)
+	}
+	if !sort.StringsAreSorted(got) {
+		t.Errorf("names %v do not sort in session order", got)
+	}
+	listed, err := List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := filepath.Base(listed[len(listed)-1]); last != want[2] {
+		t.Errorf("List's newest session is %s, want %s", last, want[2])
 	}
 }
 

@@ -165,7 +165,7 @@ func (a *Adaptive) Step(rt *sim.Runtime) (int, error) {
 	if want != a.current {
 		// Mode-switch announcement.
 		rt.SetPhase(sim.PhaseFilter)
-		rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits}, nil)
+		rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits})
 		a.current = want
 	}
 

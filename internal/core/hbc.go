@@ -100,7 +100,7 @@ func (h *HBC) Init(rt *sim.Runtime, k int) (int, error) {
 	h.state = res.State
 	h.prev = make([]int, h.n)
 	h.snapshotPrev(rt)
-	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())})
 	return h.q, nil
 }
 
@@ -171,7 +171,7 @@ func (h *HBC) Step(rt *sim.Runtime) (int, error) {
 		h.state = st
 		if changed {
 			rt.SetPhase(sim.PhaseFilter)
-			rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())}, nil)
+			rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())})
 		}
 	}
 	h.q = q
@@ -196,7 +196,7 @@ func (h *HBC) descend(rt *sim.Runtime, lo, hi, base int) (q, flb, fub int, st pr
 			return lo, lo, hi, protocol.LEG{L: base, E: inside}, nil
 		}
 		if h.DirectRetrieval && base >= 0 && inside >= 0 && inside <= perFrame {
-			rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
+			rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
 			vals := protocol.CollectValuesIn(rt, lo, hi-1)
 			idx := h.k - base - 1
 			if idx < 0 || idx >= len(vals) {
@@ -210,7 +210,7 @@ func (h *HBC) descend(rt *sim.Runtime, lo, hi, base int) (q, flb, fub int, st pr
 		if buErr != nil {
 			return 0, 0, 0, st, buErr
 		}
-		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())}, nil)
+		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
 		counts := protocol.CollectHistogram(rt, bu)
 		if base < 0 {
 			total := 0

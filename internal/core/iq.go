@@ -160,7 +160,7 @@ func (q *IQ) Init(rt *sim.Runtime, k int) (int, error) {
 	q.hist = []int{q.filter}
 
 	// Broadcast the tuple (v_k, ξ).
-	rt.Broadcast(protocol.Request{NBits: 2 * protocol.FilterBroadcastBits(rt.Sizes())}, nil)
+	rt.Broadcast(protocol.Request{NBits: 2 * protocol.FilterBroadcastBits(rt.Sizes())})
 	return q.filter, nil
 }
 
@@ -218,7 +218,7 @@ func (q *IQ) Step(rt *sim.Runtime) (int, error) {
 	// re-derive ξ from the broadcast quantile history themselves.
 	if newQ != q.filter {
 		rt.SetPhase(sim.PhaseFilter)
-		rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())}, nil)
+		rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())})
 		q.filter = newQ
 	}
 	q.observe(newQ)
@@ -253,7 +253,7 @@ func (q *IQ) resolve(rt *sim.Runtime, c *protocol.Counters, a []int, xiLo, xiHi 
 			lo = hintLo
 		}
 		rt.SetPhase(sim.PhaseRefinement)
-		rt.Broadcast(protocol.Request{NBits: protocol.CountedRequestBits(rt.Sizes())}, nil)
+		rt.Broadcast(protocol.Request{NBits: protocol.CountedRequestBits(rt.Sizes())})
 		r := protocol.CollectExtreme(rt, lo, xiLo-1, f1, true)
 		if len(r) < f1 {
 			// A shortfall while the round's coverage is incomplete
@@ -288,7 +288,7 @@ func (q *IQ) resolve(rt *sim.Runtime, c *protocol.Counters, a []int, xiLo, xiHi 
 			hi = hintHi
 		}
 		rt.SetPhase(sim.PhaseRefinement)
-		rt.Broadcast(protocol.Request{NBits: protocol.CountedRequestBits(rt.Sizes())}, nil)
+		rt.Broadcast(protocol.Request{NBits: protocol.CountedRequestBits(rt.Sizes())})
 		r := protocol.CollectExtreme(rt, xiHi+1, hi, f2, false)
 		if len(r) < f2 {
 			if rt.CoverageDeficit() == 0 {

@@ -163,6 +163,41 @@ func (l *Ledger) ChargeRecv(node, bits int) {
 	}
 }
 
+// ChargeFlood books one reliable root flood of bits bits in a single
+// pass in node-index order: every node not marked virtual pays one
+// reception, as ChargeRecv charges it, and every relay among them then
+// pays one transmission over rho meters, as ChargeSend charges it. It
+// returns the number of relays charged. virtual may be nil (no virtual
+// nodes); virtual nodes share their host's radio and pay nothing.
+//
+// The result is bit-identical to a top-down walk of ChargeRecv and
+// ChargeSend calls: each node's consumption is its own accumulator, and
+// the pass adds a node's reception before its send exactly as the walk
+// does, so the order across nodes changes no sum.
+//
+// ChargeFlood emits no debit events, so it must only be called with no
+// tracer attached (see SetTrace).
+func (l *Ledger) ChargeFlood(virtual, relay []bool, bits int, rho float64) (relays int) {
+	recv, send := l.params.RecvCost(bits), 0.0
+	if bits > 0 {
+		if rho != l.sendRho {
+			l.sendRho, l.sendPerBit = rho, l.params.sendPerBit(rho)
+		}
+		send = l.sendPerBit * float64(bits)
+	}
+	for u := range l.spent {
+		if virtual != nil && virtual[u] {
+			continue
+		}
+		l.spent[u] += recv
+		if relay[u] {
+			l.spent[u] += send
+			relays++
+		}
+	}
+	return relays
+}
+
 // Spent returns node's cumulative consumption in joules.
 func (l *Ledger) Spent(node int) float64 { return l.spent[node] }
 

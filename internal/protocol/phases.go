@@ -46,6 +46,11 @@ type ValidationSpec struct {
 	// Attach, if non-nil, reports whether a node must ship its current
 	// measurement in the multiset A (IQ's Ξ test).
 	Attach func(node, value int) bool
+
+	// Speakers lists the sensors that may have changed region (see
+	// sim.Runtime.Convergecast); every other sensor must keep its
+	// region and match no Attach. nil lists every sensor.
+	Speakers []int
 }
 
 // RunValidation executes one validation convergecast: every node whose
@@ -56,9 +61,15 @@ type ValidationSpec struct {
 // network stayed silent).
 func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 	sizes := rt.Sizes()
-	// Every sensor may have moved, so the walk lists them all and no
-	// node is left out.
-	atRoot := rt.Convergecast(rt.Topology().PostOrder, func(n int, children []sim.Payload) sim.Payload {
+	speakers := spec.Speakers
+	if speakers == nil {
+		// Every sensor may have moved, so the walk lists them all and
+		// no node is left out.
+		speakers = rt.Topology().PostOrder
+	}
+	// A sensor left out keeps its region and attaches nothing, so with
+	// no children's payloads the merge below returns nil for it.
+	atRoot := rt.Convergecast(speakers, func(n int, children []sim.Payload) sim.Payload {
 		// The first child's counters are adopted and forwarded, so a
 		// node relaying one subtree takes no payload of its own. The
 		// merge is order-free apart from Attached, which the root sorts.

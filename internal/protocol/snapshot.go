@@ -43,7 +43,7 @@ func SnapshotQuantile(rt *sim.Runtime, k, b int) (SnapshotResult, error) {
 		// Direct retrieval once the candidates fit one frame (the
 		// "nearly empty interval" improvement of [21]).
 		if inside <= perFrame {
-			rt.Broadcast(Request{NBits: IntervalRequestBits(rt.Sizes())}, nil)
+			rt.Broadcast(Request{NBits: IntervalRequestBits(rt.Sizes())})
 			vals := CollectValuesIn(rt, clo, chi-1)
 			if len(vals) != inside {
 				// Under an attached fault plan, a shortfall covered by
@@ -70,7 +70,7 @@ func SnapshotQuantile(rt *sim.Runtime, k, b int) (SnapshotResult, error) {
 		if err != nil {
 			return SnapshotResult{}, err
 		}
-		rt.Broadcast(Request{NBits: IntervalRequestBits(rt.Sizes())}, nil)
+		rt.Broadcast(Request{NBits: IntervalRequestBits(rt.Sizes())})
 		counts := CollectHistogram(rt, bu)
 		kk := k - base
 		if deficit := rt.CoverageDeficit(); deficit > 0 {

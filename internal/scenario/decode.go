@@ -164,46 +164,6 @@ func (r *jsonReader) key() ([]byte, error) {
 	return k, err
 }
 
-// digits consumes a run of decimal digits and returns its length. A
-// byte below '0' wraps above 9 in the unsigned subtraction.
-func (r *jsonReader) digits() int {
-	start := r.i
-	for r.i < len(r.b) && r.b[r.i]-'0' <= 9 {
-		r.i++
-	}
-	return r.i - start
-}
-
-// number returns the next number literal, enforcing JSON's number
-// grammar (strconv alone also accepts forms such as "01", ".5" and
-// "1.").
-func (r *jsonReader) number() ([]byte, error) {
-	start := r.ws()
-	if r.i < len(r.b) && r.b[r.i] == '-' {
-		r.i++
-	}
-	lead := r.i
-	if n := r.digits(); n == 0 || (n > 1 && r.b[lead] == '0') {
-		return nil, fmt.Errorf("bad number at offset %d", start)
-	}
-	if r.i < len(r.b) && r.b[r.i] == '.' {
-		r.i++
-		if r.digits() == 0 {
-			return nil, fmt.Errorf("bad number at offset %d", start)
-		}
-	}
-	if r.i < len(r.b) && (r.b[r.i] == 'e' || r.b[r.i] == 'E') {
-		r.i++
-		if r.i < len(r.b) && (r.b[r.i] == '+' || r.b[r.i] == '-') {
-			r.i++
-		}
-		if r.digits() == 0 {
-			return nil, fmt.Errorf("bad number at offset %d", start)
-		}
-	}
-	return r.b[start:r.i], nil
-}
-
 // int reads an integer literal, checking its grammar and accumulating
 // its value in one pass. A fraction or exponent is rejected, as
 // encoding/json rejects one for an integer field. A literal of 19 or
@@ -239,13 +199,84 @@ func (r *jsonReader) int() (int64, error) {
 }
 
 // float reads a number literal as encoding/json reads it into a
-// float64.
+// float64. The pass that checks the literal's grammar (strconv alone
+// also accepts forms such as "01", ".5" and "1.") also accumulates its
+// significant digits and decimal exponent, so a literal of at most 19
+// significant digits converts without a second scan (eiselLemire); any
+// other literal, or one the algorithm cannot round with certainty, is
+// handed to strconv.ParseFloat.
 func (r *jsonReader) float() (float64, error) {
-	b, err := r.number()
-	if err != nil {
-		return 0, err
+	start := r.ws()
+	b, i := r.b, start
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
 	}
-	return strconv.ParseFloat(string(b), 64)
+	var man uint64
+	// nd counts man's significant digits; exp10 scales man to the
+	// literal; fast stays true while man holds every nonzero digit. In
+	// the digit loops a byte below '0' wraps above 9 in the unsigned
+	// subtraction.
+	nd, exp10, fast := 0, 0, true
+	lead := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		switch {
+		case nd == 19:
+			fast = false
+		case man != 0 || b[i] != '0':
+			man = man*10 + uint64(b[i]-'0')
+			nd++
+		}
+	}
+	if n := i - lead; n == 0 || (n > 1 && b[lead] == '0') {
+		return 0, fmt.Errorf("bad number at offset %d", start)
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			switch {
+			case nd == 19:
+				fast = false
+			case man != 0 || b[i] != '0':
+				man = man*10 + uint64(b[i]-'0')
+				nd++
+				exp10--
+			default:
+				exp10-- // a leading zero of the fraction
+			}
+		}
+		if i == frac {
+			return 0, fmt.Errorf("bad number at offset %d", start)
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		digits, e := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 1<<16 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == digits {
+			return 0, fmt.Errorf("bad number at offset %d", start)
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	r.i = i
+	if fast {
+		if f, ok := eiselLemire(man, exp10, neg); ok {
+			return f, nil
+		}
+	}
+	return strconv.ParseFloat(string(b[start:i]), 64)
 }
 
 // open consumes an object's '{' and reports whether a field follows.

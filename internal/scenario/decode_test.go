@@ -3,10 +3,14 @@ package scenario
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wsnq/internal/series"
@@ -146,5 +150,76 @@ func BenchmarkDecodeRecord(b *testing.B) {
 		if err := decodeRecord(line, &rec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFloatMatchesParseFloat: the round-record reader's float converter
+// returns what strconv.ParseFloat returns, bit for bit and error for
+// error, on the shortest and fixed-precision forms of random floats
+// across the power table and beyond it, on random decimal literals of
+// up to 22 digits, and on hand-picked edge literals.
+func TestFloatMatchesParseFloat(t *testing.T) {
+	lits := []string{"0", "-0", "0.0", "-0.000", "1", "-1", "0.5", "1e22", "1e-22", "1e23",
+		"9007199254740993", "4503599627370496.5", "0.1", "123.456e3", "9.5E+2", "2e-05",
+		"1e005", "0.00018263600000000002", "1e-64", "1e64", "1e-65", "1e65",
+		"17976931348623157e292", "2.2250738585072014e-308", "5e-324", "1e400",
+		"12345678901234567890", "1234567890123456789", "0.12345678901234567891"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		x := math.Float64frombits(rng.Uint64() &^ (1 << 63))
+		if i%4 != 0 {
+			// Mostly magnitudes inside and around the power table.
+			x = rng.Float64() * math.Pow(10, float64(rng.Intn(150)-75))
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		lits = append(lits, strconv.FormatFloat(x, 'g', -1, 64),
+			strconv.FormatFloat(-x, 'e', rng.Intn(20), 64),
+			fmt.Sprintf("%d.%de%d", rng.Uint64()>>uint(rng.Intn(64)), rng.Intn(1000), rng.Intn(140)-70))
+	}
+	for _, lit := range lits {
+		want, wantErr := strconv.ParseFloat(lit, 64)
+		r := jsonReader{b: []byte(lit)}
+		got, err := r.float()
+		if math.Float64bits(got) != math.Float64bits(want) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: read %v (%#x, %v), ParseFloat %v (%#x, %v)", lit,
+				got, math.Float64bits(got), err, want, math.Float64bits(want), wantErr)
+		}
+		if r.i != len(lit) {
+			t.Fatalf("%q: read %d of %d bytes", lit, r.i, len(lit))
+		}
+	}
+}
+
+// TestEiselLemireConvertsShortestForms: the fast converter declines
+// almost none of the shortest forms of floats in the recorder's range,
+// so the fallback stays rare, and every one it converts is exact.
+func TestEiselLemireConvertsShortestForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	const n = 10000
+	converted := 0
+	for i := 0; i < n; i++ {
+		x := rng.Float64() * math.Pow(10, float64(rng.Intn(12)-8))
+		// d.ddde±XX: the digits without the point are the mantissa.
+		mant, exp, _ := strings.Cut(strconv.FormatFloat(x, 'e', -1, 64), "e")
+		whole, frac, _ := strings.Cut(mant, ".")
+		man, err := strconv.ParseUint(whole+frac, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := strconv.Atoi(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := eiselLemire(man, e-len(frac), false); ok {
+			if f != x {
+				t.Fatalf("%v: converted to %v", x, f)
+			}
+			converted++
+		}
+	}
+	if converted < n*99/100 {
+		t.Errorf("converted %d of %d shortest forms", converted, n)
 	}
 }

@@ -386,24 +386,27 @@ func (s *Scenario) Validate() error {
 	}) >= 0 {
 		return fmt.Errorf("scenario: name %q must be 1-64 chars of [A-Za-z0-9._-]", s.Name)
 	}
+	// A message is formatted only for the check that fails: replay
+	// validates every recording's embedded scenario.
 	checks := []struct {
-		ok   bool
-		what string
+		ok     bool
+		format string
+		arg    any
 	}{
-		{s.Nodes >= 2 && s.Nodes <= 20000, fmt.Sprintf("nodes %d outside [2, 20000]", s.Nodes)},
-		{s.Area > 0 && s.Area <= 1e6, fmt.Sprintf("area %v outside (0, 1e6]", s.Area)},
-		{s.RadioRange > 0 && s.RadioRange <= 1e6, fmt.Sprintf("range %v outside (0, 1e6]", s.RadioRange)},
-		{s.Tree == "spt" || s.Tree == "bfs", fmt.Sprintf("tree %q (want spt or bfs)", s.Tree)},
-		{s.Values >= 1 && s.Values <= 64, fmt.Sprintf("values %d outside [1, 64]", s.Values)},
-		{s.Phi > 0 && s.Phi <= 1, fmt.Sprintf("phi %v outside (0, 1]", s.Phi)},
-		{s.Rounds >= 1 && s.Rounds <= 1e6, fmt.Sprintf("rounds %d outside [1, 1e6]", s.Rounds)},
-		{s.Runs >= 1 && s.Runs <= 10000, fmt.Sprintf("runs %d outside [1, 10000]", s.Runs)},
-		{s.Loss >= 0 && s.Loss < 1, fmt.Sprintf("loss %v outside [0, 1)", s.Loss)},
-		{s.Capacity >= 8 && s.Capacity <= 1<<20, fmt.Sprintf("capacity %d outside [8, 1048576]", s.Capacity)},
+		{s.Nodes >= 2 && s.Nodes <= 20000, "nodes %d outside [2, 20000]", s.Nodes},
+		{s.Area > 0 && s.Area <= 1e6, "area %v outside (0, 1e6]", s.Area},
+		{s.RadioRange > 0 && s.RadioRange <= 1e6, "range %v outside (0, 1e6]", s.RadioRange},
+		{s.Tree == "spt" || s.Tree == "bfs", "tree %q (want spt or bfs)", s.Tree},
+		{s.Values >= 1 && s.Values <= 64, "values %d outside [1, 64]", s.Values},
+		{s.Phi > 0 && s.Phi <= 1, "phi %v outside (0, 1]", s.Phi},
+		{s.Rounds >= 1 && s.Rounds <= 1e6, "rounds %d outside [1, 1e6]", s.Rounds},
+		{s.Runs >= 1 && s.Runs <= 10000, "runs %d outside [1, 10000]", s.Runs},
+		{s.Loss >= 0 && s.Loss < 1, "loss %v outside [0, 1)", s.Loss},
+		{s.Capacity >= 8 && s.Capacity <= 1<<20, "capacity %d outside [8, 1048576]", s.Capacity},
 	}
 	for _, c := range checks {
 		if !c.ok {
-			return fmt.Errorf("scenario: %s", c.what)
+			return fmt.Errorf("scenario: "+c.format, c.arg)
 		}
 	}
 	if err := s.Data.validate(); err != nil {

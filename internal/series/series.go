@@ -167,6 +167,11 @@ type Store struct {
 	cap     int
 	reserve int // initial point capacity of a new key (see Reserve)
 	m       map[string]*state
+
+	// The key append last ingested and its state: a run streams one
+	// key's rounds back to back, so most appends skip the map lookup.
+	lastKey string
+	last    *state
 }
 
 // state is one key's series under the store mutex.
@@ -215,8 +220,11 @@ func (s *Store) state(key string) *state {
 // round index it was assigned (monotonic per key across runs).
 func (s *Store) append(key string, p Point) int {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.state(key)
+	st := s.last
+	if st == nil || key != s.lastKey {
+		st = s.state(key)
+		s.lastKey, s.last = key, st
+	}
 	round := st.rounds
 	st.rounds++
 	p.Round = round
@@ -227,6 +235,7 @@ func (s *Store) append(key string, p Point) int {
 		st.pending = merge(st.pending, p)
 	}
 	if st.pending.Span < st.stride {
+		s.mu.Unlock()
 		return round
 	}
 	st.pts = append(st.pts, st.pending)
@@ -245,6 +254,7 @@ func (s *Store) append(key string, p Point) int {
 		st.pts = half
 		st.stride *= 2
 	}
+	s.mu.Unlock()
 	return round
 }
 
@@ -345,6 +355,7 @@ func (s *Store) Release() map[string]Snapshot {
 		out[k] = Snapshot{Stride: st.stride, Rounds: st.rounds, Points: pts}
 	}
 	s.m = make(map[string]*state)
+	s.lastKey, s.last = "", nil
 	return out
 }
 

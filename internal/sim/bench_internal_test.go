@@ -86,7 +86,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	p := benchPayload{bits: 16}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Broadcast(p, nil)
+		rt.Broadcast(p)
 	}
 }
 

@@ -6,13 +6,15 @@ package sim
 // freshly allocated [][]Payload per call, appended to per parent, with
 // the fault-free hop written out in full (refCharge plus the loss draw)
 // as the reference for hop. naiveBroadcast is the reliable flood
-// Broadcast's walk replaced. Twin runtimes, one driven by each, must
-// call merge (or visit) with identical sequences — child order
-// included — and end every round with identical statistics, event
-// streams and energy ledgers.
+// Broadcast's walk replaced, and TestFloodMatchesWalk holds the
+// fault-free flood's one-pass charge to that walk. Twin runtimes, one
+// driven by each, must call merge with identical sequences — child
+// order included — and end every round with identical statistics,
+// event streams and energy ledgers.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -109,7 +111,7 @@ func (rt *Runtime) naiveConvergecast(merge func(node int, children []Payload) Pa
 // naiveBroadcast is the reference fault-free flood: every sensor is
 // reached, top-down, virtual nodes share their host's radio, and a
 // node relays when a scan of its children finds a non-virtual one.
-func (rt *Runtime) naiveBroadcast(p Payload, visit func(node int)) {
+func (rt *Runtime) naiveBroadcast(p Payload) {
 	rt.stats.Broadcasts++
 	bits := p.Bits()
 	wire := rt.sizes.WireBits(bits)
@@ -144,9 +146,6 @@ func (rt *Runtime) naiveBroadcast(p Payload, visit func(node int)) {
 					rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
 				}
 			}
-		}
-		if visit != nil {
-			visit(u)
 		}
 	}
 }
@@ -458,32 +457,100 @@ func inPostOrder(post, set []int) []int {
 
 // TestBroadcastMatchesNaive: without faults, Broadcast's walk reaches
 // every sensor exactly like the reliable reference flood — the same
-// visit order, events, statistics and charges — with and without
-// virtual nodes, for single- and multi-frame payloads.
+// reception order, events, statistics and charges — with and without
+// virtual nodes, for single- and multi-frame payloads. The full
+// recorders on both twins keep Broadcast on its walk.
 func TestBroadcastMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		virtual := seed%2 == 0
 		walkTr, naiveTr := trace.NewRecorder(), trace.NewRecorder()
 		walk := randomRuntime(t, seed, virtual, "", walkTr)
 		naive := randomRuntime(t, seed, virtual, "", naiveTr)
+		radios := 0
+		for u := 0; u < walk.N(); u++ {
+			if !walk.top.IsVirtual(u) {
+				radios++
+			}
+		}
 		for round := 0; round < 4; round++ {
 			for cast := 0; cast < 3; cast++ {
 				p := benchPayload{bits: 40 + 700*cast, values: cast}
-				var got, want []int
-				walk.Broadcast(p, func(u int) { got = append(got, u) })
-				naive.naiveBroadcast(p, func(u int) { want = append(want, u) })
+				from := len(walkTr.Events())
+				walk.Broadcast(p)
+				naive.naiveBroadcast(p)
+				got := receivers(walkTr.Events()[from:])
+				want := receivers(naiveTr.Events()[from:])
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d round %d cast %d: visit order differs\n got  %v\n want %v", seed, round, cast, got, want)
+					t.Fatalf("seed %d round %d cast %d: reception order differs\n got  %v\n want %v", seed, round, cast, got, want)
 				}
-				if len(got) != walk.N() {
-					t.Fatalf("seed %d round %d cast %d: visited %d of %d nodes", seed, round, cast, len(got), walk.N())
+				if len(got) != radios {
+					t.Fatalf("seed %d round %d cast %d: %d receptions, want one per radio (%d)", seed, round, cast, len(got), radios)
 				}
 			}
-			walk.Broadcast(benchPayload{bits: 24}, nil)
-			naive.naiveBroadcast(benchPayload{bits: 24}, nil)
+			walk.Broadcast(benchPayload{bits: 24})
+			naive.naiveBroadcast(benchPayload{bits: 24})
 			sameRadio(t, fmt.Sprintf("seed %d round %d", seed, round), walk, naive, walkTr, naiveTr)
 			walk.AdvanceRound()
 			naive.AdvanceRound()
+		}
+	}
+}
+
+// receivers returns the receiving node of every reception event, in
+// stream order.
+func receivers(events []trace.Event) []int {
+	var out []int
+	for _, e := range events {
+		if e.Kind == trace.KindReceive {
+			out = append(out, e.Node)
+		}
+	}
+	return out
+}
+
+// TestFloodMatchesWalk: an untraced, fault-free runtime books its
+// floods in the ledger's one pass, and a twin with a full per-hop
+// collector walks them; on the same random trees, with and without
+// virtual nodes and distance charging, single-frame, multi-frame and
+// 0-bit floods interleaved with lossy convergecasts over several rounds
+// must leave both with bit-identical ledgers and identical statistics.
+func TestFloodMatchesWalk(t *testing.T) {
+	floods := []benchPayload{{bits: 40, values: 1}, {bits: 1500, values: 3}, {bits: 0}}
+	for seed := int64(1); seed <= 8; seed++ {
+		virtual, byDist := seed%2 == 0, seed%4 >= 2
+		pass := randomRuntime(t, seed, virtual, "", nil)
+		walkTr := trace.NewRecorder()
+		walk := randomRuntime(t, seed, virtual, "", walkTr)
+		pass.byDist, walk.byDist = byDist, byDist
+		if pass.perHop != nil || walk.perHop == nil {
+			t.Fatal("twins not set up as an untraced pass and a traced walk")
+		}
+		for round := 0; round < 6; round++ {
+			for i, p := range floods {
+				pass.Broadcast(p)
+				walk.Broadcast(p)
+				var passLog, walkLog mergeLog
+				got := senders(pass.Convergecast(pass.top.PostOrder, passLog.merge(round+i)))
+				want := senders(walk.Convergecast(walk.top.PostOrder, walkLog.merge(round+i)))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d round %d flood %d: root arrivals %v, want %v", seed, round, i, got, want)
+				}
+			}
+			where := fmt.Sprintf("seed %d (virtual %v, by distance %v) round %d", seed, virtual, byDist, round)
+			if !reflect.DeepEqual(pass.Stats(), walk.Stats()) {
+				t.Fatalf("%s: stats differ\n pass %+v\n walk %+v", where, pass.Stats(), walk.Stats())
+			}
+			g, w := pass.Ledger().Snapshot(), walk.Ledger().Snapshot()
+			for u := range w {
+				if math.Float64bits(g[u]) != math.Float64bits(w[u]) {
+					t.Fatalf("%s: node %d spent %v (%#x), walk %v (%#x)", where, u, g[u], math.Float64bits(g[u]), w[u], math.Float64bits(w[u]))
+				}
+			}
+			pass.AdvanceRound()
+			walk.AdvanceRound()
+		}
+		if pass.Stats().PayloadsLost == 0 || len(receivers(walkTr.Events())) == 0 {
+			t.Errorf("seed %d: fixture too tame: %d payloads lost, %d walked receptions", seed, pass.Stats().PayloadsLost, len(receivers(walkTr.Events())))
 		}
 	}
 }

@@ -24,7 +24,7 @@ func TestPerPhaseMatchesHandTally(t *testing.T) {
 			return &carrierPayload{bits: 16 + 8*len(children), vals: 1 + len(children)}
 		})
 	}
-	broadcast := func(rt *Runtime) { rt.Broadcast(&carrierPayload{bits: 40, vals: 2}, nil) }
+	broadcast := func(rt *Runtime) { rt.Broadcast(&carrierPayload{bits: 40, vals: 2}) }
 	ops := []op{
 		{PhaseValidation, convergecast},
 		{"", broadcast},

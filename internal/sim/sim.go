@@ -742,27 +742,39 @@ func (rt *Runtime) hop(u, parent int, p Payload) bool {
 // Broadcast floods p from the root to every sensor: the root transmits
 // once (free), every sensor receives it from its parent, and every
 // relay (Topology.Relay: a sensor with a non-virtual child) retransmits
-// it once. visit, if non-nil, is called for each sensor in top-down
-// order so node-local state can be updated. Virtual nodes share their
-// host's radio: they neither pay a reception nor retransmit, and see
-// exactly what the host saw. Every transmission of a flood is alike, so
-// the traffic statistics book them with one call after the walk; the
-// ledger charges and events stay per node, in walk order.
+// it once. Virtual nodes share their host's radio: they neither pay a
+// reception nor retransmit. Every transmission of a flood is alike, so
+// the traffic statistics book them with one call.
+//
+// Which path books the flood rests on the runtime's own state. With no
+// faults attached, no per-hop collector and nominal-range charging,
+// nothing can differ per node, so the ledger charges the whole flood in
+// one pass in node-index order (energy.Ledger.ChargeFlood). Each node's
+// consumption is its own accumulator and the pass charges a node's
+// reception before its send, as the walk does, so every ledger value
+// and statistic is bit-identical to the walk's. Otherwise the flood
+// walks the tree top-down: faults decide reach and drops per hop, a
+// per-hop collector records each reception and relay in walk order, and
+// distance charging prices each relay's downlink range.
 //
 // Without faults the flood is reliable and reaches every sensor. With
 // faults attached, a node receives it only if its parent both received
 // and retransmitted it and its link is up; a node that misses the flood
-// starves its subtree and keeps its stale node-local state, because
-// visit only runs for the sensors actually reached.
-func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
+// starves its subtree.
+func (rt *Runtime) Broadcast(p Payload) {
 	rt.stats.Broadcasts++
-	f := rt.flt
 	bits := p.Bits()
 	wire := rt.sizes.WireBits(bits)
 	frames := rt.sizes.Frames(bits)
 	vals := 0
 	if vc, ok := p.(ValueCarrier); ok {
 		vals = vc.ValueCount()
+	}
+	f := rt.flt
+	if f == nil && rt.perHop == nil && !rt.byDist {
+		relays := rt.ledger.ChargeFlood(rt.top.VirtualEdge, rt.top.Relay, wire, rt.top.Range)
+		rt.accountN(1+relays, wire, frames, vals)
+		return
 	}
 	// Root transmission (free) reaching its children.
 	sends := 1
@@ -775,15 +787,12 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 	for i := len(po) - 1; i >= 0; i-- {
 		u := po[i]
 		parent := rt.top.Parent[u]
-		parentGot := parent == -1 || got[parent]
 		if rt.top.IsVirtual(u) {
-			got[u] = parentGot && (f == nil || !rt.crashedNode(u))
-			if got[u] && visit != nil {
-				visit(u)
-			}
+			// Virtual nodes are never parents, so nothing reads their
+			// delivery flag.
 			continue
 		}
-		if !parentGot || f != nil && f.inj.Down(u) {
+		if parent != -1 && !got[parent] || f != nil && f.inj.Down(u) {
 			// A starved subtree or a crashed radio is absence, not
 			// loss: no traffic, no events.
 			continue
@@ -816,9 +825,6 @@ func (rt *Runtime) Broadcast(p Payload, visit func(node int)) {
 			if rt.perHop != nil {
 				rt.emitSend(u, -1, trace.Broadcast, bits, wire, frames, vals)
 			}
-		}
-		if visit != nil {
-			visit(u)
 		}
 	}
 	clear(got)

@@ -110,15 +110,22 @@ func TestConvergecastSilence(t *testing.T) {
 
 func TestBroadcastEnergyAndOrder(t *testing.T) {
 	rt := simtest.ChainRuntime(t, chainSeries, 0, 1)
+	rec := trace.NewRecorder()
+	rt.SetTrace(rec)
+	rt.Broadcast(&testPayload{bits: 16})
 	var order []int
-	rt.Broadcast(&testPayload{bits: 16}, func(n int) { order = append(order, n) })
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindReceive {
+			order = append(order, e.Node)
+		}
+	}
 	// Top-down: parents before children.
 	pos := map[int]int{}
 	for i, n := range order {
 		pos[n] = i
 	}
 	if len(order) != 3 || pos[0] > pos[1] || pos[1] > pos[2] {
-		t.Fatalf("visit order = %v", order)
+		t.Fatalf("reception order = %v", order)
 	}
 	sz := rt.Sizes()
 	ep := rt.Ledger().Params()
@@ -194,7 +201,7 @@ func TestPhaseAccounting(t *testing.T) {
 		return &testPayload{bits: 16}
 	})
 	rt.SetPhase(sim.PhaseFilter)
-	rt.Broadcast(&testPayload{bits: 16}, nil)
+	rt.Broadcast(&testPayload{bits: 16})
 
 	st := rt.Stats()
 	val := st.Phase(sim.PhaseValidation)
@@ -218,7 +225,7 @@ func TestPhaseDefaultsToOther(t *testing.T) {
 	if rt.Phase() != sim.PhaseOther {
 		t.Errorf("unlabeled phase = %q", rt.Phase())
 	}
-	rt.Broadcast(&testPayload{bits: 16}, nil)
+	rt.Broadcast(&testPayload{bits: 16})
 	st := rt.Stats()
 	if other := st.Phase(sim.PhaseOther); other.Bits == 0 || other.Bits != st.BitsSent {
 		t.Errorf("unlabeled traffic: 'other' booked %d of %d bits", other.Bits, st.BitsSent)
@@ -231,10 +238,10 @@ func TestPhaseDefaultsToOther(t *testing.T) {
 func TestStatsSnapshotsAreIndependent(t *testing.T) {
 	rt := simtest.ChainRuntime(t, chainSeries, 0, 1)
 	rt.SetPhase(sim.PhaseValidation)
-	rt.Broadcast(&testPayload{bits: 16}, nil)
+	rt.Broadcast(&testPayload{bits: 16})
 	first := rt.Stats()
 	once := first.Phase(sim.PhaseValidation)
-	rt.Broadcast(&testPayload{bits: 16}, nil)
+	rt.Broadcast(&testPayload{bits: 16})
 	second := rt.Stats()
 	if got := first.Phase(sim.PhaseValidation); got != once {
 		t.Errorf("first snapshot changed after more traffic: %+v, was %+v", got, once)
@@ -277,7 +284,7 @@ func TestVirtualNodesAreFree(t *testing.T) {
 		}
 	}
 	// Broadcast: virtual nodes neither receive nor retransmit.
-	rt.Broadcast(&testPayload{bits: 16}, nil)
+	rt.Broadcast(&testPayload{bits: 16})
 	// Radio transmissions: root + nodes 0 and 1 (node 2's only child is
 	// virtual).
 	if got := rt.Stats().PayloadsSent; got != 3+3 {
