@@ -19,8 +19,9 @@ help:
 	@echo "  race        full suite under the race detector"
 	@echo "  oracle      flight-recorder collectors, series-vs-recorded-events parity,"
 	@echo "              the invariant oracle suite, the selective-vs-full"
-	@echo "              convergecast walk differential, and the one-pass flood"
-	@echo "              vs walked flood differential"
+	@echo "              convergecast walk differential, the one-pass flood"
+	@echo "              vs walked flood differential, and the heap Dijkstra"
+	@echo "              vs linear-scan routing-tree differential"
 	@echo "  telemetry   registry race test and snapshot-determinism test under -race"
 	@echo "  alert       series ring race-hammer, the shared windowed-level package,"
 	@echo "              alert rule-engine determinism and zero-allocation observe"
@@ -47,8 +48,9 @@ help:
 	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target (codecs,"
 	@echo "              parsers, the cell vector, the disc graph)"
 	@echo "  bench       run the Go benchmarks of the root package, internal/sim,"
-	@echo "              internal/scenario (the round-record reader) and"
-	@echo "              internal/alert (the rule engine) with -benchmem"
+	@echo "              internal/scenario (the round-record reader),"
+	@echo "              internal/alert (the rule engine) and internal/wsn"
+	@echo "              (the routing-tree build) with -benchmem"
 	@echo "  bench-json  measure tracked hot paths into the day's first free"
 	@echo "              BENCH_<date>[b|c|…].json; the"
 	@echo "              regression guard (TestBenchRegressionGuard) diffs the"
@@ -90,10 +92,14 @@ race:
 # faulty (TestSelectiveWalkMatchesFullWalk), plus the walk's own
 # reference and speaker-path tests; and the flood differential: an
 # untraced fault-free runtime's one-pass flood charge against a traced
-# twin's walk, bit for bit (TestFloodMatchesWalk).
+# twin's walk, bit for bit (TestFloodMatchesWalk); and the tree
+# differential: the heap Dijkstra against the linear-scan reference on
+# tie-heavy fixtures and seeded random placements, parent for parent
+# (TestShortestPathTreeMatchesScan).
 oracle:
 	$(GO) test ./internal/trace/...
 	$(GO) test -count=1 -run '^(TestSelectiveWalkMatchesFullWalk|TestConvergecastInboxMatchesNaive|TestConvergecastVisitsSpeakerPaths|TestFloodMatchesWalk)$$' -v ./internal/sim/
+	$(GO) test -count=1 -run '^TestShortestPathTreeMatchesScan$$' -v ./internal/wsn/
 
 # telemetry gates the metrics registry: the concurrent-hammer test must
 # pass under the race detector and snapshots must encode
@@ -235,8 +241,13 @@ staticcheck:
 # closed-loop adaptation gate, and a fuzz smoke run.
 check: vet staticcheck race oracle telemetry alert prof chaos serve scenario slo adapt fuzz-smoke
 
+# bench runs the Go benchmarks with -benchmem: the root package's
+# rounds, the radio (internal/sim), the round-record reader
+# (internal/scenario), the rule engine (internal/alert) and the
+# routing-tree build (internal/wsn, BenchmarkBuildTree at |N| = 500 and
+# 2000).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/sim/ ./internal/scenario/ ./internal/alert/
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/sim/ ./internal/scenario/ ./internal/alert/ ./internal/wsn/
 
 # bench-json appends one session to the perf trajectory: commit the
 # produced BENCH_<date>.json (or, when the day already has a session,

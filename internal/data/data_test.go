@@ -150,10 +150,20 @@ func TestNoiseFieldProperties(t *testing.T) {
 	}
 }
 
+// uniformPlacement scatters n sensors uniformly in a side×side region,
+// drawing X then Y per sensor.
+func uniformPlacement(n int, side float64, rng *rand.Rand) []wsn.Point {
+	pos := make([]wsn.Point, n)
+	for i := range pos {
+		pos[i] = wsn.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+	}
+	return pos
+}
+
 func newTestSynthetic(t *testing.T, cfg SyntheticConfig, n int) *Synthetic {
 	t.Helper()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pos := wsn.RandomPlacement(n, 200, rng)
+	pos := uniformPlacement(n, 200, rng)
 	s, err := NewSynthetic(cfg, pos, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +372,7 @@ func writeTracesCSV(w io.Writer, t *Trace) error {
 // trace whose rounds wrap.
 func TestFillMatchesValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pos := wsn.RandomPlacement(97, 200, rng)
+	pos := uniformPlacement(97, 200, rng)
 	var sources []Source
 	for _, cfg := range []SyntheticConfig{
 		{Seed: 1, Period: 8, NoisePct: 0},

@@ -75,19 +75,10 @@ func BuildDeployment(cfg Config, run int) (*Deployment, error) {
 	}
 	switch cfg.Dataset.Kind {
 	case Synthetic:
-		rng := rand.New(rand.NewSource(seed))
-		var top *wsn.Topology
-		var err error
-		for attempt := 0; attempt < 50; attempt++ {
-			pos := wsn.RandomPlacement(cfg.Nodes, cfg.Area, rng)
-			root := wsn.Point{X: rng.Float64() * cfg.Area, Y: rng.Float64() * cfg.Area}
-			top, err = buildTree(pos, root, cfg.RadioRange)
-			if err == nil {
-				break
-			}
-		}
+		top, err := wsn.BuildConnectedTree(cfg.Nodes, cfg.Area, cfg.RadioRange,
+			rand.New(rand.NewSource(seed)), 50, buildTree)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: no connected placement: %w", err)
+			return nil, err
 		}
 		if top, err = expandVirtual(top, cfg); err != nil {
 			return nil, err

@@ -100,7 +100,7 @@ func ownFirstGather(rt *sim.Runtime, keep func(node, v int) bool, trim func([]in
 func twinRuntimes(t *testing.T, seed int64, loss float64) (got, want *sim.Runtime, gotTr, wantTr *trace.Recorder) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	top, err := wsn.BuildConnectedTree(20+rng.Intn(40), 150, 45, rng, 200)
+	top, err := wsn.BuildConnectedTree(20+rng.Intn(40), 150, 45, rng, 200, wsn.BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}

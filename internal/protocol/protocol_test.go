@@ -23,7 +23,7 @@ func newRuntime(t *testing.T, series [][]int, seed int64) *sim.Runtime {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	top, err := wsn.BuildConnectedTree(tr.Nodes(), 200, 60, rng, 50)
+	top, err := wsn.BuildConnectedTree(tr.Nodes(), 200, 60, rng, 50, wsn.BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestSnapshotQuantileExactness(t *testing.T) {
 			t.Fatal(err)
 		}
 		topRng := rand.New(rand.NewSource(int64(300 + trial)))
-		top, err := wsn.BuildConnectedTree(80, 200, 60, topRng, 50)
+		top, err := wsn.BuildConnectedTree(80, 200, 60, topRng, 50, wsn.BuildTree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 func testTopology(t *testing.T) *wsn.Topology {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	top, err := wsn.BuildConnectedTree(60, 200, 45, rng, 50)
+	top, err := wsn.BuildConnectedTree(60, 200, 45, rng, 50, wsn.BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func benchRuntime(tb testing.TB) *Runtime { return benchRuntimeN(tb, 256) }
 func benchRuntimeN(tb testing.TB, n int) *Runtime {
 	tb.Helper()
 	side := 200 * math.Sqrt(float64(n)/256)
-	top, err := wsn.BuildConnectedTree(n, side, 35, rand.New(rand.NewSource(1)), 50)
+	top, err := wsn.BuildConnectedTree(n, side, 35, rand.New(rand.NewSource(1)), 50, wsn.BuildTree)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func randomRuntime(t *testing.T, seed int64, virtual bool, faults string, tr tra
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 20 + rng.Intn(40)
-	top, err := wsn.BuildConnectedTree(n, 120, 35, rng, 200)
+	top, err := wsn.BuildConnectedTree(n, 120, 35, rng, 200, wsn.BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}

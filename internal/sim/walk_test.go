@@ -43,7 +43,7 @@ func walkAlgorithms(t *testing.T) []experiment.Factory {
 func walkDeployment(t *testing.T, seed int64, rounds int) (*wsn.Topology, data.Source) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	top, err := wsn.BuildConnectedTree(40+rng.Intn(40), 200, 60, rng, 200)
+	top, err := wsn.BuildConnectedTree(40+rng.Intn(40), 200, 60, rng, 200, wsn.BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func RuntimeFromSeries(series [][]int, universe int, seed int64) (*sim.Runtime, 
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	top, err := wsn.BuildConnectedTree(tr.Nodes(), 200, 60, rng, 50)
+	top, err := wsn.BuildConnectedTree(tr.Nodes(), 200, 60, rng, 50, wsn.BuildTree)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func RuntimeFromSeries(series [][]int, universe int, seed int64) (*sim.Runtime, 
 // SyntheticRuntime assembles the paper's synthetic deployment.
 func SyntheticRuntime(n int, cfg data.SyntheticConfig, radioRange float64, seed int64) (*sim.Runtime, error) {
 	rng := rand.New(rand.NewSource(seed))
-	top, err := wsn.BuildConnectedTree(n, 200, radioRange, rng, 50)
+	top, err := wsn.BuildConnectedTree(n, 200, radioRange, rng, 50, wsn.BuildTree)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func TestBuildTreeBFSDisconnected(t *testing.T) {
 
 func TestBFSMinimizesHops(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	pos := RandomPlacement(300, 200, rng)
+	pos := randomPlacement(300, 200, rng)
 	root := Point{X: 100, Y: 100}
 	bfs, err := BuildTreeBFS(pos, root, 40)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestBFSMinimizesHops(t *testing.T) {
 
 func TestBFSStructuralInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	pos := RandomPlacement(200, 200, rng)
+	pos := randomPlacement(200, 200, rng)
 	top, err := BuildTreeBFS(pos, Point{X: 100, Y: 100}, 45)
 	if err != nil {
 		t.Skip("placement disconnected")

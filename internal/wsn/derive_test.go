@@ -101,7 +101,7 @@ func TestDeriveMatchesFormerBuilders(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 15 + rng.Intn(60)
-		pos := RandomPlacement(n, 150, rng)
+		pos := randomPlacement(n, 150, rng)
 		build := BuildTree
 		if seed%2 == 0 {
 			build = BuildTreeBFS

@@ -2,6 +2,7 @@ package wsn
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -17,7 +18,7 @@ func bruteDiscGraph(pos []Point, radioRange float64, rng *rand.Rand) discGraph {
 		start := len(g.nbr)
 		for j, q := range pos {
 			if j != i && p.Dist(q) <= radioRange {
-				g.nbr = append(g.nbr, j)
+				g.nbr = append(g.nbr, int32(j))
 			}
 		}
 		if rng != nil {
@@ -57,7 +58,7 @@ type discFixture struct {
 
 func discFixtures() []discFixture {
 	rng := rand.New(rand.NewSource(11))
-	uniform := RandomPlacement(400, 200, rng)
+	uniform := randomPlacement(400, 200, rng)
 	var clustered []Point
 	for c := 0; c < 5; c++ {
 		cx, cy := rng.Float64()*150, rng.Float64()*150
@@ -91,8 +92,23 @@ func discFixtures() []discFixture {
 		rounding = append(rounding, Point{X: -135.38510760551594 + float64(i)*6.4})
 	}
 	// Area far beyond the range: the grid must widen its cells.
-	sparse := RandomPlacement(300, 1e7, rng)
+	sparse := randomPlacement(300, 1e7, rng)
 	sparse = append(sparse, Point{X: 5e6, Y: 5e6}, Point{X: 5e6 + 20, Y: 5e6})
+	// Pairs at r·(1 ± 1e-12) and at r, in random directions from
+	// positions that are not exactly representable, land inside the
+	// squared-distance screening band and take the exact test; pairs at
+	// r·(1 ± 1e-9) sit just outside it. Near the origin the coordinates
+	// round finely, so many "exactly r" pairs square to within an ulp
+	// of r², where screening on r² alone disagrees with Dist: for this
+	// range the float just above r·r still has r as its square root.
+	const bandRange = 9.7
+	var band []Point
+	for k := 0; k < 400; k++ {
+		f := [...]float64{1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9, 1, 1, 1, 1}[k%8]
+		p := Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+		a := rng.Float64() * 2 * math.Pi
+		band = append(band, p, Point{X: p.X + bandRange*f*math.Cos(a), Y: p.Y + bandRange*f*math.Sin(a)})
+	}
 	return []discFixture{
 		{"uniform", uniform, Point{X: 100, Y: 100}, 35, true},
 		{"clustered", clustered, Point{}, 9, false},
@@ -102,6 +118,7 @@ func discFixtures() []discFixture {
 		{"lattice", lattice, Point{}, 10, true},
 		{"rounding", rounding, Point{}, 7, false},
 		{"sparse", sparse, Point{}, 35, false},
+		{"band", band, Point{}, bandRange, false},
 	}
 }
 
@@ -150,6 +167,11 @@ func FuzzDiscGraph(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 10, 0, 20, 0, 0, 100, 0, 100, 10}, 1.0, 10.0)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 1e6, 3.0)
 	f.Add([]byte{255, 255, 0, 0, 127, 255, 128, 0}, 1e-3, 1e-3)
+	// r² overflows: a pair 2e154 apart squares to +Inf as well, which
+	// only the exact test rejects.
+	f.Add([]byte{0, 0, 0, 0, 20, 0, 0, 0}, 1e153, 1.5e154)
+	// Infinite coordinates: the squared distance is NaN.
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0}, math.Inf(1), 10.0)
 	f.Fuzz(func(t *testing.T, raw []byte, scale, radioRange float64) {
 		if !(radioRange > 0) {
 			t.Skip()

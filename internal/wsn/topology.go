@@ -77,8 +77,8 @@ func (t *Topology) MaxDepth() int {
 	return d
 }
 
-// RandomPlacement scatters n sensors uniformly in a side×side region.
-func RandomPlacement(n int, side float64, rng *rand.Rand) []Point {
+// randomPlacement scatters n sensors uniformly in a side×side region.
+func randomPlacement(n int, side float64, rng *rand.Rand) []Point {
 	pos := make([]Point, n)
 	for i := range pos {
 		pos[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
@@ -116,6 +116,7 @@ func shortestPathTree(pos []Point, root Point, radioRange float64, g discGraph) 
 	dist := make([]float64, n)
 	parent := make([]int, n)
 	done := make([]bool, n)
+	h := distHeap(make([]distEntry, 0, n))
 	for i := range dist {
 		dist[i] = inf
 		parent[i] = -2 // unreached
@@ -124,28 +125,30 @@ func shortestPathTree(pos []Point, root Point, radioRange float64, g discGraph) 
 		if d := p.Dist(root); d <= radioRange {
 			dist[i] = d
 			parent[i] = -1
+			h.push(distEntry{d, i})
 		}
 	}
-	for {
+	for len(h) > 0 {
 		// Extract the unfinished sensor with the smallest distance;
-		// ties break on the lower index for determinism.
-		u := -1
-		for i := 0; i < n; i++ {
-			if !done[i] && dist[i] < inf && (u == -1 || dist[i] < dist[u]) {
-				u = i
-			}
-		}
-		if u == -1 {
-			break
+		// the heap's order breaks ties on the lower index. An entry
+		// is stale once its sensor is done or has a shorter distance.
+		e := h.pop()
+		u := e.u
+		if done[u] || e.d != dist[u] {
+			continue
 		}
 		done[u] = true
-		for _, v := range g.neighbors(u) {
+		for _, v32 := range g.neighbors(u) {
+			v := int(v32)
 			if done[v] {
 				continue
 			}
 			nd := dist[u] + pos[u].Dist(pos[v])
-			if nd < dist[v] || (nd == dist[v] && parent[v] > u) {
+			if nd < dist[v] {
 				dist[v] = nd
+				parent[v] = u
+				h.push(distEntry{nd, v})
+			} else if nd == dist[v] && parent[v] > u {
 				parent[v] = u
 			}
 		}
@@ -156,6 +159,57 @@ func shortestPathTree(pos []Point, root Point, radioRange float64, g discGraph) 
 		}
 	}
 	return assemble(pos, root, radioRange, parent)
+}
+
+// distEntry is a tentative distance d of sensor u in Dijkstra's heap.
+type distEntry struct {
+	d float64
+	u int
+}
+
+// before orders entries by distance, then by index.
+func (a distEntry) before(b distEntry) bool {
+	return a.d < b.d || (a.d == b.d && a.u < b.u)
+}
+
+// distHeap is a binary min-heap of distEntry by before.
+type distHeap []distEntry
+
+func (h *distHeap) push(e distEntry) {
+	s := append(*h, e)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].before(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+func (h *distHeap) pop() distEntry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // BuildTreeBFS reduces the disc graph to a hop-count shortest-path tree
@@ -189,7 +243,8 @@ func hopCountTree(pos []Point, root Point, radioRange float64, g discGraph) (*To
 	for len(frontier) > 0 {
 		var next []int
 		for _, u := range frontier {
-			for _, v := range g.neighbors(u) {
+			for _, v32 := range g.neighbors(u) {
+				v := int(v32)
 				if parent[v] != -2 {
 					// Prefer the closer parent among same-depth options.
 					if depth[v] == depth[u]+1 && parent[v] >= 0 &&
@@ -274,19 +329,21 @@ func (t *Topology) derive() error {
 	return nil
 }
 
-// BuildConnectedTree repeatedly samples uniform placements until the
-// resulting disc graph is connected to a root placed uniformly at
-// random, or attempts run out. This mirrors the paper's synthetic setup
+// BuildConnectedTree repeatedly samples uniform placements until build
+// (BuildTree or BuildTreeBFS) connects them to a root placed uniformly
+// at random, or attempts run out. Each attempt draws the placement,
+// then the root's X and Y. This mirrors the paper's synthetic setup
 // where the topology changes between simulation runs.
-func BuildConnectedTree(n int, side, radioRange float64, rng *rand.Rand, attempts int) (*Topology, error) {
+func BuildConnectedTree(n int, side, radioRange float64, rng *rand.Rand, attempts int,
+	build func(pos []Point, root Point, radioRange float64) (*Topology, error)) (*Topology, error) {
 	if attempts <= 0 {
 		attempts = 50
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
-		pos := RandomPlacement(n, side, rng)
+		pos := randomPlacement(n, side, rng)
 		root := Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-		t, err := BuildTree(pos, root, radioRange)
+		t, err := build(pos, root, radioRange)
 		if err == nil {
 			return t, nil
 		}
@@ -297,13 +354,14 @@ func BuildConnectedTree(n int, side, radioRange float64, rng *rand.Rand, attempt
 
 // discGraph is the radio disc graph in compressed sparse row form: the
 // sensors within radio range of sensor i are nbr[off[i]:off[i+1]], in
-// no particular order (neither tree builder depends on it).
+// no particular order (neither tree builder depends on it). Indices are
+// int32 because the neighbour array is the build's largest temporary.
 type discGraph struct {
 	off []int
-	nbr []int
+	nbr []int32
 }
 
-func (g discGraph) neighbors(i int) []int { return g.nbr[g.off[i]:g.off[i+1]] }
+func (g discGraph) neighbors(i int) []int32 { return g.nbr[g.off[i]:g.off[i+1]] }
 
 // newDiscGraph builds the disc graph over a grid of square cells at
 // least one radio range wide, so every neighbour of a sensor lies in
@@ -347,40 +405,74 @@ func newDiscGraph(pos []Point, radioRange float64) discGraph {
 	for c := 1; c < len(start); c++ {
 		start[c] += start[c-1]
 	}
-	byCell := make([]int, n)
+	// byCell lists the sensors cell by cell and at their positions in
+	// the same order, so the scans below read positions contiguously.
+	byCell := make([]int32, n)
+	at := make([]Point, n)
 	next := slices.Clone(start[:len(start)-1])
 	for i, c := range cellOf {
-		byCell[next[c]] = i
+		byCell[next[c]], at[next[c]] = int32(i), pos[i]
 		next[c]++
 	}
-	// eachPair calls f once for every pair i < j within range.
-	eachPair := func(f func(i, j int)) {
-		for i, p := range pos {
-			cx, cy := cellOf[i]%cols, cellOf[i]/cols
-			for y := max(cy-1, 0); y <= min(cy+1, rows-1); y++ {
-				for x := max(cx-1, 0); x <= min(cx+1, cols-1); x++ {
-					c := y*cols + x
-					for _, j := range byCell[start[c]:start[c+1]] {
-						if j > i && p.Dist(pos[j]) <= radioRange {
-							f(i, j)
+	// A pair whose squared distance clears r² by the relative band is
+	// decided by it alone: the band is far wider than the rounding of
+	// dx²+dy² and of r², so Dist would agree. Pairs inside the band take
+	// the exact test. A range whose square is not comfortably a normal
+	// float sends every pair to the exact test.
+	rr := radioRange * radioRange
+	lo, hi := rr*(1-1e-9), rr*(1+1e-9)
+	if !(rr >= 0x1p-900 && rr <= 0x1p900) {
+		lo, hi = -1, math.Inf(1)
+	}
+	// scan visits every pair within range once: each sensor against
+	// the sensors after it in its own cell, and against its cell's four
+	// forward neighbours (+1,0), (−1,+1), (0,+1) and (+1,+1), so every
+	// pair of adjacent cells is scanned once. The (+1,0) cell follows
+	// the sensor's own in byCell, and the three cells of the next row
+	// are contiguous too, so that is two runs of byCell per sensor. The
+	// first pass counts degrees; the second fills the exactly sized
+	// neighbour array through per-sensor cursors.
+	var fill []int
+	scan := func() {
+		for c := 0; c+1 < len(start); c++ {
+			cx, cy := c%cols, c/cols
+			sameEnd := start[c+1]
+			if cx+1 < cols {
+				sameEnd = start[c+2]
+			}
+			var below [2]int
+			if cy+1 < rows {
+				below = [2]int{start[c+cols-min(cx, 1)], start[c+cols+1+min(cols-1-cx, 1)]}
+			}
+			for k := start[c]; k < start[c+1]; k++ {
+				p, i := at[k], byCell[k]
+				for _, run := range [2][2]int{{k + 1, sameEnd}, below} {
+					for m := run[0]; m < run[1]; m++ {
+						q := at[m]
+						dx, dy := p.X-q.X, p.Y-q.Y
+						if d2 := dx*dx + dy*dy; d2 > hi || !(d2 <= lo || p.Dist(q) <= radioRange) {
+							continue
 						}
+						j := byCell[m]
+						if fill == nil {
+							g.off[i+1]++
+							g.off[j+1]++
+							continue
+						}
+						g.nbr[fill[i]], g.nbr[fill[j]] = j, i
+						fill[i]++
+						fill[j]++
 					}
 				}
 			}
 		}
 	}
-	// The first pass counts degrees; the second fills the exactly
-	// sized neighbour array through per-sensor cursors.
-	eachPair(func(i, j int) { g.off[i+1]++; g.off[j+1]++ })
+	scan()
 	for i := 1; i <= n; i++ {
 		g.off[i] += g.off[i-1]
 	}
-	g.nbr = make([]int, g.off[n])
-	fill := slices.Clone(g.off[:n])
-	eachPair(func(i, j int) {
-		g.nbr[fill[i]], g.nbr[fill[j]] = j, i
-		fill[i]++
-		fill[j]++
-	})
+	g.nbr = make([]int32, g.off[n])
+	fill = slices.Clone(g.off[:n])
+	scan()
 	return g
 }

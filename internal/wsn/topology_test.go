@@ -57,7 +57,7 @@ func TestBuildTreeRejectsBadInput(t *testing.T) {
 
 func TestPostOrderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	top, err := BuildConnectedTree(300, 200, 35, rng, 50)
+	top, err := BuildConnectedTree(300, 200, 35, rng, 50, BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPostOrderInvariant(t *testing.T) {
 
 func TestTreeStructuralInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	top, err := BuildConnectedTree(500, 200, 35, rng, 50)
+	top, err := BuildConnectedTree(500, 200, 35, rng, 50, BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestShortestPathOptimality(t *testing.T) {
 	// On a small deployment, verify via Bellman-Ford that the tree path
 	// length from each node to the root is the true shortest path.
 	rng := rand.New(rand.NewSource(11))
-	top, err := BuildConnectedTree(60, 100, 30, rng, 50)
+	top, err := BuildConnectedTree(60, 100, 30, rng, 50, BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestShortestPathOptimality(t *testing.T) {
 func TestBuildTreeDeterministic(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(3))
 	rng2 := rand.New(rand.NewSource(3))
-	a, err := BuildConnectedTree(200, 200, 35, rng1, 50)
+	a, err := BuildConnectedTree(200, 200, 35, rng1, 50, BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildConnectedTree(200, 200, 35, rng2, 50)
+	b, err := BuildConnectedTree(200, 200, 35, rng2, 50, BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestBuildTreeWithRootAt(t *testing.T) {
 
 func TestRandomPlacementBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, p := range RandomPlacement(1000, 200, rng) {
+	for _, p := range randomPlacement(1000, 200, rng) {
 		if p.X < 0 || p.X > 200 || p.Y < 0 || p.Y > 200 {
 			t.Fatalf("placement out of region: %v", p)
 		}

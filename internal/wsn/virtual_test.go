@@ -84,7 +84,7 @@ func TestExpandVirtualValidation(t *testing.T) {
 
 func TestExpandVirtualLargeTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	top, err := BuildConnectedTree(100, 200, 45, rng, 50)
+	top, err := BuildConnectedTree(100, 200, 45, rng, 50, BuildTree)
 	if err != nil {
 		t.Fatal(err)
 	}
