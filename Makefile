@@ -42,9 +42,10 @@ help:
 	@echo "              and the adapt-clause scenario goldens"
 	@echo "  prof        profiling gate: attribution unit suite, golden attribution"
 	@echo "              snapshot, /profilez + pprof endpoint coverage, the"
-	@echo "              allocation-ceiling regression guard, and the"
+	@echo "              allocation-ceiling regression guard, the"
 	@echo "              round-path allocation ratchet (run three times, so a"
-	@echo "              count that varies between runs fails the gate)"
+	@echo "              count that varies between runs fails the gate), and"
+	@echo "              the Figure 7 pass allocation ceiling"
 	@echo "  fuzz-smoke  short fresh-input budget for every fuzz target (codecs,"
 	@echo "              parsers, the cell vector, the disc graph)"
 	@echo "  bench       run the Go benchmarks of the root package, internal/sim,"
@@ -125,7 +126,9 @@ alert:
 # allocation-ceiling arithmetic behind the regression guard, and the
 # round-path allocation ratchet (TestRoundAllocs: each standard
 # algorithm's warmed |N|=500 round under its ceiling, run three times
-# so an allocation count that varies between runs shows up). The timing
+# so an allocation count that varies between runs shows up), and the
+# figure-pass allocation ceiling (TestFigureAllocs: one warm Figure 7
+# pass in the sweep benchmark's shape, per simulated node-round). The timing
 # half of the layer (the ≤2% overhead budget) lives in ladder-guard,
 # which needs an idle machine.
 prof:
@@ -133,7 +136,7 @@ prof:
 	$(GO) test -v ./internal/benchfmt/
 	$(GO) test -short -run '^(TestProfilezEndpoint|TestMetricsPublishRuntime|TestDebugPprofProfile)$$' -v ./internal/telemetry/
 	$(GO) test -count=1 -run '^(TestProfAttributionGolden|TestProfNamesLCLLSTopAllocPhase|TestProfResetAndReuse|TestBenchRegressionGuard|TestBenchGuardArithmetic)$$' -v .
-	$(GO) test -count=3 -run '^TestRoundAllocs$$' -v .
+	$(GO) test -count=3 -run '^(TestRoundAllocs|TestFigureAllocs)$$' -v .
 
 # chaos is the robustness gate: the seeded crash+burst smoke of HBC
 # and IQ through the engine, the public API, the oracle's fault mode,

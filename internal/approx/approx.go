@@ -121,6 +121,7 @@ type Sample struct {
 	seed    uint64
 	last    int
 	hasLast bool
+	sample  []int // the root's sample, reused every round
 }
 
 // NewSample returns a sampling algorithm with inclusion probability p.
@@ -151,7 +152,8 @@ func (s *Sample) Step(rt *sim.Runtime) (int, error) {
 	}
 	rt.SetPhase(sim.PhaseCollect)
 	s.round++
-	sample := protocol.GatherValues(rt, rt.Topology().PostOrder, func(n, _ int) bool { return s.included(n) }, nil)
+	s.sample = protocol.GatherValues(s.sample, rt, rt.Topology().PostOrder, func(n, _ int) bool { return s.included(n) }, nil)
+	sample := s.sample
 	if len(sample) == 0 {
 		// An empty draw can happen at small n·p; reuse the previous
 		// estimate (stale but available), as a deployed system would.

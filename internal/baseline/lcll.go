@@ -36,8 +36,9 @@ type LCLL struct {
 	win    spanRange
 	cover  spanRange
 	hasWin bool
-	// Splice buffers, reused across slides and direct retrievals.
-	bounds, counts []int
+	// Splice buffers, reused across slides and direct retrievals:
+	// counts also takes every histogram tally, vals every retrieval.
+	bounds, counts, vals []int
 }
 
 // spanRange is a half-open refined region.
@@ -121,8 +122,8 @@ func (l *LCLL) Init(rt *sim.Runtime, k int) (int, error) {
 	l.path, l.hasWin = nil, false
 
 	rt.Broadcast(protocol.Request{NBits: rt.Sizes().CounterBits})
-	counts := collectCellCounts(rt, l.part.bounds)
-	copy(l.part.counts, counts)
+	l.counts = collectCellCounts(l.counts, rt, l.part.bounds)
+	copy(l.part.counts, l.counts)
 
 	l.prev = make([]int, l.n)
 	l.snapshotPrev(rt)
@@ -250,8 +251,8 @@ func (l *LCLL) refineHierarchical(rt *sim.Runtime) (int, error) {
 		}
 		nb := EqualBounds(cLo, cHi, b)
 		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
-		counts := collectCellCounts(rt, nb)
-		if err := l.part.Replace(cLo, cHi, nb, counts); err != nil {
+		l.counts = collectCellCounts(l.counts, rt, nb)
+		if err := l.part.Replace(cLo, cHi, nb, l.counts); err != nil {
 			return 0, err
 		}
 		l.path = append(l.path, spanRange{cLo, cHi})
@@ -273,7 +274,8 @@ func (l *LCLL) mergeSpanToCells(s spanRange) error {
 // the partition exact without expanding the whole cell.
 func (l *LCLL) directCell(rt *sim.Runtime, cLo, cHi, below int) (int, error) {
 	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
-	vals := protocol.CollectValuesIn(rt, cLo, cHi-1)
+	l.vals = protocol.CollectValuesIn(l.vals, rt, cLo, cHi-1)
+	vals := l.vals
 	localRank := l.k - below
 	if localRank < 1 || localRank > len(vals) {
 		return 0, fmt.Errorf("baseline: LCLL direct retrieval rank %d of %d values in [%d,%d)", localRank, len(vals), cLo, cHi)
@@ -374,8 +376,8 @@ func (l *LCLL) slideTo(rt *sim.Runtime, win spanRange) error {
 	}
 	l.bounds = bounds
 	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
-	counts := collectCellCounts(rt, bounds)
-	if err := l.part.Replace(cover.Lo, cover.Hi, bounds, counts); err != nil {
+	l.counts = collectCellCounts(l.counts, rt, bounds)
+	if err := l.part.Replace(cover.Lo, cover.Hi, bounds, l.counts); err != nil {
 		return err
 	}
 	l.win, l.cover, l.hasWin = win, cover, true
@@ -455,12 +457,12 @@ func (d *cellDeltas) Bits() int {
 }
 
 // collectCellCounts gathers the exact per-cell counts for the cell list
-// given by bounds: only nodes with a measurement inside
+// given by bounds into dst[:0]: only nodes with a measurement inside
 // [bounds[0], bounds[last]) respond, and histograms aggregate by
 // addition and travel compressed.
-func collectCellCounts(rt *sim.Runtime, bounds []int) []int {
+func collectCellCounts(dst []int, rt *sim.Runtime, bounds []int) []int {
 	lo, hi := bounds[0], bounds[len(bounds)-1]
-	return protocol.CollectCounts(rt, lo, hi-1, len(bounds)-1, func(v int) (int, bool) {
+	return protocol.CollectCounts(dst, rt, lo, hi-1, len(bounds)-1, func(v int) (int, bool) {
 		if v < lo || v >= hi {
 			return 0, false
 		}

@@ -24,8 +24,10 @@ type POS struct {
 	prev   []int        // per-node previous-round measurement
 	// cdf records, for every threshold x probed this round, the exact
 	// number of measurements strictly below x. Counts go stale between
-	// rounds, so it is rebuilt after every validation.
+	// rounds, so it is cleared and refilled after every validation.
 	cdf map[int]int
+	// vals is the direct retrieval's buffer, reused every round.
+	vals []int
 }
 
 // POSOptions tunes the protocol variants described in §3.2 and §5.1.6.
@@ -73,16 +75,18 @@ func (p *POS) Step(rt *sim.Runtime) (int, error) {
 		return 0, fmt.Errorf("baseline: POS not initialized")
 	}
 	rt.SetPhase(sim.PhaseValidation)
-	c := protocol.RunValidation(rt, protocol.ValidationSpec{
+	c := protocol.RunValidation(nil, rt, protocol.ValidationSpec{
 		Lb: p.filter, Ub: p.filter + 1,
 		Prev:  func(n int) int { return p.prev[n] },
 		Hints: p.Hints,
 	})
 	p.state = p.state.Apply(&c)
-	p.cdf = map[int]int{
-		p.filter:     p.state.L,
-		p.filter + 1: p.state.L + p.state.E,
+	if p.cdf == nil {
+		p.cdf = make(map[int]int)
 	}
+	clear(p.cdf)
+	p.cdf[p.filter] = p.state.L
+	p.cdf[p.filter+1] = p.state.L + p.state.E
 	defer p.snapshotPrev(rt)
 
 	if p.state.Valid(p.k) {
@@ -143,7 +147,7 @@ func (p *POS) refine(rt *sim.Runtime, lo, hi int) (int, error) {
 func (p *POS) probe(rt *sim.Runtime, x int) protocol.LEG {
 	oldThresh := p.filter
 	rt.Broadcast(protocol.Request{NBits: protocol.FilterBroadcastBits(rt.Sizes())})
-	c := protocol.RunValidation(rt, protocol.ValidationSpec{
+	c := protocol.RunValidation(nil, rt, protocol.ValidationSpec{
 		Lb: x, Ub: x + 1,
 		// During refinement only the threshold moves, so a node's
 		// "previous" region is its current reading classified against
@@ -197,7 +201,8 @@ func (p *POS) hasCdf(x int) bool {
 // exactly, and broadcasts the final filter (required, §3.2).
 func (p *POS) direct(rt *sim.Runtime, lo, hi int) (int, error) {
 	rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
-	vals := protocol.CollectValuesIn(rt, lo, hi)
+	p.vals = protocol.CollectValuesIn(p.vals, rt, lo, hi)
+	vals := p.vals
 	var belowLo int
 	if c, ok := p.cdf[lo]; ok {
 		belowLo = c

@@ -35,6 +35,9 @@ type HBC struct {
 	lb, ub int // the filter interval nodes validate against
 	state  protocol.LEG
 	prev   []int
+	// The refinement's histogram and retrieval buffers, reused every
+	// round.
+	counts, vals []int
 }
 
 // HBCOptions tunes the §4.1 variants.
@@ -110,7 +113,7 @@ func (h *HBC) Step(rt *sim.Runtime) (int, error) {
 		return 0, fmt.Errorf("core: HBC not initialized")
 	}
 	rt.SetPhase(sim.PhaseValidation)
-	c := protocol.RunValidation(rt, protocol.ValidationSpec{
+	c := protocol.RunValidation(nil, rt, protocol.ValidationSpec{
 		Lb: h.lb, Ub: h.ub,
 		Prev:  func(n int) int { return h.prev[n] },
 		Hints: h.Hints,
@@ -197,7 +200,8 @@ func (h *HBC) descend(rt *sim.Runtime, lo, hi, base int) (q, flb, fub int, st pr
 		}
 		if h.DirectRetrieval && base >= 0 && inside >= 0 && inside <= perFrame {
 			rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
-			vals := protocol.CollectValuesIn(rt, lo, hi-1)
+			h.vals = protocol.CollectValuesIn(h.vals, rt, lo, hi-1)
+			vals := h.vals
 			idx := h.k - base - 1
 			if idx < 0 || idx >= len(vals) {
 				return 0, 0, 0, st, fmt.Errorf("core: HBC direct retrieval got %d values in [%d,%d), need index %d", len(vals), lo, hi, idx)
@@ -211,7 +215,8 @@ func (h *HBC) descend(rt *sim.Runtime, lo, hi, base int) (q, flb, fub int, st pr
 			return 0, 0, 0, st, buErr
 		}
 		rt.Broadcast(protocol.Request{NBits: protocol.IntervalRequestBits(rt.Sizes())})
-		counts := protocol.CollectHistogram(rt, bu)
+		h.counts = protocol.CollectHistogram(h.counts, rt, bu)
+		counts := h.counts
 		if base < 0 {
 			total := 0
 			for _, c := range counts {

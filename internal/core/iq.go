@@ -27,6 +27,10 @@ type IQ struct {
 	xiR     int     // ξ_r >= 0
 	hist    []int   // the m most recent quantiles, oldest first
 	xiScale float64 // controller-applied Ξ scale; 0 or 1 = paper behavior
+
+	// The root's attached multiset and refinement response, reused
+	// every round.
+	attached, extreme []int
 }
 
 // IQOptions tunes §4.2's knobs.
@@ -157,7 +161,7 @@ func (q *IQ) Init(rt *sim.Runtime, k int) (int, error) {
 	}
 	xi := q.seedXi(all[:kk])
 	q.xiL, q.xiR = -xi, xi
-	q.hist = []int{q.filter}
+	q.hist = append(q.hist[:0], q.filter)
 
 	// Broadcast the tuple (v_k, ξ).
 	rt.Broadcast(protocol.Request{NBits: 2 * protocol.FilterBroadcastBits(rt.Sizes())})
@@ -198,7 +202,7 @@ func (q *IQ) Step(rt *sim.Runtime) (int, error) {
 	xiLo := q.filter + q.xiL
 	xiHi := q.filter + q.xiR
 	rt.SetPhase(sim.PhaseValidation)
-	c := protocol.RunValidation(rt, protocol.ValidationSpec{
+	c := protocol.RunValidation(q.attached, rt, protocol.ValidationSpec{
 		Lb: q.filter, Ub: q.filter + 1,
 		Prev:  func(n int) int { return q.prev[n] },
 		Hints: q.Hints,
@@ -210,6 +214,7 @@ func (q *IQ) Step(rt *sim.Runtime) (int, error) {
 	defer q.snapshotPrev(rt)
 
 	a := c.Attached // sorted ascending by RunValidation
+	q.attached = a
 	newQ, err := q.resolve(rt, &c, a, xiLo, xiHi)
 	if err != nil {
 		return 0, err
@@ -254,7 +259,8 @@ func (q *IQ) resolve(rt *sim.Runtime, c *protocol.Counters, a []int, xiLo, xiHi 
 		}
 		rt.SetPhase(sim.PhaseRefinement)
 		rt.Broadcast(protocol.Request{NBits: protocol.CountedRequestBits(rt.Sizes())})
-		r := protocol.CollectExtreme(rt, lo, xiLo-1, f1, true)
+		q.extreme = protocol.CollectExtreme(q.extreme, rt, lo, xiLo-1, f1, true)
+		r := q.extreme
 		if len(r) < f1 {
 			// A shortfall while the round's coverage is incomplete
 			// degrades the answer (the missing order statistics sit in
@@ -289,7 +295,8 @@ func (q *IQ) resolve(rt *sim.Runtime, c *protocol.Counters, a []int, xiLo, xiHi 
 		}
 		rt.SetPhase(sim.PhaseRefinement)
 		rt.Broadcast(protocol.Request{NBits: protocol.CountedRequestBits(rt.Sizes())})
-		r := protocol.CollectExtreme(rt, xiHi+1, hi, f2, false)
+		q.extreme = protocol.CollectExtreme(q.extreme, rt, xiHi+1, hi, f2, false)
+		r := q.extreme
 		if len(r) < f2 {
 			if rt.CoverageDeficit() == 0 {
 				return 0, fmt.Errorf("core: IQ refinement got %d of %d values above %d (round %d)", len(r), f2, xiHi, rt.Round())
@@ -306,8 +313,8 @@ func (q *IQ) resolve(rt *sim.Runtime, c *protocol.Counters, a []int, xiLo, xiHi 
 	return 0, fmt.Errorf("core: IQ unreachable direction")
 }
 
-// observe appends the round's quantile to the trend window and
-// recomputes ξ per §4.2.2:
+// observe appends the round's quantile to the trend window, keeping the
+// last m in place, and recomputes ξ per §4.2.2:
 //
 //	ξ_l = min(min_{i} (v^i − v^{i−1}), 0)
 //	ξ_r = max(max_{i} (v^i − v^{i−1}), 0)
@@ -316,7 +323,9 @@ func (q *IQ) resolve(rt *sim.Runtime, c *protocol.Counters, a []int, xiLo, xiHi 
 func (q *IQ) observe(v int) {
 	q.hist = append(q.hist, v)
 	if len(q.hist) > q.M {
-		q.hist = q.hist[len(q.hist)-q.M:]
+		// Copy down rather than re-slice forward, so the window keeps
+		// its storage and the append above stops reallocating.
+		q.hist = q.hist[:copy(q.hist, q.hist[len(q.hist)-q.M:])]
 	}
 	xiL, xiR := 0, 0
 	for i := 1; i < len(q.hist); i++ {

@@ -172,7 +172,7 @@ func TestAdoptingPayloadsMatchesOwnFirst(t *testing.T) {
 						}
 						return s
 					}
-					g := RunValidation(got, spec(got))
+					g := RunValidation(nil, got, spec(got))
 					w := ownFirstValidation(want, spec(want))
 					if len(g.Attached) == 0 && len(w.Attached) == 0 {
 						g.Attached, w.Attached = nil, nil
@@ -186,7 +186,7 @@ func TestAdoptingPayloadsMatchesOwnFirst(t *testing.T) {
 					slices.Sort(vals)
 					return vals[:min(len(vals), 5)]
 				}} {
-					g := GatherValues(got, got.Topology().PostOrder, keep, trim)
+					g := GatherValues(nil, got, got.Topology().PostOrder, keep, trim)
 					w := ownFirstGather(want, keep, trim)
 					slices.Sort(g)
 					slices.Sort(w)

@@ -58,8 +58,9 @@ type ValidationSpec struct {
 // and hints; nodes matched by Attach additionally ship their values;
 // intermediate nodes aggregate; nodes with nothing to report stay
 // silent. The merged root view is returned (zero-valued if the whole
-// network stayed silent).
-func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
+// network stayed silent); its Attached multiset is dst[:0] refilled,
+// sorted ascending.
+func RunValidation(dst []int, rt *sim.Runtime, spec ValidationSpec) Counters {
 	sizes := rt.Sizes()
 	speakers := spec.Speakers
 	if speakers == nil {
@@ -122,7 +123,7 @@ func RunValidation(rt *sim.Runtime, spec ValidationSpec) Counters {
 		}
 		return c
 	})
-	root := Counters{mode: spec.Hints, sizes: sizes}
+	root := Counters{Attached: dst[:0], mode: spec.Hints, sizes: sizes}
 	for _, p := range atRoot {
 		c := p.(*Counters)
 		root.merge(c)
@@ -146,9 +147,10 @@ func (s LEG) Apply(c *Counters) LEG {
 // nodes left with no values stay silent. speakers must list every node
 // keep accepts: the sensors holding a requested range (Holders), or
 // Topology().PostOrder when keep is per node. The values that reach
-// the root are returned concatenated and untrimmed (nil when none
-// arrive), in no particular order: every caller sorts or trims them.
-func GatherValues(rt *sim.Runtime, speakers []int, keep func(node, v int) bool, trim func([]int) []int) []int {
+// the root are returned as dst[:0] refilled, concatenated and
+// untrimmed (empty when none arrive), in no particular order: every
+// caller sorts or trims them.
+func GatherValues(dst []int, rt *sim.Runtime, speakers []int, keep func(node, v int) bool, trim func([]int) []int) []int {
 	sizes := rt.Sizes()
 	// A node outside speakers has no children's values and keep
 	// rejects its own, so it would return nil: skipping it is silent.
@@ -187,10 +189,7 @@ func GatherValues(rt *sim.Runtime, speakers []int, keep func(node, v int) bool, 
 	for _, p := range atRoot {
 		total += len(p.(*Values).Vals)
 	}
-	if total == 0 {
-		return nil
-	}
-	all := make([]int, 0, total)
+	all := grown(dst, total)
 	for _, p := range atRoot {
 		v := p.(*Values)
 		all = append(all, v.Vals...)
@@ -199,26 +198,37 @@ func GatherValues(rt *sim.Runtime, speakers []int, keep func(node, v int) bool, 
 	return all
 }
 
+// grown returns dst[:0] with room for n values, reallocated to exactly
+// n when dst is shorter: a result buffer lives as long as its
+// algorithm, so the slack of append's doubling would stay live with it.
+func grown(dst []int, n int) []int {
+	if cap(dst) < n {
+		return make([]int, 0, n)
+	}
+	return dst[:0]
+}
+
 // CollectSmallestK is the TAG-style collection: every node merges its
 // measurement with its children's lists and forwards the k smallest.
-// The returned slice holds the (up to k) smallest measurements that
-// reached the root, ascending. Under loss, fewer or other values may
-// arrive; loss-free it is exact.
-func CollectSmallestK(rt *sim.Runtime, k int) []int {
+// The result, dst[:0] refilled, holds the (up to k) smallest
+// measurements that reached the root, ascending. Under loss, fewer or
+// other values may arrive; loss-free it is exact.
+func CollectSmallestK(dst []int, rt *sim.Runtime, k int) []int {
 	smallest := func(vals []int) []int {
 		sort.Ints(vals)
 		return vals[:min(len(vals), k)]
 	}
-	return smallest(GatherValues(rt, rt.Topology().PostOrder, func(int, int) bool { return true }, smallest))
+	return smallest(GatherValues(dst, rt, rt.Topology().PostOrder, func(int, int) bool { return true }, smallest))
 }
 
 // CollectValuesIn performs a direct-retrieval convergecast: every node
 // with a measurement in the closed interval [lo, hi] ships it, and only
 // those holders and their root paths are walked; values are
-// concatenated unmodified. The result arrives sorted ascending.
-func CollectValuesIn(rt *sim.Runtime, lo, hi int) []int {
+// concatenated unmodified. The result, dst[:0] refilled, arrives
+// sorted ascending.
+func CollectValuesIn(dst []int, rt *sim.Runtime, lo, hi int) []int {
 	rt.TraceRefine(lo, hi, -1)
-	all := GatherValues(rt, rt.Holders(lo, hi), func(_, v int) bool { return v >= lo && v <= hi }, nil)
+	all := GatherValues(dst, rt, rt.Holders(lo, hi), func(_, v int) bool { return v >= lo && v <= hi }, nil)
 	sort.Ints(all)
 	return all
 }
@@ -228,14 +238,14 @@ func CollectValuesIn(rt *sim.Runtime, lo, hi int) []int {
 // root paths are walked), and every aggregating node truncates to the
 // f largest (largest = true) or f smallest values, always keeping
 // values tied with the f-th so the root can resolve duplicates
-// exactly. The result arrives sorted ascending.
-func CollectExtreme(rt *sim.Runtime, lo, hi, f int, largest bool) []int {
+// exactly. The result, dst[:0] refilled, arrives sorted ascending.
+func CollectExtreme(dst []int, rt *sim.Runtime, lo, hi, f int, largest bool) []int {
 	if f < 0 {
 		f = 0
 	}
 	rt.TraceRefine(lo, hi, f)
 	trim := func(vals []int) []int { return truncateExtreme(vals, f, largest) }
-	return trim(GatherValues(rt, rt.Holders(lo, hi), func(_, v int) bool { return v >= lo && v <= hi }, trim))
+	return trim(GatherValues(dst, rt, rt.Holders(lo, hi), func(_, v int) bool { return v >= lo && v <= hi }, trim))
 }
 
 // truncateExtreme keeps the f largest (or smallest) elements plus any
@@ -262,9 +272,10 @@ func truncateExtreme(vals []int, f int, largest bool) []int {
 // CollectHistogram gathers the bucket histogram of all measurements in
 // bu's range: each node inside sorts itself into a bucket, histograms
 // aggregate by vector addition, and only non-empty subtrees transmit.
-func CollectHistogram(rt *sim.Runtime, bu Buckets) []int {
+// The bucket counts are returned as dst[:0] refilled.
+func CollectHistogram(dst []int, rt *sim.Runtime, bu Buckets) []int {
 	rt.TraceRefine(bu.Lo, bu.Hi-1, bu.Effective())
-	return CollectCounts(rt, bu.Lo, bu.Hi-1, bu.Effective(), bu.Index)
+	return CollectCounts(dst, rt, bu.Lo, bu.Hi-1, bu.Effective(), bu.Index)
 }
 
 // CollectCounts gathers per-cell counts over cells cells of the closed
@@ -273,8 +284,8 @@ func CollectHistogram(rt *sim.Runtime, bu Buckets) []int {
 // has cellOf(v) = (i, true) counts itself into cell i, histograms
 // aggregate by vector addition and travel compressed, and only
 // non-empty subtrees transmit. cellOf must reject every v outside
-// [lo, hi]. The root's totals are returned.
-func CollectCounts(rt *sim.Runtime, lo, hi, cells int, cellOf func(v int) (int, bool)) []int {
+// [lo, hi]. The root's totals are returned as dst[:0] refilled.
+func CollectCounts(dst []int, rt *sim.Runtime, lo, hi, cells int, cellOf func(v int) (int, bool)) []int {
 	sizes := rt.Sizes()
 	// A node outside Holders has no children's histograms and cellOf
 	// rejects its reading, so it would return nil: skipping it is
@@ -303,7 +314,7 @@ func CollectCounts(rt *sim.Runtime, lo, hi, cells int, cellOf func(v int) (int, 
 		}
 		return h
 	})
-	total := make([]int, cells)
+	total := append(grown(dst, cells), make([]int, cells)...)
 	for _, p := range atRoot {
 		h := p.(*Histogram)
 		h.Drain(func(cell, c int) { total[cell] += c })

@@ -5,6 +5,14 @@
 // collection, histogram convergecasts, truncated order-statistic
 // convergecasts (IQ refinement responses), and the snapshot b-ary
 // search of [21] used for initialization.
+//
+// Every collection primitive (RunValidation's attached multiset,
+// GatherValues and the Collect functions) writes the root's result over
+// a caller-owned dst and returns dst[:0] refilled, the way
+// strconv.AppendInt appends to its dst; dst may be nil. No primitive
+// retains dst or keeps a result in scratch of its own, so a caller
+// that passes the same buffer to two calls sees in its own code that
+// the second result overwrites the first.
 package protocol
 
 import (

@@ -196,12 +196,12 @@ func TestCollectSmallestK(t *testing.T) {
 		all[i] = series[i][0]
 	}
 	sort.Ints(all)
-	got := CollectSmallestK(rt, 10)
+	got := CollectSmallestK(nil, rt, 10)
 	if !reflect.DeepEqual(got, all[:10]) {
 		t.Errorf("CollectSmallestK = %v, want %v", got, all[:10])
 	}
 	// Full collection.
-	got = CollectSmallestK(rt, 40)
+	got = CollectSmallestK(nil, rt, 40)
 	if !reflect.DeepEqual(got, all) {
 		t.Error("full collection mismatch")
 	}
@@ -218,7 +218,7 @@ func TestCollectValuesIn(t *testing.T) {
 		}
 	}
 	sort.Ints(want)
-	got := CollectValuesIn(rt, 20, 60)
+	got := CollectValuesIn(nil, rt, 20, 60)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("CollectValuesIn = %v, want %v", got, want)
 	}
@@ -239,7 +239,7 @@ func TestCollectExtremeAgainstBruteForce(t *testing.T) {
 			}
 		}
 		want := truncateExtreme(inRange, f, largest)
-		got := CollectExtreme(rt, lo, hi, f, largest)
+		got := CollectExtreme(nil, rt, lo, hi, f, largest)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: CollectExtreme = %v, want %v", trial, got, want)
 		}
@@ -261,7 +261,7 @@ func TestCollectHistogramAgainstBruteForce(t *testing.T) {
 				want[idx]++
 			}
 		}
-		got := CollectHistogram(rt, bu)
+		got := CollectHistogram(nil, rt, bu)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: histogram = %v, want %v", trial, got, want)
 		}
@@ -301,7 +301,7 @@ func TestRunValidationCountersAndHints(t *testing.T) {
 	series := [][]int{{40, 60}, {60, 45}, {50, 50}, {70, 55}}
 	rt := newRuntime(t, series, 5)
 	rt.AdvanceRound()
-	c := RunValidation(rt, ValidationSpec{
+	c := RunValidation(nil, rt, ValidationSpec{
 		Lb: 50, Ub: 51,
 		Prev:  func(n int) int { return rt.ReadingAt(n, 0) },
 		Hints: HintTwoValues,
@@ -323,7 +323,7 @@ func TestRunValidationSilence(t *testing.T) {
 	rt := newRuntime(t, series, 6)
 	rt.AdvanceRound()
 	before := rt.Ledger().TotalSpent()
-	c := RunValidation(rt, ValidationSpec{
+	c := RunValidation(nil, rt, ValidationSpec{
 		Lb: 50, Ub: 51,
 		Prev:  func(n int) int { return rt.ReadingAt(n, 0) },
 		Hints: HintTwoValues,
@@ -341,7 +341,7 @@ func TestRunValidationDistanceHint(t *testing.T) {
 	series := [][]int{{50, 30}, {40, 65}}
 	rt := newRuntime(t, series, 7)
 	rt.AdvanceRound()
-	c := RunValidation(rt, ValidationSpec{
+	c := RunValidation(nil, rt, ValidationSpec{
 		Lb: 50, Ub: 51,
 		Prev:  func(n int) int { return rt.ReadingAt(n, 0) },
 		Hints: HintMaxDistance,
@@ -368,7 +368,7 @@ func TestRunValidationAttach(t *testing.T) {
 	series := [][]int{{50, 49}, {50, 50}, {60, 52}, {10, 80}}
 	rt := newRuntime(t, series, 8)
 	rt.AdvanceRound()
-	c := RunValidation(rt, ValidationSpec{
+	c := RunValidation(nil, rt, ValidationSpec{
 		Lb: 50, Ub: 51,
 		Prev:  func(n int) int { return rt.ReadingAt(n, 0) },
 		Hints: HintMaxDistance,

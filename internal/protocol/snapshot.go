@@ -35,6 +35,7 @@ func SnapshotQuantile(rt *sim.Runtime, k, b int) (SnapshotResult, error) {
 	base := 0            // exact number of measurements below clo
 	inside := n          // exact number of measurements in [clo, chi)
 	perFrame := rt.Sizes().ValuesPerFrame()
+	var counts, vals []int // reused across the descent's steps
 
 	for iter := 0; ; iter++ {
 		if iter > 64 {
@@ -44,7 +45,7 @@ func SnapshotQuantile(rt *sim.Runtime, k, b int) (SnapshotResult, error) {
 		// "nearly empty interval" improvement of [21]).
 		if inside <= perFrame {
 			rt.Broadcast(Request{NBits: IntervalRequestBits(rt.Sizes())})
-			vals := CollectValuesIn(rt, clo, chi-1)
+			vals = CollectValuesIn(vals, rt, clo, chi-1)
 			if len(vals) != inside {
 				// Under an attached fault plan, a shortfall covered by
 				// the round's coverage deficit degrades the answer
@@ -71,7 +72,7 @@ func SnapshotQuantile(rt *sim.Runtime, k, b int) (SnapshotResult, error) {
 			return SnapshotResult{}, err
 		}
 		rt.Broadcast(Request{NBits: IntervalRequestBits(rt.Sizes())})
-		counts := CollectHistogram(rt, bu)
+		counts = CollectHistogram(counts, rt, bu)
 		kk := k - base
 		if deficit := rt.CoverageDeficit(); deficit > 0 {
 			total := 0
@@ -142,7 +143,7 @@ func SnapshotFull(rt *sim.Runtime, k int) (SnapshotResult, []int, error) {
 	if k < 1 || k > n {
 		return SnapshotResult{}, nil, fmt.Errorf("protocol: rank %d out of [1,%d]", k, n)
 	}
-	vals := CollectSmallestK(rt, n)
+	vals := CollectSmallestK(nil, rt, n)
 	if len(vals) != n {
 		// A shortfall covered by the runtime's coverage deficit (crashed
 		// or orphaned subtrees under an attached fault plan) degrades

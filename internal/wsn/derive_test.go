@@ -157,3 +157,95 @@ func TestDeriveMatchesFormerBuilders(t *testing.T) {
 		t.Fatalf("fixture too tame: %d connected trees, %d Reparents applied", built, moves)
 	}
 }
+
+// csrFixture is a seeded connected tree with plenty of inner nodes.
+func csrFixture(t *testing.T) *Topology {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	top, err := BuildConnectedTree(120, 150, 40, rng, 0, BuildTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// copyChildren deep-copies a children table.
+func copyChildren(children [][]int) [][]int {
+	out := make([][]int, len(children))
+	for i, ch := range children {
+		out[i] = append([]int(nil), ch...)
+	}
+	return out
+}
+
+// TestChildrenListsAreCapped: every children list is a capacity-capped
+// run of the flat array, so appending to one node's list never writes
+// into the next node's.
+func TestChildrenListsAreCapped(t *testing.T) {
+	top := csrFixture(t)
+	want := copyChildren(top.Children)
+	appended := 0
+	for p := range top.Children {
+		if len(top.Children[p]) == 0 {
+			continue
+		}
+		if cap(top.Children[p]) != len(top.Children[p]) {
+			t.Fatalf("Children[%d] has capacity %d beyond its %d children", p, cap(top.Children[p]), len(top.Children[p]))
+		}
+		grown := append(top.Children[p], -1)
+		want[p] = append(want[p], -1)
+		top.Children[p] = grown
+		appended++
+	}
+	if appended < 10 {
+		t.Fatalf("fixture too tame: %d inner nodes", appended)
+	}
+	if !reflect.DeepEqual(top.Children, want) {
+		t.Fatal("appending to one node's children changed another node's")
+	}
+}
+
+// TestCloneChildrenIndependent: writing into a clone's children lists,
+// or re-parenting inside the clone, leaves the original's children as
+// they were.
+func TestCloneChildrenIndependent(t *testing.T) {
+	top := csrFixture(t)
+	want := copyChildren(top.Children)
+
+	c := top.Clone()
+	if !reflect.DeepEqual(c.Children, want) {
+		t.Fatal("clone's children differ from the original's")
+	}
+	for _, ch := range c.Children {
+		for i := range ch {
+			ch[i] = -1
+		}
+	}
+	if !reflect.DeepEqual(top.Children, want) {
+		t.Fatal("writing into a clone's children changed the original's")
+	}
+
+	c = top.Clone()
+	reach := make([]bool, c.N())
+	for i := range reach {
+		reach[i] = true
+	}
+	moves := 0
+	for u := range c.Parent {
+		p, ok := c.RepairCandidate(u, reach, false)
+		if !ok || p == c.Parent[u] {
+			continue
+		}
+		if err := c.Reparent(u, p); err != nil {
+			t.Fatal(err)
+		}
+		moves++
+	}
+	if moves == 0 {
+		t.Fatal("fixture too tame: no Reparent applied")
+	}
+	if !reflect.DeepEqual(top.Children, want) {
+		t.Fatal("re-parenting inside a clone changed the original's children")
+	}
+	checkOldTraversal(t, "clone after moves", c)
+}

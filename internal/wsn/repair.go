@@ -12,7 +12,8 @@ import (
 // reaches the sink, then rebuilds the derived traversal structures.
 
 // Clone returns a deep copy of the topology, safe to mutate while the
-// original keeps serving other runs of the shared deployment.
+// original keeps serving other runs of the shared deployment. The
+// children lists are copied into one flat array of the clone's own.
 func (t *Topology) Clone() *Topology {
 	c := &Topology{
 		Pos:          append([]Point(nil), t.Pos...),
@@ -25,8 +26,12 @@ func (t *Topology) Clone() *Topology {
 		PostOrder:    append([]int(nil), t.PostOrder...),
 		Relay:        append([]bool(nil), t.Relay...),
 	}
+	flat := make([]int, 0, len(t.Parent)-len(t.RootChildren))
 	for i, ch := range t.Children {
-		c.Children[i] = append([]int(nil), ch...)
+		if len(ch) > 0 {
+			flat = append(flat, ch...)
+			c.Children[i] = flat[len(flat)-len(ch) : len(flat) : len(flat)]
+		}
 	}
 	if t.VirtualEdge != nil {
 		c.VirtualEdge = append([]bool(nil), t.VirtualEdge...)

@@ -36,10 +36,13 @@ type Topology struct {
 	Root  Point   // sink position
 	Range float64 // radio range ρ in meters
 
-	Parent       []int   // Parent[i] is i's tree parent, -1 meaning the root
-	Children     [][]int // Children[i] lists i's tree children
-	RootChildren []int   // sensors whose parent is the root
-	Depth        []int   // hop distance from the root (root's children have depth 1)
+	Parent []int // Parent[i] is i's tree parent, -1 meaning the root
+	// Children[i] lists i's tree children (nil for a leaf). The lists
+	// are capacity-capped runs of one flat array, so appending to one
+	// reallocates it instead of writing into the next node's list.
+	Children     [][]int
+	RootChildren []int // sensors whose parent is the root
+	Depth        []int // hop distance from the root (root's children have depth 1)
 
 	// PostOrder lists all sensors in depth-first post-order: every node
 	// appears after all of its children, and every subtree is one
@@ -287,6 +290,10 @@ func assemble(pos []Point, root Point, radioRange float64, parent []int) (*Topol
 // VirtualEdge: Children and RootChildren (each in index order), Depth,
 // PostOrder and Relay. It is the one traversal behind the tree
 // builders, ExpandVirtual and Reparent, and reuses the slices it can.
+//
+// Children is built like the disc graph's neighbour lists: a counting
+// sort by parent fills one flat array in index order, and each node's
+// list is its run of it.
 func (t *Topology) derive() error {
 	n := len(t.Parent)
 	t.Children = make([][]int, n)
@@ -295,14 +302,38 @@ func (t *Topology) derive() error {
 		t.Relay = make([]bool, n)
 	}
 	clear(t.Relay)
+	// end[p] counts p's children, then (after the prefix sums) marks
+	// where p's run ends in the flat array.
+	end := make([]int, n)
 	for i, p := range t.Parent {
 		if p == -1 {
 			t.RootChildren = append(t.RootChildren, i)
 			continue
 		}
-		t.Children[p] = append(t.Children[p], i)
+		end[p]++
 		if !t.IsVirtual(i) {
 			t.Relay[p] = true
+		}
+	}
+	for p := 1; p < n; p++ {
+		end[p] += end[p-1]
+	}
+	// Filling from the highest index down keeps every run in index
+	// order and moves each end[p] back to where p's run starts.
+	flat := make([]int, n-len(t.RootChildren))
+	for i := n - 1; i >= 0; i-- {
+		if p := t.Parent[i]; p != -1 {
+			end[p]--
+			flat[end[p]] = i
+		}
+	}
+	for p := range t.Children {
+		a, b := end[p], len(flat)
+		if p+1 < n {
+			b = end[p+1]
+		}
+		if a < b {
+			t.Children[p] = flat[a:b:b]
 		}
 	}
 	if len(t.Depth) != n {

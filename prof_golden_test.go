@@ -63,20 +63,32 @@ func TestProfAttributionGolden(t *testing.T) {
 		top.Phase, 100*top.AllocShare, rep.TotalAllocBytes)
 
 	// Same cell under LCLL-S: its slip refining re-descends every round
-	// (the refinement storm the alert preset fires on), so refinement
-	// must dominate the allocation profile — empirically ~88% of bytes,
-	// asserted loosely as "more than half" to absorb topology jitter.
+	// (the refinement storm the alert preset fires on), and every slide
+	// collects a histogram into the tally buffer LCLL owns, so the
+	// attributed bytes per round stay under a ceiling. What is left is
+	// mostly the loss path: payloads lost in flight refill the pools,
+	// and desyncs re-initialize.
+	const lcllsBytesPerRound = 8 << 10
 	p2 := wsnq.NewProf()
 	if _, err := wsnq.Run(goldenConfig(), wsnq.LCLLS, wsnq.WithObserver(&wsnq.Observer{Prof: p2})); err != nil {
 		t.Fatal(err)
 	}
-	stop, ok := p2.Report().TopAllocPhase("LCLL-S")
+	rep2 := p2.Report()
+	stop, ok := rep2.TopAllocPhase("LCLL-S")
 	if !ok {
 		t.Fatal("no LCLL-S buckets recorded")
 	}
-	if stop.Phase != "refinement" || stop.AllocShare < 0.5 {
-		t.Errorf("LCLL-S top allocating phase = %s (%.1f%%), want refinement dominating under per-round slip descent",
-			stop.Phase, 100*stop.AllocShare)
+	perRound := float64(rep2.TotalAllocBytes) / float64(goldenConfig().Rounds)
+	t.Logf("LCLL-S: %.0f B/round (ceiling %d), top allocating phase %s (%.1f%%)",
+		perRound, lcllsBytesPerRound, stop.Phase, 100*stop.AllocShare)
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a random share of
+		// recycled payloads; byte counts are only meaningful without it.
+		return
+	}
+	if perRound > lcllsBytesPerRound {
+		t.Errorf("LCLL-S allocates %.0f B/round in the golden cell, ceiling %d: a slide's collection allocates again?",
+			perRound, lcllsBytesPerRound)
 	}
 }
 
